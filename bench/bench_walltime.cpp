@@ -6,20 +6,16 @@
 //    backends, plus the raw pebbling game;
 //  * `--json=<path>`: a machine-readable perf-trajectory sweep. For every
 //    instance family in bench/common.hpp and a ladder of sizes it times
-//    the solver end-to-end (checks off) on every available backend
-//    (serial, threads, and openmp when compiled in), for three engine
-//    configurations: "reference" (copy-based double buffering, full
-//    sweeps — the seed engine's hot path), "fast-legacy" (delta-buffered
-//    + frontier-driven, but per-gap `get` pebble scans and per-step
-//    from-scratch mark-grid rebuilds; serial backend only, every ladder
-//    point) and "fast" (the full hot path: cursor-driven a-pebble gap
-//    runs + incrementally maintained mark grids — the two rows isolate
-//    exactly that effect), across both pw layouts (banded ladder to
-//    n = 256, entries-indexed dense past the old 64 cube cap). Each row
-//    carries a "scan" marker naming the pebble-scan mechanism. Where
-//    more than one engine configuration runs, the sweep asserts their
-//    cost, iteration count and full w table are bit-identical before
-//    writing rows. The instrumented PRAM work ledger is recorded once per
+//    the solver end-to-end on every available backend (serial, threads,
+//    and openmp when compiled in), for the engine's two execution paths:
+//    "reference" (the instrumented oracle — full sweeps through the
+//    general `get`, with the PRAM ledger on) and "fast" (the ledger off:
+//    frontier-driven sweeps, in-band cursors, `PwGapRun` pebble scans and
+//    incrementally maintained mark grids), across both pw layouts
+//    (banded ladder to n = 256, entries-indexed dense past the old 64
+//    cube cap). Where both paths run, the sweep asserts their cost,
+//    iteration count and full w table are bit-identical before writing
+//    rows. The instrumented PRAM work ledger is recorded once per
 //    (family, n) up to n = 96 (larger counted runs would dominate the
 //    sweep; rows above carry total_work = 0). Per family the sweep also
 //    times the batched front door: 16 same-n banded instances through
@@ -137,9 +133,8 @@ BENCHMARK(BM_Wavefront)
     ->Args({256, static_cast<int>(pram::Backend::kThreadPool)})
     ->Args({256, static_cast<int>(pram::Backend::kOpenMP)});
 
-// range(2) selects the engine configuration: 0 = reference (copy-based
-// double buffering + full sweeps, the seed hot path), 1 = fast
-// (delta-buffered + frontier-driven).
+// range(2) selects the engine path: 0 = reference (the instrumented
+// oracle), 1 = fast (ledger off, frontier-driven sweeps).
 void BM_SublinearBanded(benchmark::State& state) {
   const auto problem = make_chain(static_cast<std::size_t>(state.range(0)));
   const auto backend = static_cast<pram::Backend>(state.range(1));
@@ -147,9 +142,7 @@ void BM_SublinearBanded(benchmark::State& state) {
   for (auto _ : state) {
     core::SublinearOptions options;
     options.machine.backend = backend;
-    options.machine.record_costs = false;
-    options.delta_buffering = fast;
-    options.frontier_sweeps = fast;
+    options.machine.record_costs = !fast;
     core::SublinearSolver solver(options);
     benchmark::DoNotOptimize(solver.solve(problem).cost);
   }
@@ -196,8 +189,7 @@ struct SweepRow {
   std::string family;
   std::size_t n = 0;
   std::string variant;  // "banded" | "dense"
-  std::string engine;   // "reference" | "fast-legacy" | "fast"
-  std::string scan = "gap-get";  // | "pebble-cursor+incremental-marks"
+  std::string engine;   // "reference" | "fast"
   std::string backend;  // "serial" | "threads" | "openmp"
   std::string mode = "single";  // | "batch-amortised" | "batch-loop"
                                 // | "service-parallel"
@@ -252,37 +244,14 @@ struct TimedSolve {
   core::SublinearResult result;
 };
 
-/// The three engine configurations the sweep contrasts (see file comment).
-enum class EngineConfig { kReference, kFastLegacy, kFast };
-
-const char* engine_name(EngineConfig config) {
-  switch (config) {
-    case EngineConfig::kReference:
-      return "reference";
-    case EngineConfig::kFastLegacy:
-      return "fast-legacy";
-    case EngineConfig::kFast:
-      return "fast";
-  }
-  return "unknown";
-}
-
-const char* scan_name(EngineConfig config) {
-  return config == EngineConfig::kFast ? "pebble-cursor+incremental-marks"
-                                       : "gap-get";
-}
-
+/// Times one solve (best of 2) on the fast path or, with `reference`, on
+/// the instrumented oracle.
 TimedSolve time_solve(const dp::Problem& problem, core::PwVariant variant,
-                      EngineConfig config, pram::Backend backend) {
+                      bool reference, pram::Backend backend) {
   core::SublinearOptions options;
   options.variant = variant;
   options.machine.backend = backend;
-  options.machine.record_costs = false;
-  const bool fast = config != EngineConfig::kReference;
-  options.delta_buffering = fast;
-  options.frontier_sweeps = fast;
-  options.pebble_cursor = config == EngineConfig::kFast;
-  options.incremental_marks = config == EngineConfig::kFast;
+  options.machine.record_costs = reference;
   core::SublinearSolver solver(options);
   TimedSolve out;
   for (int rep = 0; rep < 2; ++rep) {  // best-of-2 absorbs cold caches
@@ -298,9 +267,9 @@ TimedSolve time_solve(const dp::Problem& problem, core::PwVariant variant,
   return out;
 }
 
-/// One rung of a variant's size ladder. Counted (instrumented) runs and
-/// the copy-based reference engine get quadratically slower with n, so
-/// they climb only part of the way; the fast path is timed everywhere.
+/// One rung of a variant's size ladder. The instrumented oracle (counted
+/// runs and reference rows) gets quadratically slower with n, so it
+/// climbs only part of the way; the fast path is timed everywhere.
 struct LadderPoint {
   std::size_t n = 0;
   bool run_reference = false;
@@ -330,41 +299,28 @@ void sweep_variant(const dp::Problem& problem, const std::string& family,
     iterations = counted_result.iterations;
   }
 
-  // The serial fast run doubles as the row source of truth; every other
-  // engine configuration that runs must be bit-identical to it.
+  // The serial fast run doubles as the row source of truth; the serial
+  // reference run, when it runs, must be bit-identical to it.
   std::optional<core::SublinearResult> reference_serial;
-  std::optional<core::SublinearResult> legacy_serial;
   std::optional<core::SublinearResult> fast_serial;
-  for (const EngineConfig config :
-       {EngineConfig::kReference, EngineConfig::kFastLegacy,
-        EngineConfig::kFast}) {
-    if (config == EngineConfig::kReference && !point.run_reference) continue;
+  for (const bool reference : {true, false}) {
+    if (reference && !point.run_reference) continue;
     for (const pram::Backend backend : backends) {
       // Above the counted sizes the reference engine is timed on the
-      // serial backend only, to keep the sweep's wall time bounded. The
-      // legacy fast path exists to isolate the cursor + incremental-grid
-      // effect, which serial rows show cleanest — serial only, always.
-      if (config == EngineConfig::kReference && !point.run_counted &&
+      // serial backend only, to keep the sweep's wall time bounded.
+      if (reference && !point.run_counted &&
           backend != pram::Backend::kSerial) {
         continue;
       }
-      if (config == EngineConfig::kFastLegacy &&
-          backend != pram::Backend::kSerial) {
-        continue;
-      }
-      TimedSolve timed = time_solve(problem, variant, config, backend);
+      TimedSolve timed = time_solve(problem, variant, reference, backend);
       if (backend == pram::Backend::kSerial) {
-        (config == EngineConfig::kFast        ? fast_serial
-         : config == EngineConfig::kFastLegacy ? legacy_serial
-                                               : reference_serial) =
-            timed.result;
+        (reference ? reference_serial : fast_serial) = timed.result;
       }
       SweepRow row;
       row.family = family;
       row.n = n;
       row.variant = variant_name;
-      row.engine = engine_name(config);
-      row.scan = scan_name(config);
+      row.engine = reference ? "reference" : "fast";
       row.backend = pram::to_string(backend);
       row.wall_ms = timed.ms;
       row.total_work = total_work;
@@ -378,16 +334,13 @@ void sweep_variant(const dp::Problem& problem, const std::string& family,
                   row.backend.c_str(), row.wall_ms);
     }
   }
-  const auto assert_matches_fast = [&](
-      const std::optional<core::SublinearResult>& other, const char* what) {
-    if (!other.has_value() || !fast_serial.has_value()) return;
-    SUBDP_REQUIRE(other->cost == fast_serial->cost &&
-                      other->iterations == fast_serial->iterations &&
-                      other->w == fast_serial->w,
-                  std::string("fast path diverged from ") + what);
-  };
-  assert_matches_fast(reference_serial, "the reference engine");
-  assert_matches_fast(legacy_serial, "the legacy fast path");
+  if (reference_serial.has_value() && fast_serial.has_value()) {
+    SUBDP_REQUIRE(reference_serial->cost == fast_serial->cost &&
+                      reference_serial->iterations ==
+                          fast_serial->iterations &&
+                      reference_serial->w == fast_serial->w,
+                  "fast path diverged from the reference engine");
+  }
 }
 
 // ---- Batch rows: the plan-amortised front door vs a per-instance loop ----
@@ -474,7 +427,6 @@ void sweep_batch(const std::string& family, std::size_t n,
     row.n = n;
     row.variant = core::to_string(core::PwVariant::kBanded);
     row.engine = "fast";
-    row.scan = scan_name(EngineConfig::kFast);
     row.backend = pram::to_string(options.machine.backend);
     row.mode = amortised ? "batch-amortised" : "batch-loop";
     row.instances = count;
@@ -581,7 +533,6 @@ void sweep_batch(const std::string& family, std::size_t n,
   row.n = n;
   row.variant = core::to_string(core::PwVariant::kBanded);
   row.engine = "fast";
-  row.scan = scan_name(EngineConfig::kFast);
   // Per-solve backend: a multi-worker service normalises to serial; a
   // one-worker service keeps the configured backend.
   row.backend = pram::to_string(service_workers > 1
@@ -821,7 +772,6 @@ void sweep_snapshot(const std::string& family, std::size_t n,
     row.n = n;
     row.variant = core::to_string(core::PwVariant::kBanded);
     row.engine = "fast";
-    row.scan = scan_name(EngineConfig::kFast);
     row.backend = pram::to_string(service_workers > 1
                                       ? pram::Backend::kSerial
                                       : options.machine.backend);
@@ -956,14 +906,14 @@ void run_json_sweep(const std::string& path,
     std::fprintf(
         out,
         "    {\"family\": \"%s\", \"n\": %zu, \"variant\": \"%s\", "
-        "\"engine\": \"%s\", \"scan\": \"%s\", \"backend\": \"%s\", "
+        "\"engine\": \"%s\", \"backend\": \"%s\", "
         "\"mode\": \"%s\", "
         "\"instances\": %zu, \"host_threads\": %u, \"workers\": %u, "
         "\"wall_ms\": %.4f, "
         "\"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f, "
         "\"total_work\": %llu, \"iterations\": %zu, \"cost\": %lld}%s\n",
         row.family.c_str(), row.n, row.variant.c_str(), row.engine.c_str(),
-        row.scan.c_str(), row.backend.c_str(), row.mode.c_str(),
+        row.backend.c_str(), row.mode.c_str(),
         row.instances, row.host_threads, row.workers, row.wall_ms,
         row.p50_ms, row.p95_ms, row.p99_ms,
         static_cast<unsigned long long>(row.total_work), row.iterations,

@@ -23,58 +23,51 @@
 /// a-square and a-pebble both read and write the same array, so every read
 /// within a step must observe the *previous* step's state regardless of
 /// execution backend. Instead of double-buffering (a full table copy per
-/// step — the dominant memcpy of the seed engine), the step records a
-/// write log of `(cell, new value)` pairs while scanning and applies it
-/// only after the step's barrier: reads during the step see pre-step
-/// state by construction, and since each cell is written by exactly one
-/// logical processor per step (owner-computes, CREW), the apply order is
-/// immaterial. The log doubles as the change count and — for a-pebble —
-/// as the next iteration's frontier. a-activate writes cells nobody reads
-/// within the step and updates in place, as before. Setting
-/// `SublinearOptions::delta_buffering = false` restores the reference
-/// copy-and-swap stepping (bit-identical results; the equivalence tests
-/// compare the two).
+/// step), the step records a write log of `(cell, new value)` pairs while
+/// scanning and applies it only after the step's barrier: reads during the
+/// step see pre-step state by construction, and since each cell is written
+/// by exactly one logical processor per step (owner-computes, CREW), the
+/// apply order is immaterial. The log doubles as the change count and —
+/// for a-pebble — as the next iteration's frontier. a-activate writes
+/// cells nobody reads within the step and updates in place.
 ///
-/// Performance architecture
-/// ------------------------
-/// Each macro-step runs on one of two paths:
-///  * the *instrumented* path (`Machine::step`, `std::function` body) when
-///    the cost ledger or the CREW checker is on — per-processor op counts
-///    and `note_write` conformance reports, exactly the paper's
-///    accounting; and
-///  * the *fast* path (`Machine::run_blocks`, templated body) otherwise —
-///    the per-cell kernels below are instantiated with `Instr = false`,
-///    so op counting and `note_write` compile down to nothing and the
-///    kernel inlines into the worker loop.
-/// On the fast path, the sweeps are additionally *frontier-driven*:
-///  * a-activate re-evaluates only the sites reading a `w(i,j)` the last
-///    pebble moved (falling back to the full sweep when that frontier is
-///    dense);
-///  * a-square (HLV mode) runs *root-major*: the entry list is walked as
-///    contiguous per-root blocks, a 2-D containment count over the moved
-///    roots answers "did any pw entry inside `(i,j)` move?" in O(1) and
-///    skips the whole block when not, and surviving quads test their HLV
-///    windows against per-endpoint prefix sums — O(1) per quad instead of
-///    the O(B) per-quad root walk this replaces;
-///  * a-pebble skips pairs with no root `pw` movement since their last
-///    rescan and no moved `w` among their gaps; pairs that do rescan
-///    stream their stored gaps as the layout's arithmetic-progression
-///    `PwGapRun`s (`pebble_scan_fast`) instead of dereferencing the
-///    general `get` per gap;
-///  * the mark grids behind both skip tests are maintained
-///    *incrementally*: each step diffs its moved-mark set against the
-///    marks standing in the grids and rank-updates only the affected
-///    rows/columns, falling back to the parallel from-scratch rebuild
-///    when the delta's touched-cell estimate reaches a full grid. The
-///    counts are integer sums over the same mark set either way, so they
-///    are bit-identical; debug builds assert the incremental result
-///    against the rebuild every step.
+/// Two execution paths
+/// -------------------
+/// Each macro-step runs one of two implementations, chosen by
+/// `machine.instrumented()` (cost ledger or CREW checker on):
+///  * the *oracle* (`Machine::step`, `std::function` body): full sweeps
+///    over every pair / quad, operands read through the layout's general
+///    `get` (`square_scan`, `pebble_scan`), per-processor op counts and
+///    `note_write` conformance reports — exactly the paper's accounting.
+///    This is the reference every other configuration is tested against,
+///    and the ledger `test_golden` pins.
+///  * the *fast path* (`Machine::run_blocks`, templated body): the
+///    kernels inline into the worker loop with no op counting, and the
+///    sweeps are frontier-driven (except under the windowed pebble
+///    schedule, which pebbles a different pair window each iteration):
+///     - a-activate re-evaluates only the sites reading a `w(i,j)` the
+///       last pebble moved (falling back to the full sweep when that
+///       frontier is dense);
+///     - a-square (HLV mode) runs *root-major*: the entry list is walked
+///       as contiguous per-root blocks, a 2-D containment count over the
+///       moved roots answers "did any pw entry inside `(i,j)` move?" in
+///       O(1) and skips the whole block when not, and surviving quads
+///       test their HLV windows against per-endpoint prefix sums;
+///     - a-pebble skips pairs with no root `pw` movement since their last
+///       rescan and no moved `w` among their gaps;
+///     - the mark grids behind both skip tests are maintained
+///       *incrementally*: each step diffs its moved-mark set against the
+///       marks standing in the grids and rank-updates only the affected
+///       rows/columns, falling back to the parallel from-scratch rebuild
+///       when the delta's touched-cell estimate reaches a full grid (and
+///       on the first step, when no grid state exists yet). The counts
+///       are integer sums over the same mark set either way, so they are
+///       bit-identical; debug builds assert the incremental result
+///       against the rebuild every step.
 /// Monotonicity of both tables makes every skipped site provably a no-op
 /// (its candidates are unchanged and were already min-applied), so
-/// results, change counts and iteration schedules are identical to full
-/// sweeps — the equivalence tests verify this per iteration. Checked /
-/// instrumented runs always use full sweeps, keeping the cost ledger
-/// unchanged.
+/// results, change counts and iteration schedules are identical to the
+/// oracle's — tests/test_core_fastpath.cpp verifies this per iteration.
 ///
 /// Storage policy and the in-band read path
 /// ----------------------------------------
@@ -94,15 +87,12 @@
 /// the layout emits every stored gap of a root as arithmetic-progression
 /// runs over raw `pw` slots paired with strided `w` slots (`PwGapRun`),
 /// so `pebble_scan_fast` is a pointer walk with no per-read addressing
-/// branches. `SublinearOptions::pebble_cursor` / `incremental_marks`
-/// select the reference implementations of these two mechanisms for the
-/// equivalence tests.
+/// branches.
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -160,7 +150,7 @@ struct RootBlock {
 };
 
 /// Everything the engine precomputes that depends only on the *shape*
-/// `(n, band, options)` — never on a concrete instance's costs: the shared
+/// `(n, band)` — never on a concrete instance's costs: the shared
 /// storage layout, the length-major pair list and its offsets, the write-
 /// log slot of every square entry, the root-block runs of the root-major
 /// sweep, and the activate-site total the frontier density test compares
@@ -179,7 +169,7 @@ struct EngineShape {
   ShapeArray<Pair> pairs;
   /// Prefix offsets addressing a window of lengths in `pairs`.
   ShapeArray<std::size_t> pairs_offset_by_length;
-  /// Storage slot per square entry (delta-buffered write-log apply).
+  /// Storage slot per square entry (write-log apply).
   ShapeArray<std::uint32_t> entry_slots;
   /// Per-root runs of the entry list (root-major square sweep).
   ShapeArray<RootBlock> root_blocks;
@@ -192,7 +182,7 @@ struct EngineShape {
   }
 
   [[nodiscard]] static std::shared_ptr<const EngineShape> build(
-      std::size_t n, std::size_t band, const SublinearOptions& options) {
+      std::size_t n, std::size_t band) {
     auto shape = std::make_shared<EngineShape>();
     shape->layout = Table::make_layout(n, band);
     shape->n = n;
@@ -217,35 +207,32 @@ struct EngineShape {
     }
 
     const auto& quads = shape->layout->entries();
+    SUBDP_REQUIRE(shape->layout->cell_count() <= UINT32_MAX,
+                  "pw table too large for 32-bit write-log slots");
     std::vector<std::uint32_t> entry_slots;
+    entry_slots.reserve(quads.size());
+    for (const Quad& t : quads) {
+      entry_slots.push_back(static_cast<std::uint32_t>(
+          shape->layout->entry_slot(t.i, t.j, t.p, t.q)));
+    }
+    // Per-root runs of the entry list (both layouts emit the quads of a
+    // root contiguously) — the unit of the root-major square sweep.
     std::vector<RootBlock> blocks;
-    if (options.delta_buffering) {
-      SUBDP_REQUIRE(shape->layout->cell_count() <= UINT32_MAX,
-                    "pw table too large for 32-bit write-log slots");
-      entry_slots.reserve(quads.size());
-      for (const Quad& t : quads) {
-        entry_slots.push_back(static_cast<std::uint32_t>(
-            shape->layout->entry_slot(t.i, t.j, t.p, t.q)));
-      }
-      // Per-root runs of the entry list (both layouts emit the quads of a
-      // root contiguously) — the unit of the root-major square sweep.
-      for (std::size_t idx = 0; idx < quads.size(); ++idx) {
-        const Quad& t = quads[idx];
-        if (blocks.empty() ||
-            pairs[blocks.back().pair].i != t.i ||
-            pairs[blocks.back().pair].j != t.j) {
-          if (!blocks.empty()) {
-            blocks.back().end = static_cast<std::uint32_t>(idx);
-          }
-          blocks.push_back(RootBlock{
-              static_cast<std::uint32_t>(idx), 0,
-              static_cast<std::uint32_t>(pairs_offset_by_length[t.j - t.i] +
-                                         t.i)});
+    for (std::size_t idx = 0; idx < quads.size(); ++idx) {
+      const Quad& t = quads[idx];
+      if (blocks.empty() || pairs[blocks.back().pair].i != t.i ||
+          pairs[blocks.back().pair].j != t.j) {
+        if (!blocks.empty()) {
+          blocks.back().end = static_cast<std::uint32_t>(idx);
         }
+        blocks.push_back(RootBlock{
+            static_cast<std::uint32_t>(idx), 0,
+            static_cast<std::uint32_t>(pairs_offset_by_length[t.j - t.i] +
+                                       t.i)});
       }
-      if (!blocks.empty()) {
-        blocks.back().end = static_cast<std::uint32_t>(quads.size());
-      }
+    }
+    if (!blocks.empty()) {
+      blocks.back().end = static_cast<std::uint32_t>(quads.size());
     }
     shape->pairs = std::move(pairs);
     shape->pairs_offset_by_length = std::move(pairs_offset_by_length);
@@ -263,8 +250,8 @@ struct EngineShape {
   /// yield a structurally inconsistent shape.
   [[nodiscard]] static std::shared_ptr<const EngineShape> restore(
       std::shared_ptr<const typename Table::Layout> layout, std::size_t n,
-      std::size_t band, const SublinearOptions& options,
-      ShapeArray<Pair> pairs, ShapeArray<std::size_t> pairs_offset_by_length,
+      std::size_t band, ShapeArray<Pair> pairs,
+      ShapeArray<std::size_t> pairs_offset_by_length,
       ShapeArray<std::uint32_t> entry_slots, ShapeArray<RootBlock> root_blocks,
       std::uint64_t total_split_sites) {
     auto shape = std::make_shared<EngineShape>();
@@ -292,24 +279,18 @@ struct EngineShape {
                   "snapshot split-site total disagrees with n");
 
     const std::size_t quad_count = shape->layout->entries().size();
-    if (options.delta_buffering) {
-      SUBDP_REQUIRE(shape->layout->cell_count() <= UINT32_MAX,
-                    "pw table too large for 32-bit write-log slots");
-      SUBDP_REQUIRE(entry_slots.size() == quad_count,
-                    "snapshot entry-slot count disagrees with the layout");
-      // Both layouts give every root of length >= 2 at least one quad, so
-      // the per-root runs must be one block per pair and end at the list.
-      SUBDP_REQUIRE(root_blocks.size() == (quad_count > 0 ? pairs.size() : 0),
-                    "snapshot root-block count disagrees with the pair list");
-      SUBDP_REQUIRE(root_blocks.empty() ||
-                        (root_blocks.front().begin == 0 &&
-                         root_blocks.back().end == quad_count),
-                    "snapshot root-block runs do not cover the entry list");
-    } else {
-      SUBDP_REQUIRE(entry_slots.empty() && root_blocks.empty(),
-                    "snapshot carries delta-buffering arrays the options "
-                    "do not use");
-    }
+    SUBDP_REQUIRE(shape->layout->cell_count() <= UINT32_MAX,
+                  "pw table too large for 32-bit write-log slots");
+    SUBDP_REQUIRE(entry_slots.size() == quad_count,
+                  "snapshot entry-slot count disagrees with the layout");
+    // Both layouts give every root of length >= 2 at least one quad, so
+    // the per-root runs must be one block per pair and end at the list.
+    SUBDP_REQUIRE(root_blocks.size() == (quad_count > 0 ? pairs.size() : 0),
+                  "snapshot root-block count disagrees with the pair list");
+    SUBDP_REQUIRE(root_blocks.empty() ||
+                      (root_blocks.front().begin == 0 &&
+                       root_blocks.back().end == quad_count),
+                  "snapshot root-block runs do not cover the entry list");
 
     shape->pairs = std::move(pairs);
     shape->pairs_offset_by_length = std::move(pairs_offset_by_length);
@@ -334,7 +315,6 @@ class Engine final : public IEngine {
         options_(options),
         machine_(machine),
         n_(shape_->n),
-        delta_(options.delta_buffering),
         pw_(shape_->layout),
         w_(n_ + 1, n_ + 1, kInfinity),
         pairs_(shape_->pairs),
@@ -343,14 +323,9 @@ class Engine final : public IEngine {
         root_blocks_(shape_->root_blocks),
         total_split_sites_(shape_->total_split_sites) {
     SUBDP_ASSERT(problem.size() == n_);
-    if (!delta_) {
-      pw_next_.emplace(shape_->layout);
-    } else {
-      pw_log_.resize(pw_.entries().size());
-      w_log_.resize(pairs_.size());
-    }
-    frontier_enabled_ = delta_ && options_.frontier_sweeps &&
-                        !options_.windowed_pebble && !machine_.instrumented();
+    pw_log_.resize(pw_.entries().size());
+    w_log_.resize(pairs_.size());
+    frontier_enabled_ = !options_.windowed_pebble && !machine_.instrumented();
     profile_ = options_.profile;
     if (frontier_enabled_) {
       // Value-initialised (zeroed) atomic flag arrays.
@@ -475,7 +450,6 @@ class Engine final : public IEngine {
     for (std::size_t i = 0; i < n_; ++i) {
       w_(i, i + 1) = problem.init(i);
     }
-    if (!delta_) w_next_ = w_;
     if (frontier_enabled_) {
       if (!fresh_tables) {
         for (std::size_t k = 0; k < pairs_.size(); ++k) {
@@ -524,7 +498,9 @@ class Engine final : public IEngine {
   // ---- Per-cell kernels --------------------------------------------------
   // Templated on `Instr`: with Instr = false, op counting and CREW
   // reporting vanish at compile time and the kernel inlines into the
-  // worker loop of the fast path.
+  // worker loop of the fast path. `pebble_scan` is oracle-only: the fast
+  // path pebbles through `pebble_scan_fast` and squares through
+  // `square_scan_fast` (HLV) or `square_scan<false>` (Rytter).
 
   /// Full a-activate scan of one pair: both eq. 1a/1b targets for every
   /// split `k`. In-place writes (activate targets are read by nobody
@@ -645,14 +621,13 @@ class Engine final : public IEngine {
     return best;
   }
 
-  /// a-pebble gap scan for one pair; returns the best pebbled cost
+  /// Oracle a-pebble gap scan for one pair; returns the best pebbled cost
   /// (callers write only if it beats `old_value`).
-  template <bool Instr>
   Cost pebble_scan(std::size_t i, std::size_t j, Cost old_value,
                    std::uint64_t& ops) {
     Cost best = old_value;
     pw_.for_each_gap(i, j, [&](std::size_t p, std::size_t q) {
-      if constexpr (Instr) ++ops;
+      ++ops;
       const Cost a = pw_.get(i, j, p, q);
       if (!is_finite(a)) return;
       best = sat_min(best, sat_add(a, w_(p, q)));
@@ -863,7 +838,7 @@ class Engine final : public IEngine {
   /// (`pebble_marks_`) is sparse, from-scratch rebuild when dense or when
   /// no valid grid state exists yet (first pebble, post-reset).
   void update_contained_counts() {
-    if (!options_.incremental_marks || !pebble_grids_valid_) {
+    if (!pebble_grids_valid_) {
       if (prof_ != nullptr) ++prof_->mark_updates_rebuilt;
       build_contained_counts();
       pebble_marks_.assign(frontier_.begin(), frontier_.end());
@@ -971,7 +946,7 @@ class Engine final : public IEngine {
   /// `pw_root_moved_` (still set — the square apply clears it later) for
   /// removals.
   void update_square_prefixes() {
-    if (!options_.incremental_marks || !square_grids_valid_) {
+    if (!square_grids_valid_) {
       if (prof_ != nullptr) ++prof_->mark_updates_rebuilt;
       build_square_prefixes();
       capture_square_marks();
@@ -1154,30 +1129,8 @@ class Engine final : public IEngine {
 
   std::uint64_t run_square() {
     const auto& quads = pw_.entries();
-    if (!delta_) {
-      // Reference mode: full-table copy + swap double-buffering.
-      std::atomic<std::uint64_t> changed{0};
-      pw_next_->copy_from(pw_);
-      machine_.step(
-          "a-square", static_cast<std::int64_t>(quads.size()),
-          [&](std::int64_t idx) -> std::uint64_t {
-            const Quad t = quads[static_cast<std::size_t>(idx)];
-            const Cost old_value = pw_.get(t.i, t.j, t.p, t.q);
-            std::uint64_t ops = 0;
-            const Cost best = square_scan<true>(t, old_value, ops);
-            if (best < old_value) {
-              pw_next_->set(t.i, t.j, t.p, t.q, best);
-              machine_.note_write(pw_.address(t.i, t.j, t.p, t.q));
-              changed.fetch_add(1, std::memory_order_relaxed);
-            }
-            return ops;
-          });
-      std::swap(pw_, *pw_next_);
-      return changed.load();
-    }
-
-    // Delta-buffered: reads see pre-step state because all writes are
-    // deferred to the post-barrier apply below.
+    // Reads see pre-step state because all writes are deferred to the
+    // post-barrier apply below.
     pw_log_count_.store(0, std::memory_order_relaxed);
     if (machine_.instrumented()) {
       machine_.step(
@@ -1310,30 +1263,6 @@ class Engine final : public IEngine {
       if (frontier_enabled_) frontier_.clear();
       return 0;
     }
-    if (!delta_) {
-      // Reference mode: full w copy + swap double-buffering.
-      std::atomic<std::uint64_t> changed{0};
-      w_next_ = w_;
-      machine_.step(
-          "a-pebble", static_cast<std::int64_t>(w_end - w_begin),
-          [&, w_begin = w_begin](std::int64_t idx) -> std::uint64_t {
-            const Pair pr = pairs_[w_begin + static_cast<std::size_t>(idx)];
-            const Cost old_value = w_(pr.i, pr.j);
-            std::uint64_t ops = 0;
-            const Cost best = pebble_scan<true>(pr.i, pr.j, old_value, ops);
-            if (best < old_value) {
-              w_next_(pr.i, pr.j) = best;
-              machine_.note_write(
-                  kWAddressTag |
-                  (static_cast<std::uint64_t>(pr.i) * (n_ + 1) + pr.j));
-              changed.fetch_add(1, std::memory_order_relaxed);
-            }
-            return ops;
-          });
-      std::swap(w_, w_next_);
-      return changed.load();
-    }
-
     w_log_count_.store(0, std::memory_order_relaxed);
     if (machine_.instrumented()) {
       machine_.step(
@@ -1343,7 +1272,7 @@ class Engine final : public IEngine {
             const Pair pr = pairs_[at];
             const Cost old_value = w_(pr.i, pr.j);
             std::uint64_t ops = 0;
-            const Cost best = pebble_scan<true>(pr.i, pr.j, old_value, ops);
+            const Cost best = pebble_scan(pr.i, pr.j, old_value, ops);
             if (best < old_value) {
               w_log_[w_log_count_.fetch_add(1, std::memory_order_relaxed)] =
                   Delta{static_cast<std::uint32_t>(at), best};
@@ -1355,14 +1284,12 @@ class Engine final : public IEngine {
           });
     } else {
       const bool use_frontier = frontier_enabled_;
-      const bool cursor = options_.pebble_cursor;
       if (use_frontier) update_contained_counts();
       const bool prof = prof_ != nullptr;
       if (prof) prof_->pebble_pairs_total += w_end - w_begin;
       machine_.run_blocks(
           static_cast<std::int64_t>(w_end - w_begin),
           [&, w_begin = w_begin](std::int64_t lo, std::int64_t hi) {
-            std::uint64_t ops = 0;
             std::uint64_t pairs_scanned = 0, pairs_skipped = 0;
             for (std::int64_t idx = lo; idx < hi; ++idx) {
               const std::size_t at = w_begin + static_cast<std::size_t>(idx);
@@ -1383,9 +1310,7 @@ class Engine final : public IEngine {
               }
               if (prof) ++pairs_scanned;
               const Cost old_value = w_(pr.i, pr.j);
-              const Cost best =
-                  cursor ? pebble_scan_fast(pr.i, pr.j, old_value)
-                         : pebble_scan<false>(pr.i, pr.j, old_value, ops);
+              const Cost best = pebble_scan_fast(pr.i, pr.j, old_value);
               if (best < old_value) {
                 w_log_[w_log_count_.fetch_add(1, std::memory_order_relaxed)] =
                     Delta{static_cast<std::uint32_t>(at), best};
@@ -1456,11 +1381,8 @@ class Engine final : public IEngine {
   SublinearOptions options_;
   pram::Machine& machine_;
   std::size_t n_;
-  bool delta_;
   Table pw_;
-  std::optional<Table> pw_next_;    ///< Reference copy-based mode only.
   support::Grid2D<Cost> w_;
-  support::Grid2D<Cost> w_next_;    ///< Reference copy-based mode only.
 
   // Shape-owned geometry — immutable aliases into `*shape_`.
   const ShapeArray<Pair>& pairs_;
@@ -1469,7 +1391,7 @@ class Engine final : public IEngine {
   const ShapeArray<RootBlock>& root_blocks_;      ///< Per-root runs.
   std::uint64_t total_split_sites_ = 0;
 
-  // Delta-buffered stepping state (delta_ == true).
+  // Write logs of the current step (see the file comment).
   std::vector<Delta> pw_log_;
   std::vector<Delta> w_log_;
   std::atomic<std::size_t> pw_log_count_{0};

@@ -107,11 +107,4 @@ void BandedPwTable::reset() {
   right_child_cells_.assign(right_child_cells_.size(), kInfinity);
 }
 
-void BandedPwTable::copy_from(const BandedPwTable& other) {
-  SUBDP_ASSERT(n_ == other.n_ && band_ == other.band_);
-  cells_ = other.cells_;
-  left_child_cells_ = other.left_child_cells_;
-  right_child_cells_ = other.right_child_cells_;
-}
-
 }  // namespace subdp::core

@@ -373,9 +373,6 @@ class BandedPwTable {
   /// Resets every stored entry to `kInfinity` (in place, no reallocation).
   void reset();
 
-  /// Bulk copy from a same-shape table (square-step double buffering).
-  void copy_from(const BandedPwTable& other);
-
  private:
   static constexpr std::uint64_t kLeftChildTag = std::uint64_t{1} << 60;
   static constexpr std::uint64_t kRightChildTag = std::uint64_t{1} << 61;

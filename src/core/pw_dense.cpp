@@ -82,9 +82,4 @@ void DensePwTable::reset() {
   cells_.assign(cells_.size(), kInfinity);
 }
 
-void DensePwTable::copy_from(const DensePwTable& other) {
-  SUBDP_ASSERT(n_ == other.n_);
-  cells_ = other.cells_;
-}
-
 }  // namespace subdp::core

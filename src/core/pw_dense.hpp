@@ -278,9 +278,6 @@ class DensePwTable {
   /// Resets every stored entry to `kInfinity` (in place, no reallocation).
   void reset();
 
-  /// Bulk copy from a same-shape table (square-step double buffering).
-  void copy_from(const DensePwTable& other);
-
  private:
   std::shared_ptr<const DensePwLayout> layout_;
   std::size_t n_;  ///< Cached from the layout (hot-path locality).

@@ -168,7 +168,6 @@ concept PwStoragePolicy =
       { c.for_each_gap_run(z, z, layout_detail::GapRunSink{}) } ->
           std::same_as<void>;
       { t.reset() } -> std::same_as<void>;
-      { t.copy_from(c) } -> std::same_as<void>;
     };
 
 }  // namespace subdp::core

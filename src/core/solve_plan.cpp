@@ -46,10 +46,10 @@ std::shared_ptr<const SolvePlan> SolvePlan::create(
   if (n >= 2) {
     if (options.variant == PwVariant::kDense) {
       plan->dense_shape_ =
-          detail::EngineShape<DensePwTable>::build(n, plan->band_, options);
+          detail::EngineShape<DensePwTable>::build(n, plan->band_);
     } else {
       plan->banded_shape_ =
-          detail::EngineShape<BandedPwTable>::build(n, plan->band_, options);
+          detail::EngineShape<BandedPwTable>::build(n, plan->band_);
     }
   }
   return plan;

@@ -85,30 +85,6 @@ struct SublinearOptions {
   /// termination (the window makes per-iteration change useless as a
   /// stopping signal).
   bool windowed_pebble = false;
-  /// Hot-path tuning (see the "Performance architecture" notes atop
-  /// engine.hpp). Both default on; turning one off selects the reference
-  /// implementation of that mechanism, which the equivalence tests compare
-  /// against. Neither affects results, iteration counts, or the ledger.
-  ///
-  /// Delta buffering: a-square and a-pebble record `(cell, new value)`
-  /// write logs during the step and apply them after the barrier, instead
-  /// of copying the full table every iteration.
-  bool delta_buffering = true;
-  /// Frontier sweeps: a-activate and a-pebble skip sites none of whose
-  /// inputs moved since the site was last scanned. Only engaged on the
-  /// fast path (no CREW checker, no cost ledger) and without the windowed
-  /// pebble schedule, so checked-mode accounting is unchanged.
-  bool frontier_sweeps = true;
-  /// Cursor pebble scan (fast path only): the a-pebble gap scan streams
-  /// each root's stored gaps as the layout's arithmetic-progression
-  /// `PwGapRun`s instead of reading every gap through `for_each_gap` and
-  /// the general `get` (identity / slack / child-gap branches per read).
-  bool pebble_cursor = true;
-  /// Incremental mark grids (fast path only): the frontier sweeps'
-  /// containment / prefix grids are updated from the step's moved-mark
-  /// delta when sparse (rank-update row passes), rebuilt from scratch when
-  /// dense — bit-identical counts either way.
-  bool incremental_marks = true;
   /// Per-step engine profiling: record a `StepProfile` per iteration
   /// (frontier density, blocks/quads/pairs skipped vs scanned,
   /// incremental-mark updates vs rebuilds, write-log sizes), readable

@@ -80,6 +80,8 @@ void ThreadPool::parallel_for_erased(std::int64_t begin, std::int64_t end,
     return;
   }
 
+  // The job fields below are shared by every issuer: one loop at a time.
+  const std::lock_guard<std::mutex> issuer(issuer_mutex_);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     body_fn_ = fn;

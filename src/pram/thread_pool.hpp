@@ -23,9 +23,15 @@
 /// before its longest solve, so async submissions arriving mid-round
 /// would head-of-line block behind it — the service keeps free-running
 /// queue-consumer threads instead, and (when it runs more than one
-/// worker) forces each solve onto the serial backend so `shared()`
-/// never sees loops issued from two service workers at once, honouring
-/// the single-issuer contract below.
+/// worker) forces each solve onto the serial backend so service workers
+/// do not serialise on `shared()`.
+///
+/// One loop runs at a time: an issuer mutex, held for the whole of a
+/// multi-chunk loop, makes concurrent callers (say, a 1-worker service
+/// that keeps the threads backend and a caller's own solver) take turns
+/// instead of overwriting each other's published job. Loops that run
+/// inline — no workers, or a range within one grain — skip the lock.
+/// A body must not issue a loop on the pool that is running it.
 
 #include <atomic>
 #include <condition_variable>
@@ -40,7 +46,7 @@
 namespace subdp::pram {
 
 /// Fork-join pool; one instance can be reused for any number of loops,
-/// but loops must not be issued concurrently from different threads.
+/// issued from any number of threads (they run one at a time).
 class ThreadPool {
  public:
   /// Spawns `threads` workers (0 = `hardware_concurrency`).
@@ -85,6 +91,8 @@ class ThreadPool {
   void run_chunks();
 
   std::vector<std::thread> workers_;
+  /// Held by the issuing thread for a whole multi-chunk loop.
+  std::mutex issuer_mutex_;
   std::mutex mutex_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;

@@ -18,10 +18,6 @@ PlanKey PlanKey::make(std::size_t n,
   key.band_width = options.band_width;
   key.max_iterations = options.max_iterations;
   key.windowed_pebble = options.windowed_pebble;
-  key.delta_buffering = options.delta_buffering;
-  key.frontier_sweeps = options.frontier_sweeps;
-  key.pebble_cursor = options.pebble_cursor;
-  key.incremental_marks = options.incremental_marks;
   key.profile = options.profile;
   key.backend = options.machine.backend;
   key.check_crew = options.machine.check_crew;

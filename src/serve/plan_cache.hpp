@@ -76,10 +76,6 @@ struct PlanKey {
   std::size_t band_width = 0;
   std::size_t max_iterations = 0;
   bool windowed_pebble = false;
-  bool delta_buffering = true;
-  bool frontier_sweeps = true;
-  bool pebble_cursor = true;
-  bool incremental_marks = true;
   /// Per-step profiling changes what a session records (engine profile
   /// state), so profiled and unprofiled requests must not share pools —
   /// the toggle is part of the key even though it leaves plan geometry
@@ -96,9 +92,7 @@ struct PlanKey {
     auto tie = [](const PlanKey& k) {
       return std::tuple(k.n, k.variant, k.square_mode, k.termination,
                         k.band_width, k.max_iterations, k.windowed_pebble,
-                        k.delta_buffering, k.frontier_sweeps,
-                        k.pebble_cursor, k.incremental_marks, k.profile,
-                        k.backend, k.check_crew, k.record_costs);
+                        k.profile, k.backend, k.check_crew, k.record_costs);
     };
     return tie(a) < tie(b);
   }

@@ -48,9 +48,10 @@ std::string shape_label(std::size_t n, const core::SublinearOptions& opts) {
 core::SublinearOptions SolverService::normalized(
     core::SublinearOptions options) const {
   // Multi-worker sessions run the serial engine path (the shared engine
-  // pool is single-issuer, and instance-level parallelism already covers
-  // the cores); a one-worker service keeps the caller's backend, so the
-  // BatchSolver facade behaves exactly like the pre-service BatchSolver.
+  // pool runs one loop at a time, and instance-level parallelism already
+  // covers the cores); a one-worker service keeps the caller's backend, so
+  // the BatchSolver facade behaves exactly like the pre-service
+  // BatchSolver.
   if (workers_ > 1) options.machine.backend = pram::Backend::kSerial;
   return options;
 }

@@ -157,15 +157,15 @@
 ///    walltime bench assert this).
 ///
 /// When the service runs more than one worker, sessions normalise the
-/// machine backend to `kSerial`: the inner engine must not issue
-/// fork-join loops on the shared engine pool from several service
-/// workers at once (that pool is single-issuer), and with instances
-/// already covering the cores, intra-solve threading has nothing left to
-/// win. A one-worker service (the `BatchSolver` facade) keeps the
-/// caller's configured backend — there is only one issuer, and the old
-/// `BatchSolver` behavior (parallelism inside each solve) is preserved
-/// exactly. Normalisation happens before keying the cache, so the
-/// `(n, options)` key space is not split by ignored backend choices.
+/// machine backend to `kSerial`: the shared engine pool runs one loop at
+/// a time (its issuer lock would serialise the workers' solves), and
+/// with instances already covering the cores, intra-solve threading has
+/// nothing left to win. A one-worker service (the `BatchSolver` facade)
+/// keeps the caller's configured backend, so the old `BatchSolver`
+/// behavior (parallelism inside each solve) is preserved exactly; other
+/// threads solving on the shared pool meanwhile take turns with it.
+/// Normalisation happens before keying the cache, so the `(n, options)`
+/// key space is not split by ignored backend choices.
 ///
 /// ```
 /// serve::ServiceOptions opts;

@@ -47,14 +47,10 @@ struct SnapshotHeader {
   std::uint8_t square_mode;
   std::uint8_t termination;
   std::uint8_t windowed_pebble;
-  std::uint8_t delta_buffering;
-  std::uint8_t frontier_sweeps;
-  std::uint8_t pebble_cursor;
-  std::uint8_t incremental_marks;
   std::uint8_t backend;
   std::uint8_t check_crew;
   std::uint8_t record_costs;
-  std::uint8_t pad[5];
+  std::uint8_t pad[9];
   // Derived scalars, stored for cross-checking against recomputation.
   std::uint64_t bound;
   std::uint64_t band;
@@ -90,10 +86,6 @@ void fill_key(SnapshotHeader& h, std::size_t n,
   h.square_mode = static_cast<std::uint8_t>(o.square_mode);
   h.termination = static_cast<std::uint8_t>(o.termination);
   h.windowed_pebble = o.windowed_pebble ? 1 : 0;
-  h.delta_buffering = o.delta_buffering ? 1 : 0;
-  h.frontier_sweeps = o.frontier_sweeps ? 1 : 0;
-  h.pebble_cursor = o.pebble_cursor ? 1 : 0;
-  h.incremental_marks = o.incremental_marks ? 1 : 0;
   h.backend = static_cast<std::uint8_t>(o.machine.backend);
   h.check_crew = o.machine.check_crew ? 1 : 0;
   h.record_costs = o.machine.record_costs ? 1 : 0;
@@ -108,10 +100,6 @@ void fill_key(SnapshotHeader& h, std::size_t n,
          h.variant == want.variant && h.square_mode == want.square_mode &&
          h.termination == want.termination &&
          h.windowed_pebble == want.windowed_pebble &&
-         h.delta_buffering == want.delta_buffering &&
-         h.frontier_sweeps == want.frontier_sweeps &&
-         h.pebble_cursor == want.pebble_cursor &&
-         h.incremental_marks == want.incremental_marks &&
          h.backend == want.backend && h.check_crew == want.check_crew &&
          h.record_costs == want.record_costs;
 }
@@ -297,18 +285,16 @@ std::shared_ptr<const core::SolvePlan> decode_plan(
     auto layout = std::make_shared<const core::DensePwLayout>(
         n, std::move(length_base), std::move(entries));
     auto shape = core::detail::EngineShape<core::DensePwTable>::restore(
-        std::move(layout), n, band, options, std::move(pairs),
-        std::move(pair_offsets), std::move(entry_slots),
-        std::move(root_blocks), h.total_split_sites);
+        std::move(layout), n, band, std::move(pairs), std::move(pair_offsets),
+        std::move(entry_slots), std::move(root_blocks), h.total_split_sites);
     plan = core::SolvePlan::restore(n, options, nullptr, std::move(shape));
   } else {
     auto layout = std::make_shared<const core::BandedPwLayout>(
         n, band, std::move(length_base), std::move(tetra_base),
         std::move(entries));
     auto shape = core::detail::EngineShape<core::BandedPwTable>::restore(
-        std::move(layout), n, band, options, std::move(pairs),
-        std::move(pair_offsets), std::move(entry_slots),
-        std::move(root_blocks), h.total_split_sites);
+        std::move(layout), n, band, std::move(pairs), std::move(pair_offsets),
+        std::move(entry_slots), std::move(root_blocks), h.total_split_sites);
     plan = core::SolvePlan::restore(n, options, std::move(shape), nullptr);
   }
 

@@ -16,8 +16,8 @@
 ///     3. layout entries         (core::Quad)
 ///     4. shape pairs            (core::detail::Pair)
 ///     5. shape pair offsets     (std::size_t)
-///     6. shape entry slots      (std::uint32_t; delta buffering only)
-///     7. shape root blocks      (core::detail::RootBlock; ditto)
+///     6. shape entry slots      (std::uint32_t)
+///     7. shape root blocks      (core::detail::RootBlock)
 ///
 /// The header carries a magic, the format version, an ABI tag (field
 /// sizes + endianness — this is a *host* format, not an interchange
@@ -56,7 +56,7 @@ namespace subdp::snapshot {
 
 /// Bumped on any incompatible change to the header or payload layout;
 /// decoders reject other versions (the caller rebuilds and overwrites).
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// "SUBDPSNP" — identifies a plan snapshot regardless of version.
 inline constexpr char kMagic[8] = {'S', 'U', 'B', 'D', 'P', 'S', 'N', 'P'};

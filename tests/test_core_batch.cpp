@@ -120,25 +120,21 @@ TEST(Session, LedgerAndCellCountResetBetweenInstances) {
 }
 
 TEST(Session, ReuseMatchesAcrossEngineConfigurations) {
-  // The in-place reset must be exact for every engine mode: reference
-  // double-buffering, delta without frontiers, and the full fast path.
+  // The in-place reset must be exact on both engine paths: the
+  // instrumented oracle and the frontier-driven fast path.
   const std::size_t n = 14;
   const auto problems = random_chains(3, n, 504);
-  for (const bool delta : {false, true}) {
-    for (const bool frontier : {false, true}) {
-      if (!delta && frontier) continue;
-      SublinearOptions options;
-      options.delta_buffering = delta;
-      options.frontier_sweeps = frontier;
-      SolveSession session(SolvePlan::create(n, options));
-      for (const auto& p : problems) {
-        const auto reused = session.solve(p);
-        SolveSession oneshot(SolvePlan::create(n, options));
-        const auto fresh = oneshot.solve(p);
-        EXPECT_EQ(reused.cost, fresh.cost);
-        EXPECT_TRUE(reused.w == fresh.w);
-        EXPECT_EQ(reused.iterations, fresh.iterations);
-      }
+  for (const bool record_costs : {true, false}) {
+    SublinearOptions options;
+    options.machine.record_costs = record_costs;
+    SolveSession session(SolvePlan::create(n, options));
+    for (const auto& p : problems) {
+      const auto reused = session.solve(p);
+      SolveSession oneshot(SolvePlan::create(n, options));
+      const auto fresh = oneshot.solve(p);
+      EXPECT_EQ(reused.cost, fresh.cost);
+      EXPECT_TRUE(reused.w == fresh.w);
+      EXPECT_EQ(reused.iterations, fresh.iterations);
     }
   }
 }

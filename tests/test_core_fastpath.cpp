@@ -1,14 +1,14 @@
-// Equivalence tests for the hot-path engine mechanisms (core/engine.hpp):
-// delta-buffered stepping vs copy-based double buffering, frontier-driven
-// vs full sweeps, cursor-driven a-pebble gap runs vs per-gap `get` scans,
-// incrementally maintained frontier mark grids vs per-step rebuilds, and
-// serial vs thread-pool execution must all produce identical solver
-// output — the same w table, cost, iteration count, and per-iteration
-// change counts — across every instance family in bench/common.hpp and
-// both pw-table layouts. The fast path is engaged by
-// turning the cost ledger off (`record_costs = false`); checked /
-// instrumented runs keep full sweeps, whose ledger must be unaffected by
-// delta buffering.
+// Equivalence tests for the engine's two execution paths
+// (core/engine.hpp). The oracle is the instrumented engine (the default,
+// `record_costs = true`): `Machine::step`, full sweeps, operands read
+// through the layout's general `get`, with the PRAM ledger whose values
+// test_golden pins. The fast path (`record_costs = false`) runs
+// frontier-driven sweeps, in-band cursors, `PwGapRun` pebble scans and
+// incrementally maintained mark grids. Every fast configuration — serial
+// or thread pool, profiled or not — and the counted engine on the thread
+// pool must produce output identical to the serial oracle: the same w
+// table, cost, iteration count, and per-iteration change counts, across
+// every instance family in bench/common.hpp and both pw-table layouts.
 
 #include <gtest/gtest.h>
 
@@ -29,17 +29,10 @@ namespace {
 
 struct EngineConfig {
   std::string name;
-  bool delta = true;
-  bool frontier = true;
-  bool record_costs = false;
+  bool record_costs = false;  ///< true selects the instrumented oracle.
   pram::Backend backend = pram::Backend::kSerial;
-  // The two PR-6 hot-path mechanisms; false selects the reference
-  // implementation (per-gap `get` pebble scans / from-scratch mark-grid
-  // rebuilds) the cursor and incremental paths must be bit-identical to.
-  bool cursor = true;
-  bool incremental = true;
-  // Per-step engine profiling (observability PR): on or off, the solver
-  // output must be bit-identical — profiling only ever records.
+  // Per-step engine profiling: on or off, the solver output must be
+  // bit-identical — profiling only ever records.
   bool profile = false;
 };
 
@@ -47,10 +40,6 @@ SublinearResult run_config(const dp::Problem& problem,
                            const EngineConfig& config, PwVariant variant) {
   SublinearOptions options;
   options.variant = variant;
-  options.delta_buffering = config.delta;
-  options.frontier_sweeps = config.frontier;
-  options.pebble_cursor = config.cursor;
-  options.incremental_marks = config.incremental;
   options.profile = config.profile;
   options.machine.record_costs = config.record_costs;
   options.machine.backend = config.backend;
@@ -72,40 +61,20 @@ void expect_identical(const SublinearResult& ref, const SublinearResult& got,
   }
 }
 
-// The reference configuration is the seed engine's stepping scheme:
-// copy-based double buffering, full sweeps, instrumented.
+// The reference configuration is the instrumented serial oracle.
 EngineConfig reference_config() {
-  return {"reference(copy,full,counted,serial)", false, false, true,
-          pram::Backend::kSerial};
+  return {"oracle(counted,serial)", true, pram::Backend::kSerial};
 }
 
 std::vector<EngineConfig> variant_configs() {
   return {
-      {"delta,full,counted,serial", true, false, true, pram::Backend::kSerial},
-      {"delta,full,fast,serial", true, false, false, pram::Backend::kSerial},
-      {"delta,frontier,fast,serial", true, true, false,
-       pram::Backend::kSerial},
-      {"copy,full,fast,serial", false, false, false, pram::Backend::kSerial},
-      {"delta,frontier,fast,threads", true, true, false,
-       pram::Backend::kThreadPool},
-      {"delta,full,counted,threads", true, false, true,
-       pram::Backend::kThreadPool},
-      // Legacy fast paths: each PR-6 mechanism off alone, then both off
-      // (the pre-cursor engine), serial and threaded.
-      {"delta,frontier,fast,serial,no-cursor", true, true, false,
-       pram::Backend::kSerial, false, true},
-      {"delta,frontier,fast,serial,no-incremental", true, true, false,
-       pram::Backend::kSerial, true, false},
-      {"delta,frontier,fast,serial,legacy", true, true, false,
-       pram::Backend::kSerial, false, false},
-      {"delta,frontier,fast,threads,legacy", true, true, false,
-       pram::Backend::kThreadPool, false, false},
+      {"fast,serial", false, pram::Backend::kSerial},
+      {"fast,threads", false, pram::Backend::kThreadPool},
+      {"counted,threads", true, pram::Backend::kThreadPool},
       // Observability: per-step profiling on must be bit-identical to the
-      // reference — recording never steers a sweep, serial or threaded.
-      {"delta,frontier,fast,serial,profiled", true, true, false,
-       pram::Backend::kSerial, true, true, true},
-      {"delta,frontier,fast,threads,profiled", true, true, false,
-       pram::Backend::kThreadPool, true, true, true},
+      // oracle — recording never steers a sweep, serial or threaded.
+      {"fast,serial,profiled", false, pram::Backend::kSerial, true},
+      {"fast,threads,profiled", false, pram::Backend::kThreadPool, true},
   };
 }
 
@@ -137,15 +106,13 @@ TEST(FastPath, AllConfigurationsAgreeOnEveryFamilyDense) {
 }
 
 TEST(FastPath, PwTablesMatchCellByCell) {
-  // Beyond the w table: step both engines side by side and compare every
-  // stored pw entry after each iteration.
+  // Beyond the w table: step the oracle and the fast path side by side
+  // and compare every stored pw entry after each iteration.
   support::Rng rng(99);
   const std::size_t n = 20;
   const auto problem = bench::make_instance("matrix-chain", n, rng);
 
-  SublinearOptions ref_options;
-  ref_options.delta_buffering = false;
-  ref_options.frontier_sweeps = false;
+  SublinearOptions ref_options;  // instrumented oracle
   SublinearOptions fast_options;
   fast_options.machine.record_costs = false;
 
@@ -177,38 +144,11 @@ TEST(FastPath, PwTablesMatchCellByCell) {
   }
 }
 
-TEST(FastPath, DeltaBufferingLeavesTheLedgerUnchanged) {
-  // Checked-mode accounting (work, depth, step sequence) must be
-  // identical whether steps double-buffer by copy or by write log.
-  support::Rng rng(7);
-  const auto problem = bench::make_instance("optimal-bst", 24, rng);
-  SublinearOptions copy_options;
-  copy_options.delta_buffering = false;
-  copy_options.frontier_sweeps = false;
-  SublinearOptions delta_options;
-  delta_options.delta_buffering = true;
-
-  SublinearSolver copy_solver(copy_options);
-  SublinearSolver delta_solver(delta_options);
-  (void)copy_solver.solve(*problem);
-  (void)delta_solver.solve(*problem);
-
-  const auto& a = copy_solver.machine().costs();
-  const auto& b = delta_solver.machine().costs();
-  EXPECT_EQ(a.total_work(), b.total_work());
-  EXPECT_EQ(a.total_depth(), b.total_depth());
-  ASSERT_EQ(a.step_count(), b.step_count());
-  for (std::size_t s = 0; s < a.steps().size(); ++s) {
-    EXPECT_EQ(a.steps()[s].label, b.steps()[s].label) << "step " << s;
-    EXPECT_EQ(a.steps()[s].work, b.steps()[s].work) << "step " << s;
-    EXPECT_EQ(a.steps()[s].depth, b.steps()[s].depth) << "step " << s;
-  }
-}
-
-TEST(FastPath, DeltaBufferingIsCrewConformant) {
+TEST(FastPath, WriteLogOracleIsCrewConformantAndMatchesFastPath) {
   // The write-log scheme defers all square/pebble writes past the
   // barrier; the CREW checker must still see exactly one reported write
-  // per improved cell and no conflicts.
+  // per improved cell and no conflicts, and the checked oracle must agree
+  // with the fast path.
   support::Rng rng(13);
   const auto problem = bench::make_instance("triangulation", 21, rng);
   SublinearOptions options;
@@ -220,20 +160,24 @@ TEST(FastPath, DeltaBufferingIsCrewConformant) {
   ASSERT_NE(solver.machine().crew(), nullptr);
   EXPECT_EQ(solver.machine().crew()->violation_count(), 0u)
       << solver.machine().crew()->first_violation();
+
+  SublinearOptions fast_options;
+  fast_options.machine.record_costs = false;
+  fast_options.machine.backend = pram::Backend::kThreadPool;
+  SublinearSolver fast(fast_options);
+  expect_identical(result, fast.solve(*problem), "checked oracle vs fast");
 }
 
 TEST(FastPath, WindowedPebbleMatchesReferenceEngine) {
-  // The windowed schedule disables frontier sweeps internally; the
-  // delta-buffered fast path must still match the copy-based engine.
+  // The windowed schedule disables frontier sweeps internally; the fast
+  // path's full sweeps must still match the oracle.
   support::Rng rng(55);
   const auto problem = bench::make_instance("zigzag", 30, rng);
   SublinearOptions base;
   base.windowed_pebble = true;
   base.termination = TerminationMode::kFixedBound;
 
-  SublinearOptions ref_options = base;
-  ref_options.delta_buffering = false;
-  ref_options.frontier_sweeps = false;
+  SublinearOptions ref_options = base;  // instrumented oracle
   SublinearOptions fast_options = base;
   fast_options.machine.record_costs = false;
 
@@ -253,7 +197,7 @@ TEST(CrossLayout, DenseAndWideBandAgreeBitForBitOnEveryFamily) {
   // The entries-indexed dense layout and a banded table with band = n
   // store exactly the same entry set (only the addressing differs), so
   // costs, w tables, iteration schedules and per-iteration change counts
-  // must match bit for bit — reference and fast engines alike.
+  // must match bit for bit — oracle and fast path alike.
   for (const std::string& family : bench::instance_families()) {
     support::Rng rng(4242);
     const std::size_t n = 21;
@@ -264,7 +208,7 @@ TEST(CrossLayout, DenseAndWideBandAgreeBitForBitOnEveryFamily) {
     EXPECT_EQ(ref.cost, dp::solve_sequential(*problem).cost) << family;
 
     const auto dense_fast = run_config(
-        *problem, {"dense,fast", true, true, false, pram::Backend::kSerial},
+        *problem, {"dense,fast", false, pram::Backend::kSerial},
         PwVariant::kDense);
     expect_identical(ref, dense_fast, family + " / dense fast");
 
@@ -272,14 +216,12 @@ TEST(CrossLayout, DenseAndWideBandAgreeBitForBitOnEveryFamily) {
       SublinearOptions options;
       options.variant = PwVariant::kBanded;
       options.band_width = n;  // wide band: stores every slack, like dense
-      options.delta_buffering = fast;
-      options.frontier_sweeps = fast;
       options.machine.record_costs = !fast;
       SublinearSolver solver(options);
       const auto got = solver.solve(*problem);
       expect_identical(ref, got,
                        family + (fast ? " / wide-band fast"
-                                      : " / wide-band reference"));
+                                      : " / wide-band oracle"));
     }
   }
 }

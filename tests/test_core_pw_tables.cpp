@@ -299,15 +299,6 @@ TEST(DensePwTable, ResetRestoresInfinity) {
   EXPECT_EQ(t.get(0, 5, 1, 3), kInfinity);
 }
 
-TEST(DensePwTable, CopyFromDuplicatesContents) {
-  DensePwTable a(5), b(5);
-  a.set(0, 5, 2, 4, 7);
-  b.copy_from(a);
-  EXPECT_EQ(b.get(0, 5, 2, 4), 7);
-  a.set(0, 5, 2, 4, 9);
-  EXPECT_EQ(b.get(0, 5, 2, 4), 7);  // deep copy
-}
-
 // ---- Banded ----
 
 TEST(BandedPwTable, InBandBehavesLikeDense) {

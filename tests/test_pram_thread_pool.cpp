@@ -1,13 +1,22 @@
-// Unit tests for the fork-join pool (pram/thread_pool.hpp).
+// Unit tests for the fork-join pool (pram/thread_pool.hpp), including
+// the issuer lock that lets several threads solve on the shared pool at
+// once.
 
 #include "pram/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
+
+#include "core/sublinear_solver.hpp"
+#include "dp/matrix_chain.hpp"
+#include "serve/solver_service.hpp"
+#include "support/rng.hpp"
 
 namespace subdp::pram {
 namespace {
@@ -95,6 +104,70 @@ TEST(ThreadPool, SingleThreadedPoolRunsInline) {
 TEST(ThreadPool, SharedPoolIsSingleton) {
   EXPECT_EQ(&ThreadPool::shared(), &ThreadPool::shared());
   EXPECT_GE(ThreadPool::shared().parallelism(), 1u);
+}
+
+TEST(ThreadPool, ConcurrentIssuersOnTheSharedPoolStayBitIdentical) {
+  // Four caller threads solve on the threads backend while a 1-worker
+  // service (which keeps that backend) solves the same instances: every
+  // one of them issues loops on `shared()` at once. Each result must be
+  // bit-identical to a serial solve.
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kRounds = 3;
+  support::Rng rng(4242);
+  std::vector<dp::MatrixChainProblem> problems;
+  std::vector<core::SublinearResult> expected;
+  for (std::size_t k = 0; k < kCallers; ++k) {
+    problems.push_back(dp::MatrixChainProblem::random(20 + 2 * k, rng));
+    core::SublinearOptions serial;
+    serial.machine.backend = Backend::kSerial;
+    expected.push_back(core::SublinearSolver(serial).solve(problems.back()));
+  }
+
+  core::SublinearOptions threaded;
+  threaded.machine.backend = Backend::kThreadPool;
+  threaded.machine.record_costs = false;
+  serve::ServiceOptions service_options;
+  service_options.workers = 1;
+  service_options.solver = threaded;
+  serve::SolverService service(service_options);
+
+  std::vector<std::future<core::SublinearResult>> served;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    for (const auto& p : problems) served.push_back(service.submit(p));
+  }
+  std::vector<std::vector<core::SublinearResult>> got(kCallers);
+  std::vector<std::thread> callers;
+  for (std::size_t k = 0; k < kCallers; ++k) {
+    callers.emplace_back([&, k] {
+      // Alternate the fast path and the instrumented oracle: both issue
+      // their loops on the shared pool.
+      core::SublinearOptions options = threaded;
+      options.machine.record_costs = k % 2 == 1;
+      core::SublinearSolver solver(options);
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        got[k].push_back(solver.solve(problems[k]));
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+
+  const auto expect_identical = [](const core::SublinearResult& a,
+                                   const core::SublinearResult& b,
+                                   const std::string& label) {
+    EXPECT_EQ(a.cost, b.cost) << label;
+    EXPECT_EQ(a.iterations, b.iterations) << label;
+    EXPECT_TRUE(a.w == b.w) << label << ": w tables differ";
+  };
+  for (std::size_t k = 0; k < kCallers; ++k) {
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      expect_identical(got[k][round], expected[k],
+                       "caller " + std::to_string(k));
+    }
+  }
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    expect_identical(served[i].get(), expected[i % kCallers],
+                     "served " + std::to_string(i));
+  }
 }
 
 }  // namespace

@@ -587,6 +587,8 @@ TEST(Admission, ColdCoalescingStillCountsOneMissWithTwoBuilders) {
   ASSERT_EQ(service.stats().jobs_cold_deferred, kSameShape);
   EXPECT_EQ(service.stats().plan_cache.misses, 1u)
       << "concurrent cold submits for one key must count a single miss";
+  // A deferred job does not mean its builder has reached the hook yet.
+  gate->wait_entered(1);
   {
     const std::lock_guard<std::mutex> lock(gate->mutex);
     EXPECT_EQ(gate->entered, 1u)

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -110,7 +111,7 @@ fs::path only_snapshot_file(const fs::path& dir) {
   return found;
 }
 
-// Format-v1 byte offsets (documented in plan_snapshot.cpp's header
+// Format-v2 byte offsets (documented in plan_snapshot.cpp's header
 // struct); the tamper tests below flip bytes at these positions.
 constexpr std::size_t kHeaderBytes = 160;
 constexpr std::size_t kVersionOffset = 8;     // format_version u32
@@ -154,22 +155,6 @@ TEST(SnapshotRoundTrip, OptionTogglesSurviveTheFormat) {
   };
   std::vector<Toggle> toggles;
   toggles.push_back({"default", {}});
-  {
-    core::SublinearOptions o;
-    o.delta_buffering = false;
-    toggles.push_back({"no-delta", o});
-  }
-  {
-    core::SublinearOptions o;
-    o.frontier_sweeps = false;
-    toggles.push_back({"no-frontier", o});
-  }
-  {
-    core::SublinearOptions o;
-    o.pebble_cursor = false;
-    o.incremental_marks = false;
-    toggles.push_back({"legacy-pebble", o});
-  }
   {
     core::SublinearOptions o;
     o.machine.record_costs = false;
@@ -336,6 +321,15 @@ TEST(SnapshotRejection, StaleFormatVersion) {
   });
 }
 
+TEST(SnapshotRejection, RetiredFormatV1) {
+  // Version 1 carried four engine-toggle key bytes that version 2 drops;
+  // a leftover v1 file must be rejected and rebuilt, never misread.
+  expect_rejected_then_rebuilt("format-v1", [](auto& bytes) {
+    const std::uint32_t v1 = 1;
+    std::memcpy(bytes.data() + kVersionOffset, &v1, sizeof(v1));
+  });
+}
+
 TEST(SnapshotRejection, BadMagic) {
   expect_rejected_then_rebuilt("bad-magic", [](auto& bytes) {
     bytes[0] ^= 0x20;
@@ -349,7 +343,7 @@ TEST(SnapshotRejection, KeyFilenameMismatch) {
   SnapshotStore store(dir.str());
   core::SublinearOptions options_a;  // default
   core::SublinearOptions options_b;
-  options_b.delta_buffering = false;
+  options_b.band_width = 4;
   ASSERT_TRUE(store.save(core::SolvePlan::create(24, options_a)));
   const fs::path file_a = only_snapshot_file(dir.path());
   const fs::path file_b =
@@ -379,7 +373,7 @@ TEST(SnapshotRejection, DecodeThrowsInsteadOfMisSolving) {
   // Requested shape disagrees with the embedded key.
   EXPECT_THROW((void)decode(bytes->size(), 13, {}), std::invalid_argument);
   core::SublinearOptions other;
-  other.frontier_sweeps = false;
+  other.termination = core::TerminationMode::kFixedBound;
   EXPECT_THROW((void)decode(bytes->size(), 12, other),
                std::invalid_argument);
   // Claimed payload size disagrees with the buffer.
