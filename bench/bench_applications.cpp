@@ -12,7 +12,8 @@
 #include <iostream>
 
 #include "common.hpp"
-#include "core/sublinear_solver.hpp"
+#include "core/solve_plan.hpp"
+#include "core/solve_session.hpp"
 #include "dp/sequential.hpp"
 #include "support/cli.hpp"
 
@@ -41,9 +42,9 @@ int main(int argc, char** argv) {
     support::Rng rng(static_cast<std::uint64_t>(args.get_int("seed")));
     const auto problem = bench::make_instance(family, n, rng);
     core::SublinearOptions options;
-    core::SublinearSolver solver(options);
-    const auto result = solver.solve(*problem);
-    const auto& costs = solver.machine().costs();
+    core::SolveSession session(core::SolvePlan::create(n, options));
+    const auto result = session.solve(*problem);
+    const auto& costs = session.machine().costs();
     const bool correct =
         result.cost == dp::solve_sequential(*problem).cost;
     all_correct &= correct;

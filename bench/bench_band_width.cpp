@@ -10,7 +10,8 @@
 #include <iostream>
 
 #include "common.hpp"
-#include "core/sublinear_solver.hpp"
+#include "core/solve_plan.hpp"
+#include "core/solve_session.hpp"
 #include "dp/sequential.hpp"
 #include "support/cli.hpp"
 
@@ -41,8 +42,8 @@ int main(int argc, char** argv) {
       core::SublinearOptions options;
       options.band_width = band;
       options.termination = core::TerminationMode::kFixedBound;
-      core::SublinearSolver solver(options);
-      const auto result = solver.solve(*problem);
+      core::SolveSession session(core::SolvePlan::create(n, options));
+      const auto result = session.solve(*problem);
       const bool correct = result.cost == optimal;
       const double rel =
           optimal > 0 ? static_cast<double>(result.cost) /
@@ -53,7 +54,7 @@ int main(int argc, char** argv) {
                      is_finite(result.cost) ? rel : -1.0,
                      std::string(correct ? "yes" : "no"),
                      static_cast<std::int64_t>(
-                         solver.machine()
+                         session.machine()
                              .costs()
                              .phase_totals()
                              .at("a-square")

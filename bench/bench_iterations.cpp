@@ -11,7 +11,8 @@
 #include <iostream>
 
 #include "common.hpp"
-#include "core/sublinear_solver.hpp"
+#include "core/solve_plan.hpp"
+#include "core/solve_session.hpp"
 #include "dp/sequential.hpp"
 #include "support/cli.hpp"
 
@@ -47,8 +48,8 @@ int main(int argc, char** argv) {
       for (int rep = 0; rep < reps; ++rep) {
         const auto problem = bench::make_instance(family, n, rng);
         core::SublinearOptions options;  // banded, fixed-point stop
-        core::SublinearSolver solver(options);
-        const auto result = solver.solve(*problem);
+        core::SolveSession session(core::SolvePlan::create(n, options));
+        const auto result = session.solve(*problem);
         total_iters += static_cast<double>(result.iterations);
         all_correct &= result.cost == dp::solve_sequential(*problem).cost;
       }

@@ -9,7 +9,8 @@
 #include <iostream>
 
 #include "common.hpp"
-#include "core/sublinear_solver.hpp"
+#include "core/solve_plan.hpp"
+#include "core/solve_session.hpp"
 #include "dp/parallel_setup.hpp"
 #include "support/cli.hpp"
 
@@ -39,9 +40,9 @@ int main(int argc, char** argv) {
 
       core::SublinearOptions options;
       options.termination = core::TerminationMode::kFixedBound;
-      core::SublinearSolver solver(options);
-      (void)solver.solve(table_problem);
-      const auto& main_costs = solver.machine().costs();
+      core::SolveSession session(core::SolvePlan::create(n, options));
+      (void)session.solve(table_problem);
+      const auto& main_costs = session.machine().costs();
 
       table.add_row(
           {std::string(family), static_cast<std::int64_t>(n),

@@ -11,7 +11,8 @@
 #include "common.hpp"
 #include "core/pw_banded.hpp"
 #include "core/pw_dense.hpp"
-#include "core/sublinear_solver.hpp"
+#include "core/solve_plan.hpp"
+#include "core/solve_session.hpp"
 #include "dp/sequential.hpp"
 #include "support/cli.hpp"
 
@@ -71,7 +72,7 @@ int main(int argc, char** argv) {
 
     core::SublinearOptions banded_opts;
     banded_opts.termination = core::TerminationMode::kFixedBound;
-    core::SublinearSolver banded(banded_opts);
+    core::SolveSession banded(core::SolvePlan::create(n, banded_opts));
     const auto banded_result = banded.solve(problem);
     const std::size_t banded_cells = banded.pw_cell_count();
     const std::uint64_t banded_square =
@@ -82,7 +83,7 @@ int main(int argc, char** argv) {
       core::SublinearOptions dense_opts;
       dense_opts.variant = core::PwVariant::kDense;
       dense_opts.termination = core::TerminationMode::kFixedBound;
-      core::SublinearSolver dense(dense_opts);
+      core::SolveSession dense(core::SolvePlan::create(n, dense_opts));
       const auto dense_result = dense.solve(problem);
       same = dense_result.w == banded_result.w ? "yes" : "NO";
       const std::uint64_t measured =

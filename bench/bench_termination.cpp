@@ -12,7 +12,8 @@
 #include <iostream>
 
 #include "common.hpp"
-#include "core/sublinear_solver.hpp"
+#include "core/solve_plan.hpp"
+#include "core/solve_session.hpp"
 #include "dp/sequential.hpp"
 #include "support/cli.hpp"
 
@@ -23,8 +24,8 @@ namespace {
 core::SublinearResult run(const dp::Problem& p, core::TerminationMode mode) {
   core::SublinearOptions options;
   options.termination = mode;
-  core::SublinearSolver solver(options);
-  return solver.solve(p);
+  core::SolveSession session(core::SolvePlan::create(p.size(), options));
+  return session.solve(p);
 }
 
 }  // namespace

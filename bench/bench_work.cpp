@@ -16,7 +16,8 @@
 #include <iostream>
 
 #include "common.hpp"
-#include "core/sublinear_solver.hpp"
+#include "core/solve_plan.hpp"
+#include "core/solve_session.hpp"
 #include "dp/sequential.hpp"
 #include "dp/wavefront.hpp"
 #include "support/cli.hpp"
@@ -35,9 +36,9 @@ std::uint64_t sublinear_work(const dp::Problem& problem,
   if (square_mode == core::SquareMode::kRytterFull) {
     options.termination = core::TerminationMode::kFixedPoint;
   }
-  core::SublinearSolver solver(options);
-  (void)solver.solve(problem);
-  return solver.machine().costs().total_work();
+  core::SolveSession session(core::SolvePlan::create(problem.size(), options));
+  (void)session.solve(problem);
+  return session.machine().costs().total_work();
 }
 
 }  // namespace

@@ -11,7 +11,8 @@
 #include <memory>
 
 #include "core/convergence_report.hpp"
-#include "core/sublinear_solver.hpp"
+#include "core/solve_plan.hpp"
+#include "core/solve_session.hpp"
 #include "dp/matrix_chain.hpp"
 #include "dp/optimal_bst.hpp"
 #include "dp/sequential.hpp"
@@ -69,8 +70,8 @@ int main(int argc, char** argv) {
                         : term == "w-heuristic"
                             ? core::TerminationMode::kWUnchangedTwice
                             : core::TerminationMode::kFixedPoint;
-  core::SublinearSolver solver(options);
-  const auto result = solver.solve(*problem);
+  core::SolveSession session(core::SolvePlan::create(n, options));
+  const auto result = session.solve(*problem);
 
   core::convergence_table(
       result, args.get_string("family") + " (n = " + std::to_string(n) +

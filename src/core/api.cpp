@@ -22,24 +22,4 @@ Solution solve(const dp::Problem& problem, const SublinearOptions& options) {
   return solution;
 }
 
-SublinearOptions rytter_options() {
-  SublinearOptions options;
-  options.variant = PwVariant::kDense;
-  options.square_mode = SquareMode::kRytterFull;
-  options.termination = TerminationMode::kFixedPoint;
-  return options;
-}
-
-SublinearResult solve_rytter(const dp::Problem& problem,
-                             const SublinearOptions& options) {
-  SUBDP_REQUIRE(options.square_mode == SquareMode::kRytterFull,
-                "solve_rytter requires SquareMode::kRytterFull; use "
-                "core::solve / SublinearSolver for the paper's square");
-  SUBDP_REQUIRE(problem.size() <= 24,
-                "Rytter's square step performs O(n^6) work per iteration; "
-                "restrict to small instances");
-  SolveSession session(SolvePlan::create(problem.size(), options));
-  return session.solve(problem);
-}
-
 }  // namespace subdp::core

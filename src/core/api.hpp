@@ -3,31 +3,23 @@
 /// \file api.hpp
 /// Top-level convenience API over the plan/session architecture.
 ///
-/// Four tiers, lowest friction first:
+/// Three front doors, lowest friction first:
 ///  * `solve(problem, options)` — one instance in, assembled `Solution`
 ///    out (cost, optimal tree, iteration and PRAM statistics). Builds a
 ///    throwaway plan+session pair; what the examples use.
-///  * `BatchSolver` (batch_solver.hpp) — many instances in, per-instance
-///    results out, with per-shape preparation (entry lists, layout
-///    offsets, schedules) built once per distinct `n` and tables reused
-///    in place across same-shape instances; runs single-threaded.
-///  * `serve::SolverService` (serve/solver_service.hpp) — the concurrent
-///    serving front door `BatchSolver` is now a facade over: a bounded
-///    LRU plan cache keyed by `(n, options)`, per-plan session pools,
-///    and worker threads overlapping independent instances, with a
-///    blocking `solve_all` and an async `submit -> std::future`.
 ///  * `SolvePlan` / `SolveSession` (solve_plan.hpp / solve_session.hpp) —
 ///    explicit prepare-once/solve-many: share one immutable plan across
-///    worker sessions, step, trace, or CREW-check each solve. What
-///    `SublinearSolver` and the tiers above are built from.
-///
-/// `solve_rytter` runs the Rytter-style full-squaring baseline of [8]
-/// through the same plan/session machinery; its options must select
-/// `SquareMode::kRytterFull` (see `rytter_options()` for the defaults).
+///    sessions, reset a session in place for every same-shape instance,
+///    step, trace, or CREW-check each solve. The Rytter-style
+///    full-squaring baseline of [8] is a plan whose options select
+///    `SquareMode::kRytterFull` (conventionally with the dense layout and
+///    fixed-point termination); `SolvePlan::create` caps it at n <= 24.
+///  * `serve::SolverService` (serve/solver_service.hpp) — many instances:
+///    a bounded LRU plan cache keyed by `(n, options)`, per-plan session
+///    pools, and worker threads overlapping independent instances, with
+///    a blocking `solve_all` and an async `submit -> std::future`.
 
-#include "core/batch_solver.hpp"
 #include "core/solver_types.hpp"
-#include "core/sublinear_solver.hpp"
 #include "dp/problem.hpp"
 #include "dp/tables.hpp"
 #include "trees/full_binary_tree.hpp"
@@ -49,19 +41,5 @@ struct Solution {
 /// termination by default) and extracts an optimal tree.
 [[nodiscard]] Solution solve(const dp::Problem& problem,
                              const SublinearOptions& options = {});
-
-/// The canonical options for the Rytter baseline: dense layout, full
-/// squaring, fixed-point termination (O(log n) iterations), default
-/// backend.
-[[nodiscard]] SublinearOptions rytter_options();
-
-/// Solves with Rytter-style full squaring (the baseline of [8]); O(n^6)
-/// work per square, so small n only. `options` must keep
-/// `SquareMode::kRytterFull` (start from `rytter_options()` to adjust the
-/// backend, termination or iteration cap); routed through the same
-/// plan/session machinery as every other solve.
-[[nodiscard]] SublinearResult solve_rytter(
-    const dp::Problem& problem,
-    const SublinearOptions& options = rytter_options());
 
 }  // namespace subdp::core

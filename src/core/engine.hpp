@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file engine.hpp
-/// The iteration engine behind `SublinearSolver` (implementation detail).
+/// The iteration engine behind `SolveSession` (implementation detail).
 ///
 /// Template on the partial-weight table type so dense (Sec. 2) and banded
 /// (Sec. 5) variants share one implementation of the three macro-steps:

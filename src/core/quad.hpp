@@ -10,8 +10,8 @@
 namespace subdp::core {
 
 /// Largest instance size representable by the packed `Quad` coordinates.
-/// `SublinearSolver` rejects larger `n` up front with a clear error instead
-/// of silently truncating table coordinates.
+/// `SolvePlan::create` rejects larger `n` up front with a clear error
+/// instead of silently truncating table coordinates.
 inline constexpr std::size_t kMaxPackedN = 65535;
 
 /// Packed quadruple; n is bounded by `kMaxPackedN` which far exceeds what

@@ -1,5 +1,7 @@
 #include "core/solve_plan.hpp"
 
+#include <string>
+
 #include "core/quad.hpp"
 #include "support/stats.hpp"
 
@@ -20,6 +22,11 @@ std::shared_ptr<SolvePlan> SolvePlan::make_validated(
                 "the windowed pebble schedule requires fixed-bound "
                 "termination (per-iteration change is not a stopping "
                 "signal when most pairs are outside the window)");
+  SUBDP_REQUIRE(options.square_mode != SquareMode::kRytterFull ||
+                    n <= kMaxRytterN,
+                "Rytter's square step performs O(n^6) work per iteration; "
+                "restrict SquareMode::kRytterFull to n <= " +
+                    std::to_string(kMaxRytterN));
 
   auto plan = std::shared_ptr<SolvePlan>(new SolvePlan());
   plan->n_ = n;

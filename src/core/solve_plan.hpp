@@ -25,12 +25,11 @@
 /// number of `SolveSession`s (each with its own mutable tables, write
 /// logs and PRAM machine) can share one plan from any number of threads
 /// with no synchronisation; `serve::SessionPool` relies on exactly this.
-/// `BatchSolver` and `serve::SolverService` build one plan per distinct
-/// `(n, options)` and run every same-shape instance through it;
-/// `SublinearSolver` and `core::solve` are thin facades that build (or
-/// reuse) a plan per call site. Building a plan is the expensive step —
-/// O(n^2 B^2) entry-list and slot construction — which is exactly what
-/// prepare-once/solve-many amortises away.
+/// `serve::SolverService` builds one plan per distinct `(n, options)` and
+/// runs every same-shape instance through it; `core::solve` is a thin
+/// facade that builds a throwaway plan per call. Building a plan is the
+/// expensive step — O(n^2 B^2) entry-list and slot construction — which
+/// is exactly what prepare-once/solve-many amortises away.
 
 #include <cstddef>
 #include <memory>
@@ -47,11 +46,15 @@ namespace subdp::core {
 /// Immutable per-shape solve preparation; see the file comment.
 class SolvePlan {
  public:
+  /// Largest `n` a `SquareMode::kRytterFull` plan accepts: each Rytter
+  /// square step reads O(n^2) candidates per stored quadruple.
+  static constexpr std::size_t kMaxRytterN = 24;
+
   /// Validates `options` for instances of `n` objects and precomputes the
   /// shape-dependent state. Throws `std::invalid_argument` on invalid
   /// combinations (n out of the packed-coordinate range, dense layout
-  /// above `DensePwTable::kMaxDenseN`, windowed pebble without fixed-bound
-  /// termination).
+  /// above `DensePwTable::kMaxDenseN`, Rytter squaring above
+  /// `kMaxRytterN`, windowed pebble without fixed-bound termination).
   [[nodiscard]] static std::shared_ptr<const SolvePlan> create(
       std::size_t n, const SublinearOptions& options = {});
 

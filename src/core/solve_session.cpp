@@ -4,23 +4,17 @@
 
 namespace subdp::core {
 
-SolveSession::SolveSession(std::shared_ptr<const SolvePlan> plan,
-                           pram::Machine* external_machine)
+SolveSession::SolveSession(std::shared_ptr<const SolvePlan> plan)
     : plan_(std::move(plan)) {
   SUBDP_REQUIRE(plan_ != nullptr, "SolveSession requires a plan");
-  if (external_machine != nullptr) {
-    machine_ = external_machine;
-  } else {
-    owned_machine_ =
-        std::make_unique<pram::Machine>(plan_->options().machine);
-    machine_ = owned_machine_.get();
-  }
+  machine_ = std::make_unique<pram::Machine>(plan_->options().machine);
 }
 
 void SolveSession::reset(const dp::Problem& problem) {
   SUBDP_REQUIRE(problem.size() == plan_->n(),
                 "instance size does not match the session's plan; build a "
-                "plan per shape (BatchSolver groups instances for you)");
+                "plan per shape (serve::SolverService keys plans by shape "
+                "for you)");
   trace_.clear();
   machine_->reset();
   if (plan_->trivial()) {
@@ -37,7 +31,7 @@ void SolveSession::require_prepared(const char* what) const {
   SUBDP_REQUIRE(state_ != State::kIdle,
                 std::string(what) +
                     " requires a prepared session: call reset(problem) "
-                    "(or prepare(problem) on SublinearSolver) first");
+                    "first");
   SUBDP_REQUIRE(state_ != State::kFinished,
                 std::string(what) +
                     " after finish(): the session result was already "

@@ -5,8 +5,8 @@
 /// immutable `SolvePlan` to one instance at a time.
 ///
 /// The session owns everything a solve mutates — the pw/w tables, the
-/// write logs, the frontier marks, the iteration trace and (by default)
-/// the PRAM machine with its work/depth ledger. `reset(problem)` swaps the
+/// write logs, the frontier marks, the iteration trace and the PRAM
+/// machine with its work/depth ledger. `reset(problem)` swaps the
 /// bound instance by re-initialising those tables *in place*: no
 /// reallocation, no entry-list or offset rebuild, which is what makes
 /// solve-many cheap after prepare-once (see solve_plan.hpp). Any number of
@@ -30,7 +30,8 @@
 /// stepping or reading requires another `reset`. Misordered calls fail
 /// with a `SUBDP_REQUIRE` diagnostic instead of touching a dangling or
 /// stale engine. `solve(problem)` is the whole cycle in one call and may
-/// be repeated ad libitum — that is the `BatchSolver` hot loop.
+/// be repeated ad libitum — that is the `serve::SolverService` worker's
+/// hot loop.
 
 #include <cstddef>
 #include <memory>
@@ -46,12 +47,9 @@ namespace subdp::core {
 /// Reusable per-instance solving state bound to a shared `SolvePlan`.
 class SolveSession {
  public:
-  /// Binds the plan. With `external_machine == nullptr` the session owns
-  /// a machine configured from the plan's options; otherwise it borrows
-  /// `*external_machine` (the `SublinearSolver` facade does this so its
-  /// ledger survives re-preparation).
-  explicit SolveSession(std::shared_ptr<const SolvePlan> plan,
-                        pram::Machine* external_machine = nullptr);
+  /// Binds the plan and creates the session's machine from the plan's
+  /// `options().machine`.
+  explicit SolveSession(std::shared_ptr<const SolvePlan> plan);
 
   /// Prepares the session for `problem` (which must outlive the stepping
   /// and match the plan's `n`). Re-initialises tables in place and clears
@@ -107,8 +105,8 @@ class SolveSession {
   void require_prepared(const char* what) const;
 
   std::shared_ptr<const SolvePlan> plan_;
-  std::unique_ptr<pram::Machine> owned_machine_;
-  pram::Machine* machine_;  ///< Owned or borrowed; never null.
+  /// Never null; heap-held so the engine's reference survives a move.
+  std::unique_ptr<pram::Machine> machine_;
   std::unique_ptr<detail::IEngine> engine_;
   std::vector<IterationTrace> trace_;
   State state_ = State::kIdle;

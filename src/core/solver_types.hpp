@@ -68,7 +68,8 @@ enum class TerminationMode {
 /// (solve_plan.hpp): plans are immutable per `(n, options)` and shared
 /// across sessions, so option validation happens once per shape —
 /// `SolvePlan::create` rejects invalid combinations (dense layout above
-/// `DensePwTable::kMaxDenseN`, windowed pebble without fixed-bound
+/// `DensePwTable::kMaxDenseN`, Rytter squaring above
+/// `SolvePlan::kMaxRytterN`, windowed pebble without fixed-bound
 /// termination, `n` beyond the packed-coordinate cap) with a
 /// `SUBDP_REQUIRE` diagnostic before any instance is touched.
 struct SublinearOptions {
@@ -223,8 +224,7 @@ class AdmissionError : public std::runtime_error {
                                                : "deadline-exceeded";
 }
 
-/// Aggregate accounting for one `solve_all` call (`BatchSolver` and
-/// `serve::SolverService` both report through this).
+/// Aggregate accounting for one `serve::SolverService::solve_all` call.
 struct BatchLedger {
   std::size_t instances = 0;      ///< Problems solved.
   std::size_t shape_groups = 0;   ///< Distinct `n` among the inputs.

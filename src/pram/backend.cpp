@@ -2,10 +2,6 @@
 
 #include "pram/thread_pool.hpp"
 
-#ifdef SUBDP_HAVE_OPENMP
-#include <omp.h>
-#endif
-
 namespace subdp::pram {
 
 const char* to_string(Backend backend) noexcept {
@@ -14,8 +10,6 @@ const char* to_string(Backend backend) noexcept {
       return "serial";
     case Backend::kThreadPool:
       return "threads";
-    case Backend::kOpenMP:
-      return "openmp";
   }
   return "unknown";
 }
@@ -23,16 +17,7 @@ const char* to_string(Backend backend) noexcept {
 std::optional<Backend> backend_from_string(const std::string& name) noexcept {
   if (name == "serial") return Backend::kSerial;
   if (name == "threads" || name == "threadpool") return Backend::kThreadPool;
-  if (name == "openmp" || name == "omp") return Backend::kOpenMP;
   return std::nullopt;
-}
-
-bool openmp_available() noexcept {
-#ifdef SUBDP_HAVE_OPENMP
-  return true;
-#else
-  return false;
-#endif
 }
 
 Backend default_backend() noexcept { return Backend::kThreadPool; }
@@ -43,12 +28,6 @@ unsigned backend_parallelism(Backend backend) noexcept {
       return 1;
     case Backend::kThreadPool:
       return ThreadPool::shared().parallelism();
-    case Backend::kOpenMP:
-#ifdef SUBDP_HAVE_OPENMP
-      return static_cast<unsigned>(omp_get_max_threads());
-#else
-      return 1;  // the loop falls back to serial
-#endif
   }
   return 1;
 }

@@ -6,11 +6,10 @@
 ///
 /// Building a plan is the expensive step of a solve — O(n^2 B^2) entry
 /// lists, offset tables and slot maps — and plans are immutable, so a
-/// server wants to build each shape once and share it. `BatchSolver`
-/// already did that, but kept every shape it had ever seen (an unbounded
-/// map, flagged in ROADMAP.md). `PlanCache` bounds it: at most `capacity`
-/// shapes stay resident, evicted least-recently-used, with hit / miss /
-/// eviction counters surfaced through `ServiceStats`.
+/// server wants to build each shape once and share it. `PlanCache` does
+/// so within a bound: at most `capacity` shapes stay resident, evicted
+/// least-recently-used, with hit / miss / eviction counters surfaced
+/// through `ServiceStats`.
 ///
 /// Each cached shape carries its `SessionPool` alongside the plan, so
 /// eviction retires the sessions (the allocated tables) together with the
@@ -20,7 +19,7 @@
 /// that rebuilds the plan.
 ///
 /// The key covers every option field that shapes a plan (layout variant,
-/// square mode, termination, band, caps, hot-path toggles, machine
+/// square mode, termination, band, caps, profiling, machine
 /// configuration), so two clients asking for the same `n` under different
 /// options get distinct plans — and distinct pools — as correctness
 /// requires.
@@ -183,7 +182,7 @@ class PlanCache {
                           std::function<void(const BuildReport&)> observer);
 
   /// The resident plan for `(n, options)`, or null — no stats recorded,
-  /// no LRU reordering (diagnostic lookups, `BatchSolver::plan_for`).
+  /// no LRU reordering (diagnostic lookups, `SolverService::plan_for`).
   [[nodiscard]] std::shared_ptr<const core::SolvePlan> peek(
       std::size_t n, const core::SublinearOptions& options) const;
 

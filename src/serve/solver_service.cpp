@@ -49,9 +49,9 @@ core::SublinearOptions SolverService::normalized(
     core::SublinearOptions options) const {
   // Multi-worker sessions run the serial engine path (the shared engine
   // pool runs one loop at a time, and instance-level parallelism already
-  // covers the cores); a one-worker service keeps the caller's backend, so
-  // the BatchSolver facade behaves exactly like the pre-service
-  // BatchSolver.
+  // covers the cores). A one-worker service has no instance-level
+  // parallelism, so it keeps the caller's backend: parallelism inside
+  // the solve is then its only way onto more than one core.
   if (workers_ > 1) options.machine.backend = pram::Backend::kSerial;
   return options;
 }

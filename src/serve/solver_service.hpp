@@ -10,7 +10,7 @@
 /// `PlanCache` so shape diversity cannot grow memory server-lifetime
 /// large, and per-plan `SessionPool`s whose sessions are `reset` in place
 /// between instances. The service adds the missing piece named in
-/// ROADMAP.md: *instance-level* parallelism. Where `BatchSolver` streamed
+/// ROADMAP.md: *instance-level* parallelism. Rather than streaming
 /// same-shape instances through one session serially (all parallelism
 /// inside a single solve), the service keeps a pool of `workers`
 /// long-lived worker threads consuming a shared dispatch queue, each
@@ -76,8 +76,8 @@
 /// instance is solved; per-job expiry would tear the ledger and the
 /// input-order result contract) and it **never rejects** — at capacity
 /// it back-pressures the *calling* thread while workers drain,
-/// whatever the overload policy. `BatchSolver` therefore keeps its
-/// exact pre-service semantics under the new defaults.
+/// whatever the overload policy. So its ledger and its bit-identity to
+/// independent solves hold under every service configuration.
 ///
 /// ## Retry-after hints
 ///
@@ -153,17 +153,17 @@
 ///    `(problem, plan)`, so every admitted job's result is bit-identical
 ///    to an independent `core::solve` for every worker count, queue
 ///    capacity, overload policy and submission order (the serve test
-///    suite — including the differential fuzz harness — and the
-///    walltime bench assert this).
+///    suite, including the differential fuzz harness, asserts this).
 ///
 /// When the service runs more than one worker, sessions normalise the
 /// machine backend to `kSerial`: the shared engine pool runs one loop at
 /// a time (its issuer lock would serialise the workers' solves), and
 /// with instances already covering the cores, intra-solve threading has
-/// nothing left to win. A one-worker service (the `BatchSolver` facade)
-/// keeps the caller's configured backend, so the old `BatchSolver`
-/// behavior (parallelism inside each solve) is preserved exactly; other
-/// threads solving on the shared pool meanwhile take turns with it.
+/// nothing left to win. A one-worker service keeps the caller's
+/// configured backend: with a single worker there is no instance-level
+/// parallelism, so the backend's parallelism inside each solve is the
+/// only way the service uses more than one core. Other threads solving
+/// on the shared pool meanwhile take turns with it.
 /// Normalisation happens before keying the cache, so the `(n, options)`
 /// key space is not split by ignored backend choices.
 ///
@@ -432,8 +432,8 @@ class SolverService {
 
   /// Solves every instance, blocking until all are done. Groups by shape
   /// for the ledger, dispatches instances across the workers, returns
-  /// results in input order — a drop-in superset of
-  /// `BatchSolver::solve_all`. Batch jobs bypass admission shedding:
+  /// results in input order, each bit-identical to an independent
+  /// `core::solve`. Batch jobs bypass admission shedding:
   /// they carry no deadline and are never rejected (at capacity the
   /// *caller* blocks while workers drain). Safe from any thread; must
   /// not be called from a job running on this service (the caller

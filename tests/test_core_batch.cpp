@@ -1,7 +1,8 @@
 // Tests of the plan/session/batch architecture: prepare-once/solve-many
 // bit-identity against one-shot solves, in-place session reuse, plan
 // sharing across sessions, ledger resets between instances, and the
-// BatchSolver front door's grouping and aggregation.
+// grouping and aggregation of `solve_all` on a 1-worker SolverService
+// (the configuration that keeps the caller's backend inside each solve).
 
 #include <gtest/gtest.h>
 
@@ -9,10 +10,8 @@
 #include <vector>
 
 #include "core/api.hpp"
-#include "core/batch_solver.hpp"
 #include "core/solve_plan.hpp"
 #include "core/solve_session.hpp"
-#include "core/sublinear_solver.hpp"
 #include "dp/matrix_chain.hpp"
 #include "dp/optimal_bst.hpp"
 #include "dp/sequential.hpp"
@@ -35,6 +34,21 @@ std::vector<dp::MatrixChainProblem> random_chains(std::size_t count,
   return out;
 }
 
+/// An independent one-shot solve: a fresh plan and session.
+SublinearResult solve_fresh(const dp::Problem& p) {
+  SolveSession session(SolvePlan::create(p.size()));
+  return session.solve(p);
+}
+
+/// A 1-worker service: solves stream one at a time through the single
+/// worker, each on the backend configured in `solver`.
+serve::ServiceOptions one_worker(const SublinearOptions& solver = {}) {
+  serve::ServiceOptions options;
+  options.solver = solver;
+  options.workers = 1;
+  return options;
+}
+
 TEST(Plan, ValidatesOptionsPerShape) {
   EXPECT_EQ(SolvePlan::create(20)->iteration_bound(),
             support::two_ceil_sqrt(20));
@@ -49,6 +63,14 @@ TEST(Plan, ValidatesOptionsPerShape) {
   SublinearOptions windowed;
   windowed.windowed_pebble = true;  // default termination is fixed-point
   EXPECT_THROW((void)SolvePlan::create(16, windowed),
+               std::invalid_argument);
+
+  SublinearOptions rytter;
+  rytter.variant = PwVariant::kDense;
+  rytter.square_mode = SquareMode::kRytterFull;
+  EXPECT_EQ(SolvePlan::create(SolvePlan::kMaxRytterN, rytter)->n(),
+            SolvePlan::kMaxRytterN);
+  EXPECT_THROW((void)SolvePlan::create(SolvePlan::kMaxRytterN + 1, rytter),
                std::invalid_argument);
 
   SublinearOptions banded;
@@ -74,15 +96,14 @@ TEST(Plan, SharedAcrossSessionsGivesIdenticalResults) {
 
 TEST(Session, ReuseIsBitIdenticalToFreshSolves) {
   // One session solving several different problems in sequence must be
-  // bit-identical to a fresh solver per problem: the in-place reset may
+  // bit-identical to a fresh session per problem: the in-place reset may
   // not leak any state between instances.
   const std::size_t n = 24;
   const auto problems = random_chains(5, n, 502);
   SolveSession session(SolvePlan::create(n));
   for (const auto& p : problems) {
     const auto reused = session.solve(p);
-    SublinearSolver fresh;
-    const auto oneshot = fresh.solve(p);
+    const auto oneshot = solve_fresh(p);
     EXPECT_EQ(reused.cost, oneshot.cost);
     EXPECT_TRUE(reused.w == oneshot.w);
     EXPECT_EQ(reused.iterations, oneshot.iterations);
@@ -139,29 +160,6 @@ TEST(Session, ReuseMatchesAcrossEngineConfigurations) {
   }
 }
 
-TEST(Solver, FacadeReusesPlanAcrossSameShapeInstances) {
-  const std::size_t n = 20;
-  const auto problems = random_chains(4, n, 505);
-  SublinearSolver solver;
-  std::shared_ptr<const SolvePlan> plan;
-  for (const auto& p : problems) {
-    const auto result = solver.solve(p);
-    EXPECT_EQ(result.cost, dp::solve_sequential(p).cost);
-    if (plan == nullptr) {
-      plan = solver.plan();
-      EXPECT_NE(plan, nullptr);
-    } else {
-      EXPECT_EQ(solver.plan(), plan) << "same-n solve rebuilt the plan";
-    }
-  }
-  // A different shape swaps the plan in.
-  support::Rng rng(506);
-  const auto other = dp::MatrixChainProblem::random(n + 3, rng);
-  (void)solver.solve(other);
-  EXPECT_NE(solver.plan(), plan);
-  EXPECT_EQ(solver.plan()->n(), n + 3);
-}
-
 TEST(Batch, BitIdenticalToIndependentSolves) {
   // The acceptance bar: >= 8 same-n instances through solve_all must be
   // bit-identical (cost, iterations, full w table) to independent
@@ -171,18 +169,17 @@ TEST(Batch, BitIdenticalToIndependentSolves) {
   std::vector<const dp::Problem*> pointers;
   for (const auto& p : problems) pointers.push_back(&p);
 
-  BatchSolver batch;
-  const auto out = batch.solve_all(pointers);
+  serve::SolverService service(one_worker());
+  const auto out = service.solve_all(pointers);
   ASSERT_EQ(out.results.size(), problems.size());
   EXPECT_EQ(out.ledger.instances, problems.size());
   EXPECT_EQ(out.ledger.shape_groups, 1u);
   EXPECT_EQ(out.ledger.plans_built, 1u);
   EXPECT_EQ(out.ledger.plans_reused, 0u);
-  EXPECT_EQ(batch.cached_plan_count(), 1u);
+  EXPECT_EQ(service.stats().plan_cache.size, 1u);
 
   for (std::size_t k = 0; k < problems.size(); ++k) {
-    SublinearSolver independent;
-    const auto expected = independent.solve(problems[k]);
+    const auto expected = solve_fresh(problems[k]);
     EXPECT_EQ(out.results[k].cost, expected.cost) << "instance " << k;
     EXPECT_TRUE(out.results[k].w == expected.w) << "instance " << k;
     EXPECT_EQ(out.results[k].iterations, expected.iterations)
@@ -206,8 +203,8 @@ TEST(Batch, GroupsMixedShapesAndKeepsInputOrder) {
   std::vector<const dp::Problem*> pointers;
   for (const auto& p : owned) pointers.push_back(p.get());
 
-  BatchSolver batch;
-  const auto out = batch.solve_all(pointers);
+  serve::SolverService service(one_worker());
+  const auto out = service.solve_all(pointers);
   ASSERT_EQ(out.results.size(), owned.size());
   EXPECT_EQ(out.ledger.shape_groups, 3u);
   EXPECT_EQ(out.ledger.plans_built, 3u);
@@ -217,12 +214,12 @@ TEST(Batch, GroupsMixedShapesAndKeepsInputOrder) {
   }
 
   // A second batch of known shapes is served entirely by warm plans.
-  const auto again = batch.solve_all(pointers);
+  const auto again = service.solve_all(pointers);
   EXPECT_EQ(again.ledger.plans_built, 0u);
   EXPECT_EQ(again.ledger.plans_reused, 3u);
-  EXPECT_EQ(batch.cached_plan_count(), 3u);
-  EXPECT_NE(batch.plan_for(10), nullptr);
-  EXPECT_EQ(batch.plan_for(11), nullptr);
+  EXPECT_EQ(service.stats().plan_cache.size, 3u);
+  EXPECT_NE(service.plan_for(10), nullptr);
+  EXPECT_EQ(service.plan_for(11), nullptr);
   for (std::size_t k = 0; k < owned.size(); ++k) {
     EXPECT_EQ(again.results[k].cost, out.results[k].cost);
     EXPECT_TRUE(again.results[k].w == out.results[k].w);
@@ -235,15 +232,15 @@ TEST(Batch, AggregatesTheLedger) {
   std::vector<const dp::Problem*> pointers;
   for (const auto& p : problems) pointers.push_back(&p);
 
-  BatchSolver batch;  // record_costs defaults on
-  const auto out = batch.solve_all(pointers);
+  serve::SolverService service(one_worker());  // record_costs defaults on
+  const auto out = service.solve_all(pointers);
 
   std::uint64_t expected_work = 0;
   std::size_t expected_iterations = 0;
   for (const auto& p : problems) {
-    SublinearSolver solver;
-    const auto r = solver.solve(p);
-    expected_work += solver.machine().costs().total_work();
+    SolveSession session(SolvePlan::create(n));
+    const auto r = session.solve(p);
+    expected_work += session.machine().costs().total_work();
     expected_iterations += r.iterations;
   }
   EXPECT_EQ(out.ledger.total_work, expected_work);
@@ -252,13 +249,13 @@ TEST(Batch, AggregatesTheLedger) {
 }
 
 TEST(Batch, HandlesTrivialAndEmptyInputs) {
-  BatchSolver batch;
-  EXPECT_EQ(batch.solve_all({}).results.size(), 0u);
+  serve::SolverService service(one_worker());
+  EXPECT_EQ(service.solve_all({}).results.size(), 0u);
 
   const dp::MatrixChainProblem one({4, 5});
   const dp::MatrixChainProblem also_one({7, 9});
   std::vector<const dp::Problem*> pointers = {&one, &also_one};
-  const auto out = batch.solve_all(pointers);
+  const auto out = service.solve_all(pointers);
   ASSERT_EQ(out.results.size(), 2u);
   EXPECT_EQ(out.results[0].cost, 0);
   EXPECT_EQ(out.results[1].cost, 0);
@@ -266,24 +263,24 @@ TEST(Batch, HandlesTrivialAndEmptyInputs) {
 
   const dp::Problem* null_problem = nullptr;
   std::vector<const dp::Problem*> bad = {&one, null_problem};
-  EXPECT_THROW((void)batch.solve_all(bad), std::invalid_argument);
+  EXPECT_THROW((void)service.solve_all(bad), std::invalid_argument);
 }
 
 TEST(Batch, ContractUnchangedUnderTheAdmissionIntakePath) {
   // The serving layer grew admission control (bounded queue, kReject
   // shedding, per-job deadlines), but grouped batch jobs bypass it by
   // construction: no deadline is ever armed for them and a full queue
-  // back-pressures the caller instead of rejecting. BatchSolver's
-  // ledger and bit-identity contract must therefore be byte-for-byte
-  // what it was before the intake redesign — even against a service
-  // configured to shed aggressively.
+  // back-pressures the caller instead of rejecting. The ledger and
+  // bit-identity contract of a default 1-worker service must therefore
+  // hold byte-for-byte against a service configured to shed
+  // aggressively.
   const std::size_t n = 21;
   const auto problems = random_chains(6, n, 511);
   std::vector<const dp::Problem*> pointers;
   for (const auto& p : problems) pointers.push_back(&p);
 
-  BatchSolver batch;  // facade defaults: unbounded queue, no deadlines
-  const auto facade = batch.solve_all(pointers);
+  serve::SolverService plain(one_worker());  // unbounded queue
+  const auto calm = plain.solve_all(pointers);
 
   serve::ServiceOptions hostile;
   hostile.workers = 2;
@@ -292,22 +289,21 @@ TEST(Batch, ContractUnchangedUnderTheAdmissionIntakePath) {
   serve::SolverService service(hostile);
   const auto shed = service.solve_all(pointers);
 
-  ASSERT_EQ(facade.results.size(), pointers.size());
+  ASSERT_EQ(calm.results.size(), pointers.size());
   ASSERT_EQ(shed.results.size(), pointers.size());
   for (std::size_t k = 0; k < pointers.size(); ++k) {
-    SublinearSolver independent;
-    const auto expected = independent.solve(problems[k]);
-    EXPECT_EQ(facade.results[k].cost, expected.cost) << "instance " << k;
-    EXPECT_TRUE(facade.results[k].w == expected.w) << "instance " << k;
-    EXPECT_EQ(facade.results[k].iterations, expected.iterations)
+    const auto expected = solve_fresh(problems[k]);
+    EXPECT_EQ(calm.results[k].cost, expected.cost) << "instance " << k;
+    EXPECT_TRUE(calm.results[k].w == expected.w) << "instance " << k;
+    EXPECT_EQ(calm.results[k].iterations, expected.iterations)
         << "instance " << k;
     EXPECT_EQ(shed.results[k].cost, expected.cost) << "instance " << k;
     EXPECT_TRUE(shed.results[k].w == expected.w) << "instance " << k;
   }
-  EXPECT_EQ(facade.ledger.instances, shed.ledger.instances);
-  EXPECT_EQ(facade.ledger.shape_groups, shed.ledger.shape_groups);
-  EXPECT_EQ(facade.ledger.plans_built, shed.ledger.plans_built);
-  EXPECT_EQ(facade.ledger.total_iterations, shed.ledger.total_iterations);
+  EXPECT_EQ(calm.ledger.instances, shed.ledger.instances);
+  EXPECT_EQ(calm.ledger.shape_groups, shed.ledger.shape_groups);
+  EXPECT_EQ(calm.ledger.plans_built, shed.ledger.plans_built);
+  EXPECT_EQ(calm.ledger.total_iterations, shed.ledger.total_iterations);
 
   const auto stats = service.stats();
   EXPECT_EQ(stats.jobs_rejected, 0u) << "batch jobs must never be shed";
@@ -320,14 +316,19 @@ TEST(Batch, RespectsConfiguredOptions) {
   SublinearOptions options;
   options.variant = PwVariant::kDense;
   options.termination = TerminationMode::kFixedBound;
-  BatchSolver batch(options);
+  options.machine.backend = pram::Backend::kThreadPool;
+  serve::SolverService service(one_worker(options));
   std::vector<const dp::Problem*> pointers = {&p};
-  const auto out = batch.solve_all(pointers);
+  const auto out = service.solve_all(pointers);
   EXPECT_EQ(out.results[0].cost, dp::solve_sequential(p).cost);
   EXPECT_EQ(out.results[0].iterations,
             support::two_ceil_sqrt(p.size()));
-  EXPECT_EQ(batch.plan_for(p.size())->options().variant,
-            PwVariant::kDense);
+  const auto plan = service.plan_for(p.size());
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(plan->options().variant, PwVariant::kDense);
+  // One worker has no instance-level parallelism, so the service keeps
+  // the caller's backend rather than normalising it to serial.
+  EXPECT_EQ(plan->options().machine.backend, pram::Backend::kThreadPool);
 }
 
 }  // namespace

@@ -13,7 +13,8 @@
 
 #include <vector>
 
-#include "core/sublinear_solver.hpp"
+#include "core/solve_plan.hpp"
+#include "core/solve_session.hpp"
 #include "dp/sequential.hpp"
 #include "dp/tree_shaped.hpp"
 #include "support/rng.hpp"
@@ -43,8 +44,8 @@ TEST_P(CosimTest, GamePebbleImpliesAlgorithmConvergence) {
   trees::PebbleGame game(target, trees::SquareRule::kOneLevel);
   SublinearOptions options;
   options.variant = PwVariant::kDense;  // full Sec. 2 algorithm
-  SublinearSolver solver(options);
-  solver.prepare(inst.problem);
+  SolveSession solver(SolvePlan::create(n, options));
+  solver.reset(inst.problem);
 
   std::vector<bool> pebbled_before(target.node_count(), false);
   const std::size_t bound = support::two_ceil_sqrt(n) + 1;
@@ -84,8 +85,8 @@ TEST_P(CosimTest, CondPointerImpliesPartialWeightIsAccounted) {
   trees::PebbleGame game(target, trees::SquareRule::kOneLevel);
   SublinearOptions options;
   options.variant = PwVariant::kDense;
-  SublinearSolver solver(options);
-  solver.prepare(inst.problem);
+  SolveSession solver(SolvePlan::create(n, options));
+  solver.reset(inst.problem);
 
   // cond targets recorded after the previous move: (node, cond) pairs.
   std::vector<trees::NodeId> cond_before(target.node_count());

@@ -20,7 +20,6 @@
 #include "core/pw_dense.hpp"
 #include "core/solve_plan.hpp"
 #include "core/solve_session.hpp"
-#include "core/sublinear_solver.hpp"
 #include "dp/sequential.hpp"
 #include "support/rng.hpp"
 
@@ -43,8 +42,8 @@ SublinearResult run_config(const dp::Problem& problem,
   options.profile = config.profile;
   options.machine.record_costs = config.record_costs;
   options.machine.backend = config.backend;
-  SublinearSolver solver(options);
-  return solver.solve(problem);
+  SolveSession session(SolvePlan::create(problem.size(), options));
+  return session.solve(problem);
 }
 
 void expect_identical(const SublinearResult& ref, const SublinearResult& got,
@@ -116,14 +115,14 @@ TEST(FastPath, PwTablesMatchCellByCell) {
   SublinearOptions fast_options;
   fast_options.machine.record_costs = false;
 
-  SublinearSolver ref(ref_options);
-  SublinearSolver fast(fast_options);
-  ref.prepare(*problem);
-  fast.prepare(*problem);
-  ASSERT_EQ(ref.effective_band(), fast.effective_band());
-  const std::size_t band = ref.effective_band();
+  SolveSession ref(SolvePlan::create(n, ref_options));
+  SolveSession fast(SolvePlan::create(n, fast_options));
+  ref.reset(*problem);
+  fast.reset(*problem);
+  ASSERT_EQ(ref.plan().effective_band(), fast.plan().effective_band());
+  const std::size_t band = ref.plan().effective_band();
 
-  for (std::size_t iter = 0; iter < ref.iteration_bound(); ++iter) {
+  for (std::size_t iter = 0; iter < ref.plan().iteration_bound(); ++iter) {
     (void)ref.step();
     (void)fast.step();
     for (std::size_t i = 0; i < n; ++i) {
@@ -154,17 +153,17 @@ TEST(FastPath, WriteLogOracleIsCrewConformantAndMatchesFastPath) {
   SublinearOptions options;
   options.machine.check_crew = true;
   options.machine.backend = pram::Backend::kThreadPool;
-  SublinearSolver solver(options);
-  const auto result = solver.solve(*problem);
+  SolveSession session(SolvePlan::create(21, options));
+  const auto result = session.solve(*problem);
   EXPECT_EQ(result.cost, dp::solve_sequential(*problem).cost);
-  ASSERT_NE(solver.machine().crew(), nullptr);
-  EXPECT_EQ(solver.machine().crew()->violation_count(), 0u)
-      << solver.machine().crew()->first_violation();
+  ASSERT_NE(session.machine().crew(), nullptr);
+  EXPECT_EQ(session.machine().crew()->violation_count(), 0u)
+      << session.machine().crew()->first_violation();
 
   SublinearOptions fast_options;
   fast_options.machine.record_costs = false;
   fast_options.machine.backend = pram::Backend::kThreadPool;
-  SublinearSolver fast(fast_options);
+  SolveSession fast(SolvePlan::create(21, fast_options));
   expect_identical(result, fast.solve(*problem), "checked oracle vs fast");
 }
 
@@ -181,8 +180,8 @@ TEST(FastPath, WindowedPebbleMatchesReferenceEngine) {
   SublinearOptions fast_options = base;
   fast_options.machine.record_costs = false;
 
-  SublinearSolver ref(ref_options);
-  SublinearSolver fast(fast_options);
+  SolveSession ref(SolvePlan::create(30, ref_options));
+  SolveSession fast(SolvePlan::create(30, fast_options));
   const auto a = ref.solve(*problem);
   const auto b = fast.solve(*problem);
   expect_identical(a, b, "windowed");
@@ -217,8 +216,8 @@ TEST(CrossLayout, DenseAndWideBandAgreeBitForBitOnEveryFamily) {
       options.variant = PwVariant::kBanded;
       options.band_width = n;  // wide band: stores every slack, like dense
       options.machine.record_costs = !fast;
-      SublinearSolver solver(options);
-      const auto got = solver.solve(*problem);
+      SolveSession session(SolvePlan::create(n, options));
+      const auto got = session.solve(*problem);
       expect_identical(ref, got,
                        family + (fast ? " / wide-band fast"
                                       : " / wide-band oracle"));
@@ -238,13 +237,13 @@ TEST(CrossLayout, DenseAndBandedConvergeToTheSameTables) {
 
     SublinearOptions dense_opts = fast;
     dense_opts.variant = PwVariant::kDense;
-    SublinearSolver dense_solver(dense_opts);
-    const auto dense = dense_solver.solve(*problem);
+    SolveSession dense_session(SolvePlan::create(26, dense_opts));
+    const auto dense = dense_session.solve(*problem);
 
     SublinearOptions banded_opts = fast;
     banded_opts.variant = PwVariant::kBanded;
-    SublinearSolver banded_solver(banded_opts);
-    const auto banded = banded_solver.solve(*problem);
+    SolveSession banded_session(SolvePlan::create(26, banded_opts));
+    const auto banded = banded_session.solve(*problem);
 
     EXPECT_EQ(dense.cost, dp::solve_sequential(*problem).cost) << family;
     EXPECT_EQ(dense.cost, banded.cost) << family;
@@ -262,19 +261,19 @@ TEST(CrossLayout, DensePastTheOldCubeCapSolvesCorrectly) {
   SublinearOptions dense_opts;
   dense_opts.variant = PwVariant::kDense;
   dense_opts.machine.record_costs = false;
-  SublinearSolver dense_solver(dense_opts);
-  const auto dense = dense_solver.solve(*problem);
+  SolveSession dense_session(SolvePlan::create(n, dense_opts));
+  const auto dense = dense_session.solve(*problem);
   EXPECT_EQ(dense.cost, dp::solve_sequential(*problem).cost);
 
   SublinearOptions banded_opts;
   banded_opts.machine.record_costs = false;
-  SublinearSolver banded_solver(banded_opts);
-  const auto banded = banded_solver.solve(*problem);
+  SolveSession banded_session(SolvePlan::create(n, banded_opts));
+  const auto banded = banded_session.solve(*problem);
   EXPECT_EQ(dense.cost, banded.cost);
   EXPECT_TRUE(dense.w == banded.w);
 }
 
-TEST(CrossLayout, PrepareEnforcesTheNewDenseLimit) {
+TEST(CrossLayout, PlanEnforcesTheNewDenseLimit) {
   class SizedProblem final : public dp::Problem {
    public:
     explicit SizedProblem(std::size_t n) : n_(n) {}
@@ -292,16 +291,17 @@ TEST(CrossLayout, PrepareEnforcesTheNewDenseLimit) {
 
   SublinearOptions dense_opts;
   dense_opts.variant = PwVariant::kDense;
-  SublinearSolver solver(dense_opts);
 
   // Rejected up front (before any table allocation).
-  const SizedProblem too_big(DensePwTable::kMaxDenseN + 1);
-  EXPECT_THROW(solver.prepare(too_big), std::invalid_argument);
+  EXPECT_THROW((void)SolvePlan::create(DensePwTable::kMaxDenseN + 1,
+                                       dense_opts),
+               std::invalid_argument);
 
   // Accepted well past the old 64 cube cap.
   const SizedProblem past_old_cap(80);
-  solver.prepare(past_old_cap);
-  EXPECT_GT(solver.pw_cell_count(), 0u);
+  SolveSession session(SolvePlan::create(80, dense_opts));
+  session.reset(past_old_cap);
+  EXPECT_GT(session.pw_cell_count(), 0u);
 }
 
 // ---- Step profiles (observability) -----------------------------------------
@@ -387,21 +387,10 @@ TEST(StepProfiles, SurvivesSessionResetAndRepeatedSolves) {
 }
 
 TEST(FastPath, OversizedInstancesAreRejectedUpFront) {
-  // Satellite of the same PR: pair/quad packing must not silently
-  // truncate huge n. The solver rejects past the packed-coordinate cap.
-  class HugeProblem final : public dp::Problem {
-   public:
-    [[nodiscard]] std::size_t size() const override { return 70000; }
-    [[nodiscard]] Cost init(std::size_t) const override { return 0; }
-    [[nodiscard]] Cost f(std::size_t, std::size_t, std::size_t) const
-        override {
-      return 0;
-    }
-    [[nodiscard]] std::string name() const override { return "huge"; }
-  };
-  SublinearSolver solver;
-  const HugeProblem huge;
-  EXPECT_THROW(solver.prepare(huge), std::invalid_argument);
+  // Pair/quad packing must not silently truncate huge n: plans reject
+  // sizes past the packed-coordinate cap.
+  EXPECT_THROW((void)SolvePlan::create(kMaxPackedN + 1),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,15 +1,15 @@
-// The central correctness suite for the paper's algorithm
-// (core/sublinear_solver.hpp): equality with the sequential baseline
-// across problems x variants x backends x schedules, the 2*ceil(sqrt n)
-// iteration bound, whole-table convergence, adversarial zigzag instances,
-// band-width sensitivity, and CREW conformance.
-
-#include "core/sublinear_solver.hpp"
+// The central correctness suite for the paper's algorithm (SolvePlan +
+// SolveSession): equality with the sequential baseline across problems x
+// variants x backends x schedules, the 2*ceil(sqrt n) iteration bound,
+// whole-table convergence, adversarial zigzag instances, band-width
+// sensitivity, and CREW conformance.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "core/solve_plan.hpp"
+#include "core/solve_session.hpp"
 #include "dp/matrix_chain.hpp"
 #include "dp/optimal_bst.hpp"
 #include "dp/polygon_triangulation.hpp"
@@ -66,8 +66,8 @@ TEST_P(SublinearEqualityTest, MatchesSequentialAndRespectsBound) {
   SublinearOptions options;
   options.variant = param.variant;
   options.machine.backend = param.backend;
-  SublinearSolver solver(options);
-  const auto result = solver.solve(*problem);
+  SolveSession session(SolvePlan::create(param.n, options));
+  const auto result = session.solve(*problem);
 
   EXPECT_EQ(result.cost, expected.cost);
   EXPECT_LE(result.iterations, result.iteration_bound);
@@ -93,8 +93,7 @@ std::vector<SolverParam> equality_params() {
     }
   }
   // Backend cross-product on one representative configuration.
-  for (const auto b : {pram::Backend::kSerial, pram::Backend::kThreadPool,
-                       pram::Backend::kOpenMP}) {
+  for (const auto b : {pram::Backend::kSerial, pram::Backend::kThreadPool}) {
     params.push_back({"matrix-chain", 24, PwVariant::kBanded, b});
   }
   return params;
@@ -120,12 +119,11 @@ TEST(Sublinear, BackendsProduceIdenticalTraces) {
   support::Rng rng(61);
   const auto p = dp::MatrixChainProblem::random(20, rng);
   std::vector<SublinearResult> results;
-  for (const auto b : {pram::Backend::kSerial, pram::Backend::kThreadPool,
-                       pram::Backend::kOpenMP}) {
+  for (const auto b : {pram::Backend::kSerial, pram::Backend::kThreadPool}) {
     SublinearOptions options;
     options.machine.backend = b;
-    SublinearSolver solver(options);
-    results.push_back(solver.solve(p));
+    SolveSession session(SolvePlan::create(20, options));
+    results.push_back(session.solve(p));
   }
   for (std::size_t r = 1; r < results.size(); ++r) {
     ASSERT_EQ(results[r].cost, results[0].cost);
@@ -150,7 +148,8 @@ TEST(Sublinear, DenseAndBandedAgreeCellByCell) {
     dense_opts.variant = PwVariant::kDense;
     SublinearOptions banded_opts;
     banded_opts.variant = PwVariant::kBanded;
-    SublinearSolver dense(dense_opts), banded(banded_opts);
+    SolveSession dense(SolvePlan::create(n, dense_opts));
+    SolveSession banded(SolvePlan::create(n, banded_opts));
     const auto a = dense.solve(p);
     const auto b = banded.solve(p);
     ASSERT_EQ(a.cost, b.cost) << "n=" << n;
@@ -170,8 +169,8 @@ TEST(Sublinear, WindowedScheduleMatchesSequentialOnAdversarialInput) {
     SublinearOptions options;
     options.windowed_pebble = true;
     options.termination = TerminationMode::kFixedBound;
-    SublinearSolver solver(options);
-    const auto result = solver.solve(inst.problem);
+    SolveSession session(SolvePlan::create(n, options));
+    const auto result = session.solve(inst.problem);
     EXPECT_EQ(result.cost, inst.optimal_cost) << "n=" << n;
     EXPECT_EQ(result.iterations, support::two_ceil_sqrt(n));
   }
@@ -184,8 +183,8 @@ TEST(Sublinear, WindowedScheduleMatchesOnRandomInstances) {
     SublinearOptions options;
     options.windowed_pebble = true;
     options.termination = TerminationMode::kFixedBound;
-    SublinearSolver solver(options);
-    EXPECT_EQ(solver.solve(p).cost, dp::solve_sequential(p).cost);
+    SolveSession session(SolvePlan::create(20, options));
+    EXPECT_EQ(session.solve(p).cost, dp::solve_sequential(p).cost);
   }
 }
 
@@ -193,7 +192,7 @@ TEST(Sublinear, WindowedRequiresFixedBound) {
   SublinearOptions options;
   options.windowed_pebble = true;
   options.termination = TerminationMode::kFixedPoint;
-  EXPECT_THROW(SublinearSolver solver(options), std::invalid_argument);
+  EXPECT_THROW((void)SolvePlan::create(8, options), std::invalid_argument);
 }
 
 // ---- Band width sensitivity (Sec. 5's 2*sqrt(n) is the safe choice) ----
@@ -205,8 +204,8 @@ TEST(Sublinear, PaperBandWidthIsAlwaysSufficient) {
         trees::make_tree(trees::TreeShape::kZigzag, n), rng);
     SublinearOptions options;
     options.band_width = support::two_ceil_sqrt(n);
-    SublinearSolver solver(options);
-    EXPECT_EQ(solver.solve(inst.problem).cost, inst.optimal_cost);
+    SolveSession session(SolvePlan::create(n, options));
+    EXPECT_EQ(session.solve(inst.problem).cost, inst.optimal_cost);
   }
 }
 
@@ -221,8 +220,8 @@ TEST(Sublinear, TinyBandCanFailOnAdversarialInput) {
   SublinearOptions options;
   options.band_width = 1;
   options.termination = TerminationMode::kFixedBound;
-  SublinearSolver solver(options);
-  const auto result = solver.solve(inst.problem);
+  SolveSession session(SolvePlan::create(n, options));
+  const auto result = session.solve(inst.problem);
   EXPECT_GT(result.cost, inst.optimal_cost);
 }
 
@@ -233,13 +232,13 @@ TEST(Sublinear, CostsNeverUndershootWhileIterating) {
   const std::size_t n = 14;
   const auto p = dp::MatrixChainProblem::random(n, rng);
   const auto expected = dp::solve_sequential(p);
-  SublinearSolver solver;
-  solver.prepare(p);
+  SolveSession session(SolvePlan::create(n));
+  session.reset(p);
   for (std::size_t iter = 0; iter < support::two_ceil_sqrt(n); ++iter) {
-    (void)solver.step();
+    (void)session.step();
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = i + 1; j <= n; ++j) {
-        ASSERT_GE(solver.current_w(i, j), expected.c(i, j));
+        ASSERT_GE(session.current_w(i, j), expected.c(i, j));
       }
     }
   }
@@ -254,12 +253,12 @@ TEST(Sublinear, AllThreeStepsAreCrewConformant) {
     SublinearOptions options;
     options.variant = variant;
     options.machine.check_crew = true;
-    SublinearSolver solver(options);
-    (void)solver.solve(p);
-    ASSERT_NE(solver.machine().crew(), nullptr);
-    EXPECT_EQ(solver.machine().crew()->violation_count(), 0u)
+    SolveSession session(SolvePlan::create(18, options));
+    (void)session.solve(p);
+    ASSERT_NE(session.machine().crew(), nullptr);
+    EXPECT_EQ(session.machine().crew()->violation_count(), 0u)
         << to_string(variant) << ": "
-        << solver.machine().crew()->first_violation();
+        << session.machine().crew()->first_violation();
   }
 }
 
@@ -270,10 +269,10 @@ TEST(Sublinear, LedgerRecordsThreeStepsPerIteration) {
   const auto p = dp::MatrixChainProblem::random(12, rng);
   SublinearOptions options;
   options.termination = TerminationMode::kFixedBound;
-  SublinearSolver solver(options);
-  const auto result = solver.solve(p);
-  EXPECT_EQ(solver.machine().costs().step_count(), 3 * result.iterations);
-  const auto totals = solver.machine().costs().phase_totals();
+  SolveSession session(SolvePlan::create(12, options));
+  const auto result = session.solve(p);
+  EXPECT_EQ(session.machine().costs().step_count(), 3 * result.iterations);
+  const auto totals = session.machine().costs().phase_totals();
   EXPECT_EQ(totals.count("a-activate"), 1u);
   EXPECT_EQ(totals.count("a-square"), 1u);
   EXPECT_EQ(totals.count("a-pebble"), 1u);
@@ -288,10 +287,10 @@ TEST(Sublinear, BandedDoesLessSquareWorkThanDense) {
     SublinearOptions options;
     options.variant = variant;
     options.termination = TerminationMode::kFixedBound;
-    SublinearSolver solver(options);
-    (void)solver.solve(p);
+    SolveSession session(SolvePlan::create(32, options));
+    (void)session.solve(p);
     square_work[idx++] =
-        solver.machine().costs().phase_totals().at("a-square").work;
+        session.machine().costs().phase_totals().at("a-square").work;
   }
   // The asymptotic gap is ~n^1.5/const; at n=32 it is still just below 2x,
   // so assert strict ordering here and leave the scaling to bench_work.
@@ -302,27 +301,28 @@ TEST(Sublinear, BandedDoesLessSquareWorkThanDense) {
 
 TEST(Sublinear, TrivialSizes) {
   const dp::MatrixChainProblem one({4, 5});
-  SublinearSolver solver;
-  const auto r1 = solver.solve(one);
+  SolveSession trivial(SolvePlan::create(1));
+  const auto r1 = trivial.solve(one);
   EXPECT_EQ(r1.cost, 0);
   EXPECT_EQ(r1.iterations, 0u);
 
   const dp::MatrixChainProblem two({4, 5, 6});
-  const auto r2 = solver.solve(two);
+  SolveSession small(SolvePlan::create(2));
+  const auto r2 = small.solve(two);
   EXPECT_EQ(r2.cost, 120);
 }
 
-TEST(Sublinear, SteppingRequiresPrepare) {
-  SublinearSolver solver;
-  EXPECT_THROW((void)solver.step(), std::invalid_argument);
+TEST(Sublinear, SteppingRequiresReset) {
+  SolveSession session(SolvePlan::create(4));
+  EXPECT_THROW((void)session.step(), std::invalid_argument);
 }
 
 TEST(Sublinear, ReusableAcrossInstances) {
   support::Rng rng(71);
-  SublinearSolver solver;
+  SolveSession session(SolvePlan::create(10));
   for (int rep = 0; rep < 4; ++rep) {
     const auto p = dp::MatrixChainProblem::random(10, rng);
-    EXPECT_EQ(solver.solve(p).cost, dp::solve_sequential(p).cost);
+    EXPECT_EQ(session.solve(p).cost, dp::solve_sequential(p).cost);
   }
 }
 

@@ -5,7 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/sublinear_solver.hpp"
+#include "core/solve_plan.hpp"
+#include "core/solve_session.hpp"
 #include "dp/matrix_chain.hpp"
 #include "dp/optimal_bst.hpp"
 #include "dp/sequential.hpp"
@@ -20,8 +21,8 @@ namespace {
 SublinearResult run(const dp::Problem& p, TerminationMode mode) {
   SublinearOptions options;
   options.termination = mode;
-  SublinearSolver solver(options);
-  return solver.solve(p);
+  SolveSession session(SolvePlan::create(p.size(), options));
+  return session.solve(p);
 }
 
 TEST(Termination, FixedPointStopsNoLaterThanTheBound) {
@@ -128,8 +129,8 @@ TEST(Termination, MaxIterationOverrideCapsTheRun) {
   SublinearOptions options;
   options.termination = TerminationMode::kFixedBound;
   options.max_iterations = 3;
-  SublinearSolver solver(options);
-  const auto result = solver.solve(p);
+  SolveSession session(SolvePlan::create(36, options));
+  const auto result = session.solve(p);
   EXPECT_EQ(result.iterations, 3u);
 }
 

@@ -7,7 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "core/convergence_report.hpp"
-#include "core/sublinear_solver.hpp"
+#include "core/solve_plan.hpp"
+#include "core/solve_session.hpp"
 #include "dp/matrix_chain.hpp"
 #include "dp/sequential.hpp"
 #include "dp/tree_shaped.hpp"
@@ -27,8 +28,8 @@ TEST(Windowed, OnlyWindowLengthsChangePerIteration) {
   SublinearOptions options;
   options.windowed_pebble = true;
   options.termination = TerminationMode::kFixedBound;
-  SublinearSolver solver(options);
-  solver.prepare(p);
+  SolveSession solver(SolvePlan::create(n, options));
+  solver.reset(p);
 
   support::Grid2D<Cost> before(n + 1, n + 1, kInfinity);
   const std::size_t bound = support::two_ceil_sqrt(n);
@@ -84,8 +85,8 @@ TEST(Windowed, EachPairIsPebbledOnlyInItsTwoIterations) {
   SublinearOptions options;
   options.windowed_pebble = true;
   options.termination = TerminationMode::kFixedBound;
-  SublinearSolver solver(options);
-  solver.prepare(inst.problem);
+  SolveSession solver(SolvePlan::create(n, options));
+  solver.reset(inst.problem);
 
   support::Grid2D<int> changes(n + 1, n + 1, 0);
   support::Grid2D<Cost> before(n + 1, n + 1, kInfinity);
@@ -120,7 +121,8 @@ TEST(Windowed, MatchesUnwindowedOnABattery) {
     windowed.termination = TerminationMode::kFixedBound;
     SublinearOptions plain;
     plain.termination = TerminationMode::kFixedBound;
-    SublinearSolver a(windowed), b(plain);
+    SolveSession a(SolvePlan::create(n, windowed));
+    SolveSession b(SolvePlan::create(n, plain));
     const auto ra = a.solve(p);
     const auto rb = b.solve(p);
     ASSERT_EQ(ra.cost, rb.cost) << "n=" << n;
@@ -141,7 +143,7 @@ TEST(Windowed, PebbleWorkIsConcentrated) {
     SublinearOptions options;
     options.windowed_pebble = windowed;
     options.termination = TerminationMode::kFixedBound;
-    SublinearSolver solver(options);
+    SolveSession solver(SolvePlan::create(p.size(), options));
     (void)solver.solve(p);
     pebble_work[idx++] =
         solver.machine().costs().phase_totals().at("a-pebble").work;
@@ -152,7 +154,7 @@ TEST(Windowed, PebbleWorkIsConcentrated) {
 TEST(ConvergenceReport, TableAndSummaryReflectTheTrace) {
   support::Rng rng(305);
   const auto p = dp::MatrixChainProblem::random(20, rng);
-  SublinearSolver solver;
+  SolveSession solver(SolvePlan::create(20));
   const auto result = solver.solve(p);
   const auto table = convergence_table(result, "test");
   EXPECT_EQ(table.rows(), result.trace.size());

@@ -7,7 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/sublinear_solver.hpp"
+#include "core/solve_plan.hpp"
+#include "core/solve_session.hpp"
 #include "dp/matrix_chain.hpp"
 #include "dp/optimal_bst.hpp"
 #include "dp/sequential.hpp"
@@ -94,7 +95,7 @@ TEST(ParallelSetup, PreprocessingNeverDominatesTheMainIteration) {
   const auto table = materialize_in_parallel(pre, problem);
 
   core::SublinearOptions options;
-  core::SublinearSolver solver(options);
+  core::SolveSession solver(core::SolvePlan::create(n, options));
   (void)solver.solve(table);
   EXPECT_LT(pre.costs().total_work() * 10,
             solver.machine().costs().total_work());

@@ -38,8 +38,7 @@ TEST_P(WavefrontBackendTest, MatchesSequentialOnMatrixChains) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, WavefrontBackendTest,
                          ::testing::Values(pram::Backend::kSerial,
-                                           pram::Backend::kThreadPool,
-                                           pram::Backend::kOpenMP));
+                                           pram::Backend::kThreadPool));
 
 TEST(Wavefront, ValidatesAsAFullResult) {
   support::Rng rng(42);

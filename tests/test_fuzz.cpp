@@ -9,7 +9,8 @@
 #include <memory>
 
 #include "core/api.hpp"
-#include "core/sublinear_solver.hpp"
+#include "core/solve_plan.hpp"
+#include "core/solve_session.hpp"
 #include "dp/brute_force.hpp"
 #include "dp/knuth.hpp"
 #include "dp/matrix_chain.hpp"
@@ -86,7 +87,7 @@ TEST_P(FuzzTest, AllSolversAgree) {
   // Wavefront on a random backend.
   {
     pram::MachineOptions mopts;
-    mopts.backend = static_cast<pram::Backend>(rng.uniform_int(0, 2));
+    mopts.backend = static_cast<pram::Backend>(rng.uniform_int(0, 1));
     pram::Machine machine(mopts);
     ASSERT_EQ(dp::solve_wavefront(*problem, machine).cost, expected.cost);
   }
@@ -96,7 +97,7 @@ TEST_P(FuzzTest, AllSolversAgree) {
   options.variant = rng.bernoulli(0.5) ? core::PwVariant::kBanded
                                        : core::PwVariant::kDense;
   options.machine.backend =
-      static_cast<pram::Backend>(rng.uniform_int(0, 2));
+      static_cast<pram::Backend>(rng.uniform_int(0, 1));
   switch (rng.uniform_int(0, 2)) {
     case 0:
       options.termination = core::TerminationMode::kFixedBound;
@@ -114,7 +115,8 @@ TEST_P(FuzzTest, AllSolversAgree) {
   options.band_width =
       paper_band + static_cast<std::size_t>(rng.uniform_int(0, 6));
 
-  core::SublinearSolver solver(options);
+  core::SolveSession solver(
+      core::SolvePlan::create(problem->size(), options));
   const auto result = solver.solve(*problem);
   ASSERT_EQ(result.cost, expected.cost)
       << problem->name() << " n=" << problem->size()

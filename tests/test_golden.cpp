@@ -11,7 +11,8 @@
 #include <gtest/gtest.h>
 
 #include "core/api.hpp"
-#include "core/sublinear_solver.hpp"
+#include "core/solve_plan.hpp"
+#include "core/solve_session.hpp"
 #include "dp/matrix_chain.hpp"
 #include "dp/optimal_bst.hpp"
 #include "support/rng.hpp"
@@ -49,7 +50,7 @@ TEST_P(GoldenMatrixChainTest, LedgerIsBitStable) {
   core::SublinearOptions options;
   options.variant = g.variant;
   options.termination = core::TerminationMode::kFixedPoint;
-  core::SublinearSolver solver(options);
+  core::SolveSession solver(core::SolvePlan::create(p.size(), options));
   const auto result = solver.solve(p);
   EXPECT_EQ(result.cost, g.cost);
   EXPECT_EQ(result.iterations, g.iterations);
@@ -76,7 +77,8 @@ TEST(Golden, BandedConvergesNoLaterButOftenEarlierThanDense) {
   core::SublinearOptions dense_opts;
   dense_opts.variant = core::PwVariant::kDense;
   core::SublinearOptions banded_opts;
-  core::SublinearSolver dense(dense_opts), banded(banded_opts);
+  core::SolveSession dense(core::SolvePlan::create(pa.size(), dense_opts));
+  core::SolveSession banded(core::SolvePlan::create(pb.size(), banded_opts));
   const auto rd = dense.solve(pa);
   const auto rb = banded.solve(pb);
   EXPECT_LE(rb.iterations, rd.iterations);
@@ -87,7 +89,7 @@ TEST(Golden, OptimalBstLedger) {
   {
     support::Rng rng(9110);
     const auto p = dp::OptimalBstProblem::random(10, rng);
-    core::SublinearSolver solver;
+    core::SolveSession solver(core::SolvePlan::create(p.size()));
     const auto r = solver.solve(p);
     EXPECT_EQ(r.cost, 1907);
     EXPECT_EQ(r.iterations, 6u);
@@ -97,7 +99,7 @@ TEST(Golden, OptimalBstLedger) {
   {
     support::Rng rng(9120);
     const auto p = dp::OptimalBstProblem::random(20, rng);
-    core::SublinearSolver solver;
+    core::SolveSession solver(core::SolvePlan::create(p.size()));
     const auto r = solver.solve(p);
     EXPECT_EQ(r.cost, 3814);
     EXPECT_EQ(r.iterations, 7u);

@@ -114,8 +114,7 @@ TEST_P(MachineBackendTest, WorkCountIsBackendIndependent) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, MachineBackendTest,
                          ::testing::Values(Backend::kSerial,
-                                           Backend::kThreadPool,
-                                           Backend::kOpenMP));
+                                           Backend::kThreadPool));
 
 }  // namespace
 }  // namespace subdp::pram

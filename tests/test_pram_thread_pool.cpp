@@ -13,7 +13,8 @@
 #include <thread>
 #include <vector>
 
-#include "core/sublinear_solver.hpp"
+#include "core/solve_plan.hpp"
+#include "core/solve_session.hpp"
 #include "dp/matrix_chain.hpp"
 #include "serve/solver_service.hpp"
 #include "support/rng.hpp"
@@ -120,7 +121,8 @@ TEST(ThreadPool, ConcurrentIssuersOnTheSharedPoolStayBitIdentical) {
     problems.push_back(dp::MatrixChainProblem::random(20 + 2 * k, rng));
     core::SublinearOptions serial;
     serial.machine.backend = Backend::kSerial;
-    expected.push_back(core::SublinearSolver(serial).solve(problems.back()));
+    core::SolveSession session(core::SolvePlan::create(20 + 2 * k, serial));
+    expected.push_back(session.solve(problems.back()));
   }
 
   core::SublinearOptions threaded;
@@ -143,9 +145,10 @@ TEST(ThreadPool, ConcurrentIssuersOnTheSharedPoolStayBitIdentical) {
       // their loops on the shared pool.
       core::SublinearOptions options = threaded;
       options.machine.record_costs = k % 2 == 1;
-      core::SublinearSolver solver(options);
+      core::SolveSession session(
+          core::SolvePlan::create(problems[k].size(), options));
       for (std::size_t round = 0; round < kRounds; ++round) {
-        got[k].push_back(solver.solve(problems[k]));
+        got[k].push_back(session.solve(problems[k]));
       }
     });
   }

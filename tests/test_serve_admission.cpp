@@ -24,7 +24,8 @@
 #include <thread>
 #include <vector>
 
-#include "core/sublinear_solver.hpp"
+#include "core/solve_plan.hpp"
+#include "core/solve_session.hpp"
 #include "dp/matrix_chain.hpp"
 #include "dp/sequential.hpp"
 #include "obs/clock.hpp"
@@ -36,6 +37,13 @@ namespace subdp::serve {
 namespace {
 
 using core::AdmissionError;
+
+/// An independent solve on a fresh plan and session: the reference every
+/// admitted result must match bit for bit.
+core::SublinearResult solve_alone(const dp::Problem& problem) {
+  core::SolveSession session(core::SolvePlan::create(problem.size()));
+  return session.solve(problem);
+}
 
 /// A reusable open-once gate for sequencing test threads.
 struct Gate {
@@ -197,8 +205,7 @@ TEST(Admission, RejectPolicyFailsTheOverflowSubmitWithAdmissionError) {
   EXPECT_EQ(gated_future.get().cost,
             dp::solve_sequential(gated.inner()).cost);
   for (std::size_t k = 0; k < queued.size(); ++k) {
-    core::SublinearSolver independent;
-    const auto expected = independent.solve(fill[k]);
+    const auto expected = solve_alone(fill[k]);
     const auto got = queued[k].get();
     EXPECT_EQ(got.cost, expected.cost) << "instance " << k;
     EXPECT_EQ(got.iterations, expected.iterations) << "instance " << k;
@@ -285,8 +292,7 @@ TEST(Admission, ExpiredDeadlineResolvesWithoutSolving) {
   // normally — and bit-identically.
   auto in_time = service.submit(
       probe, manual->now() + std::chrono::nanoseconds(1));
-  core::SublinearSolver independent;
-  const auto expected = independent.solve(probe);
+  const auto expected = solve_alone(probe);
   const auto got = in_time.get();
   EXPECT_EQ(got.cost, expected.cost);
   EXPECT_TRUE(got.w == expected.w);
@@ -433,8 +439,7 @@ TEST(Admission, ConcurrentColdSubmitsShareOneBuild) {
 
   build_gate->open_gate();
   for (std::size_t k = 0; k < futures.size(); ++k) {
-    core::SublinearSolver independent;
-    const auto expected = independent.solve(problems[k]);
+    const auto expected = solve_alone(problems[k]);
     const auto got = futures[k].get();
     EXPECT_EQ(got.cost, expected.cost) << "instance " << k;
     EXPECT_TRUE(got.w == expected.w) << "instance " << k;
@@ -541,9 +546,8 @@ TEST(Admission, BuilderPoolBuildsDistinctShapesConcurrently) {
   gate->wait_entered(2);
 
   gate->release(2);
-  core::SublinearSolver independent;
-  const auto expected_a = independent.solve(cold_a);
-  const auto expected_b = independent.solve(cold_b);
+  const auto expected_a = solve_alone(cold_a);
+  const auto expected_b = solve_alone(cold_b);
   const auto got_a = f_a.get();
   const auto got_b = f_b.get();
   EXPECT_EQ(got_a.cost, expected_a.cost);
@@ -597,8 +601,7 @@ TEST(Admission, ColdCoalescingStillCountsOneMissWithTwoBuilders) {
 
   gate->release(kSameShape);  // ample: only one build should draw one
   for (std::size_t k = 0; k < futures.size(); ++k) {
-    core::SublinearSolver independent;
-    const auto expected = independent.solve(problems[k]);
+    const auto expected = solve_alone(problems[k]);
     const auto got = futures[k].get();
     EXPECT_EQ(got.cost, expected.cost) << "instance " << k;
     EXPECT_TRUE(got.w == expected.w) << "instance " << k;
@@ -708,9 +711,8 @@ TEST(Admission, ShutdownDrainsBuildersThenWorkersResolvingEveryFuture) {
   // The destructor joined builders first (both builds finished and
   // requeued their jobs), then workers (which solved them): both
   // futures are resolved — with full results — after destruction.
-  core::SublinearSolver independent;
-  const auto expected_a = independent.solve(cold_a);
-  const auto expected_b = independent.solve(cold_b);
+  const auto expected_a = solve_alone(cold_a);
+  const auto expected_b = solve_alone(cold_b);
   const auto got_a = f_a.get();
   const auto got_b = f_b.get();
   EXPECT_EQ(got_a.cost, expected_a.cost);
@@ -746,8 +748,7 @@ TEST(Admission, SolveAllBypassesSheddingAndExpiry) {
   EXPECT_EQ(out.ledger.shape_groups, 2u);
   EXPECT_EQ(out.ledger.plans_built, 2u);
   for (std::size_t k = 0; k < pointers.size(); ++k) {
-    core::SublinearSolver independent;
-    const auto expected = independent.solve(*pointers[k]);
+    const auto expected = solve_alone(*pointers[k]);
     EXPECT_EQ(out.results[k].cost, expected.cost) << "instance " << k;
     EXPECT_EQ(out.results[k].iterations, expected.iterations)
         << "instance " << k;

@@ -33,7 +33,8 @@
 #include <thread>
 #include <vector>
 
-#include "core/sublinear_solver.hpp"
+#include "core/solve_plan.hpp"
+#include "core/solve_session.hpp"
 #include "dp/matrix_chain.hpp"
 #include "serve/solver_service.hpp"
 #include "support/rng.hpp"
@@ -78,8 +79,9 @@ FuzzWorkload make_workload(const std::vector<std::size_t>& shapes,
   out.expected.resize(out.options.size());
   for (std::size_t o = 0; o < out.options.size(); ++o) {
     for (const auto& p : out.problems) {
-      core::SublinearSolver solver(out.options[o]);
-      out.expected[o].push_back(solver.solve(*p));
+      core::SolveSession session(
+          core::SolvePlan::create(p->size(), out.options[o]));
+      out.expected[o].push_back(session.solve(*p));
     }
   }
   return out;
@@ -97,6 +99,7 @@ struct ClassTally {
 };
 
 struct Tally {
+  std::uint64_t jobs = 0;  ///< Distinct jobs, however often resubmitted.
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
   std::uint64_t rejected = 0;
@@ -111,17 +114,26 @@ struct Tally {
 
 enum class DeadlineMix { kNone, kFarFuture, kAlreadyExpired };
 
-/// Seed-drawn deadline frequencies: a roll below `expired_below` makes
-/// the job already expired at submit; below `far_below`, a far-future
-/// deadline; otherwise no deadline. The heavy profile pushes most of
-/// the traffic through the deadline paths so the EDF ordering, the
-/// expiry sweep and the per-class expired counters all run hot.
-struct DeadlineProfile {
+/// Seed-drawn traffic shape. Deadlines: a roll below `expired_below`
+/// makes the job already expired at submit; below `far_below`, a
+/// far-future deadline; otherwise no deadline. The heavy profile pushes
+/// most of the traffic through the deadline paths so the EDF ordering,
+/// the expiry sweep and the per-class expired counters all run hot. A
+/// job is interactive with probability `interactive_share`. With
+/// `retry_rejected`, a shed submit backs off by the rejection's
+/// retry-after hint and resubmits until admitted, as a well-behaved
+/// client would; every job then lands unless its deadline expires.
+struct TrafficProfile {
   double expired_below = 0.15;
   double far_below = 0.30;
+  double interactive_share = 0.5;
+  bool retry_rejected = false;
 };
-constexpr DeadlineProfile kDefaultDeadlines{};
-constexpr DeadlineProfile kHeavyDeadlines{0.45, 0.90};
+constexpr TrafficProfile kDefaultTraffic{};
+constexpr TrafficProfile kHeavyDeadlines{0.45, 0.90};
+/// A 3:1 interactive:batch mix with no expired deadlines whose rejected
+/// submits retry after the hinted delay: every job must complete.
+constexpr TrafficProfile kRetryingQosMix{0.0, 0.30, 0.75, true};
 
 /// One caller thread's worth of traffic: shuffled (shape, options)
 /// pairs, each with a seed-drawn priority class and deadline category,
@@ -129,7 +141,7 @@ constexpr DeadlineProfile kHeavyDeadlines{0.45, 0.90};
 /// accounts as batch-class traffic).
 void run_caller(SolverService& service, const FuzzWorkload& load,
                 std::uint64_t seed, std::size_t rounds,
-                DeadlineProfile deadlines, Tally& tally) {
+                TrafficProfile traffic, Tally& tally) {
   support::Rng rng(seed);
   struct Pending {
     std::future<core::SublinearResult> future;
@@ -152,48 +164,58 @@ void run_caller(SolverService& service, const FuzzWorkload& load,
     for (const auto& [o, s] : mix) {
       DeadlineMix deadline = DeadlineMix::kNone;
       const double roll = rng.uniform01();
-      if (roll < deadlines.expired_below) {
+      if (roll < traffic.expired_below) {
         deadline = DeadlineMix::kAlreadyExpired;
-      } else if (roll < deadlines.far_below) {
+      } else if (roll < traffic.far_below) {
         deadline = DeadlineMix::kFarFuture;
       }
-      const PriorityClass priority = rng.uniform01() < 0.5
-                                         ? PriorityClass::kInteractive
-                                         : PriorityClass::kBatch;
+      const PriorityClass priority =
+          rng.uniform01() < traffic.interactive_share
+              ? PriorityClass::kInteractive
+              : PriorityClass::kBatch;
       const auto cls = static_cast<std::size_t>(priority);
-      ++tally.submitted;
-      ++tally.cls[cls].submitted;
-      try {
-        Pending job;
-        job.opt = o;
-        job.shape = s;
-        job.deadline = deadline;
-        job.priority = priority;
-        switch (deadline) {
-          case DeadlineMix::kNone:
-            job.future = service.submit(*load.problems[s], load.options[o],
-                                        priority);
-            break;
-          case DeadlineMix::kFarFuture:
-            job.future = service.submit(
-                *load.problems[s], load.options[o], priority,
-                std::chrono::steady_clock::now() + std::chrono::hours(1));
-            break;
-          case DeadlineMix::kAlreadyExpired:
-            job.future = service.submit(
-                *load.problems[s], load.options[o], priority,
-                std::chrono::steady_clock::now() -
-                    std::chrono::milliseconds(1));
-            break;
+      ++tally.jobs;
+      for (bool done = false; !done;) {
+        ++tally.submitted;
+        ++tally.cls[cls].submitted;
+        try {
+          Pending job;
+          job.opt = o;
+          job.shape = s;
+          job.deadline = deadline;
+          job.priority = priority;
+          switch (deadline) {
+            case DeadlineMix::kNone:
+              job.future = service.submit(*load.problems[s], load.options[o],
+                                          priority);
+              break;
+            case DeadlineMix::kFarFuture:
+              job.future = service.submit(
+                  *load.problems[s], load.options[o], priority,
+                  std::chrono::steady_clock::now() + std::chrono::hours(1));
+              break;
+            case DeadlineMix::kAlreadyExpired:
+              job.future = service.submit(
+                  *load.problems[s], load.options[o], priority,
+                  std::chrono::steady_clock::now() -
+                      std::chrono::milliseconds(1));
+              break;
+          }
+          pending.push_back(std::move(job));
+          done = true;
+        } catch (const AdmissionError& e) {
+          if (e.kind() != AdmissionError::Kind::kQueueFull) {
+            tally.fail(std::string("submit threw non-queue-full: ") +
+                       e.what());
+          }
+          ++tally.rejected;
+          ++tally.cls[cls].rejected;
+          done = !traffic.retry_rejected;
+          if (!done) {
+            if (!e.has_hint()) tally.fail("rejection carried no hint");
+            std::this_thread::sleep_for(e.retry_after());
+          }
         }
-        pending.push_back(std::move(job));
-      } catch (const AdmissionError& e) {
-        if (e.kind() != AdmissionError::Kind::kQueueFull) {
-          tally.fail(std::string("submit threw non-queue-full: ") +
-                     e.what());
-        }
-        ++tally.rejected;
-        ++tally.cls[cls].rejected;
       }
     }
 
@@ -236,6 +258,7 @@ void run_caller(SolverService& service, const FuzzWorkload& load,
       const auto out = service.solve_all(batch, load.options[0]);
       const auto kBatchIdx =
           static_cast<std::size_t>(PriorityClass::kBatch);
+      tally.jobs += batch.size();
       tally.submitted += batch.size();
       tally.completed += batch.size();
       tally.cls[kBatchIdx].submitted += batch.size();
@@ -255,7 +278,7 @@ void run_caller(SolverService& service, const FuzzWorkload& load,
 
 void run_fuzz(std::uint64_t seed, OverloadPolicy policy,
               std::size_t builders,
-              DeadlineProfile deadlines = kDefaultDeadlines) {
+              TrafficProfile traffic = kDefaultTraffic) {
   SCOPED_TRACE(std::string("seed ") + std::to_string(seed) + ", policy " +
                to_string(policy) + ", builders " +
                std::to_string(builders));
@@ -277,7 +300,7 @@ void run_fuzz(std::uint64_t seed, OverloadPolicy policy,
     callers.reserve(kCallerThreads);
     for (std::size_t t = 0; t < kCallerThreads; ++t) {
       callers.emplace_back([&, t] {
-        run_caller(service, load, seed * 1000 + t, kRounds, deadlines,
+        run_caller(service, load, seed * 1000 + t, kRounds, traffic,
                    tallies[t]);
       });
     }
@@ -286,6 +309,7 @@ void run_fuzz(std::uint64_t seed, OverloadPolicy policy,
 
   Tally sum;
   for (const Tally& t : tallies) {
+    sum.jobs += t.jobs;
     sum.submitted += t.submitted;
     sum.completed += t.completed;
     sum.rejected += t.rejected;
@@ -302,6 +326,11 @@ void run_fuzz(std::uint64_t seed, OverloadPolicy policy,
   }
   // Caller-side exactly-once accounting...
   EXPECT_EQ(sum.submitted, sum.completed + sum.rejected + sum.expired);
+  if (traffic.retry_rejected && traffic.expired_below == 0.0) {
+    // Hinted retries land every job, and no deadline can expire.
+    EXPECT_EQ(sum.completed, sum.jobs);
+    EXPECT_EQ(sum.expired, 0u);
+  }
   // ...agreeing with the service's own ledger, counter by counter.
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.builders, builders == 0 ? 1u : builders);
@@ -367,6 +396,9 @@ TEST(ServeFuzz, RejectPolicyAcrossSeedsAndBuilderCounts) {
       run_fuzz(seed, OverloadPolicy::kReject, builders);
     }
   }
+  // Shed-and-retry clients: a 3:1 interactive:batch mix backing off by
+  // the retry-after hints until everything lands bit-identically.
+  run_fuzz(14, OverloadPolicy::kReject, 2, kRetryingQosMix);
 }
 
 TEST(ServeFuzz, BlockPolicyAcrossSeedsAndBuilderCounts) {

@@ -71,6 +71,7 @@ TEST(ServiceTrace, CoversCompletedColdDeferredRejectedAndExpiredJobs) {
   const std::string trace = service.export_trace();
   EXPECT_TRUE(balanced_json(trace));
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(trace.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(trace.find("(completed)"), std::string::npos);
   EXPECT_NE(trace.find("(rejected)"), std::string::npos);
   EXPECT_NE(trace.find("(expired)"), std::string::npos);
@@ -172,6 +173,16 @@ TEST(ServiceMetrics, PrometheusCarriesEveryServiceStatsCounter) {
   EXPECT_TRUE(balanced_json(json));
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+  // The completed job reached the queue-wait and e2e histograms of the
+  // JSON rendering too: a zero count would mean the stage
+  // instrumentation fell off the hot path.
+  for (const char* stage : {"subdp_queue_wait_ns", "subdp_e2e_ns"}) {
+    const std::string head = std::string("{\"name\": \"") + stage +
+                             "\", \"labels\": \"\", \"count\": ";
+    const std::size_t at = json.find(head);
+    ASSERT_NE(at, std::string::npos) << stage;
+    EXPECT_EQ(json.compare(at + head.size(), 2, "1,"), 0) << stage;
+  }
 }
 
 TEST(ServiceTrace, DisabledTracingStillExportsAValidEmptyTrace) {

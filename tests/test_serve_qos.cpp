@@ -25,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/sublinear_solver.hpp"
 #include "dp/matrix_chain.hpp"
 #include "dp/sequential.hpp"
 #include "obs/clock.hpp"

@@ -15,8 +15,8 @@
 #include <thread>
 #include <vector>
 
-#include "core/batch_solver.hpp"
-#include "core/sublinear_solver.hpp"
+#include "core/solve_plan.hpp"
+#include "core/solve_session.hpp"
 #include "dp/matrix_chain.hpp"
 #include "dp/optimal_bst.hpp"
 #include "dp/sequential.hpp"
@@ -46,8 +46,8 @@ Workload make_workload(const std::vector<std::size_t>& shapes,
   }
   for (const auto& p : out.owned) out.pointers.push_back(p.get());
   for (const auto& p : out.owned) {
-    core::SublinearSolver solver(options);
-    out.expected.push_back(solver.solve(*p));
+    core::SolveSession session(core::SolvePlan::create(p->size(), options));
+    out.expected.push_back(session.solve(*p));
   }
   return out;
 }
@@ -110,30 +110,35 @@ TEST(Service, SubmitFuturesMatchIndependentSolvesShuffled) {
   EXPECT_EQ(stats.plan_cache.misses, 3u);
 }
 
-TEST(Service, MatchesBatchSolverLedgerAndResults) {
+TEST(Service, MultiWorkerMatchesOneWorkerLedgerAndResults) {
+  // A 1-worker service keeps the caller's backend inside each solve; a
+  // multi-worker one normalises to serial and overlaps instances. Both
+  // must produce the same results and the same ledger.
   const auto load = make_workload({10, 15}, 3, 604);
-  core::BatchSolver batch;
-  const auto batch_out = batch.solve_all(load.pointers);
+  ServiceOptions one_worker;
+  one_worker.workers = 1;
+  SolverService single(one_worker);
+  const auto single_out = single.solve_all(load.pointers);
 
   ServiceOptions options;
   options.workers = 3;
   SolverService service(options);
   const auto service_out = service.solve_all(load.pointers);
 
-  ASSERT_EQ(service_out.results.size(), batch_out.results.size());
-  for (std::size_t k = 0; k < batch_out.results.size(); ++k) {
-    expect_identical(service_out.results[k], batch_out.results[k], k);
+  ASSERT_EQ(service_out.results.size(), single_out.results.size());
+  for (std::size_t k = 0; k < single_out.results.size(); ++k) {
+    expect_identical(service_out.results[k], single_out.results[k], k);
   }
-  EXPECT_EQ(service_out.ledger.instances, batch_out.ledger.instances);
+  EXPECT_EQ(service_out.ledger.instances, single_out.ledger.instances);
   EXPECT_EQ(service_out.ledger.shape_groups,
-            batch_out.ledger.shape_groups);
-  EXPECT_EQ(service_out.ledger.plans_built, batch_out.ledger.plans_built);
+            single_out.ledger.shape_groups);
+  EXPECT_EQ(service_out.ledger.plans_built, single_out.ledger.plans_built);
   EXPECT_EQ(service_out.ledger.total_iterations,
-            batch_out.ledger.total_iterations);
+            single_out.ledger.total_iterations);
   // record_costs defaults on: the summed PRAM ledger is worker-count
   // independent (accounting is backend-independent by construction).
-  EXPECT_EQ(service_out.ledger.total_work, batch_out.ledger.total_work);
-  EXPECT_EQ(service_out.ledger.total_depth, batch_out.ledger.total_depth);
+  EXPECT_EQ(service_out.ledger.total_work, single_out.ledger.total_work);
+  EXPECT_EQ(service_out.ledger.total_depth, single_out.ledger.total_depth);
 
   // A second call is served entirely warm.
   const auto again = service.solve_all(load.pointers);
@@ -286,6 +291,13 @@ TEST(Service, SubmitSurfacesPlanValidationThroughTheFuture) {
   dense.variant = core::PwVariant::kDense;  // too large for dense
   auto future = service.submit(problem, dense);
   EXPECT_THROW((void)future.get(), std::invalid_argument);
+  // Rytter squaring is capped at n <= 24 by the plan, whatever the door.
+  const auto mid = dp::MatrixChainProblem::random(
+      core::SolvePlan::kMaxRytterN + 1, rng);
+  core::SublinearOptions rytter = dense;
+  rytter.square_mode = core::SquareMode::kRytterFull;
+  auto rytter_future = service.submit(mid, rytter);
+  EXPECT_THROW((void)rytter_future.get(), std::invalid_argument);
   // The service stays healthy after a failed job.
   const auto small = dp::MatrixChainProblem::random(10, rng);
   EXPECT_EQ(service.submit(small).get().cost,
