@@ -55,15 +55,10 @@
 ///       test their HLV windows against per-endpoint prefix sums;
 ///     - a-pebble skips pairs with no root `pw` movement since their last
 ///       rescan and no moved `w` among their gaps;
-///     - the mark grids behind both skip tests are maintained
-///       *incrementally*: each step diffs its moved-mark set against the
-///       marks standing in the grids and rank-updates only the affected
-///       rows/columns, falling back to the parallel from-scratch rebuild
-///       when the delta's touched-cell estimate reaches a full grid (and
-///       on the first step, when no grid state exists yet). The counts
-///       are integer sums over the same mark set either way, so they are
-///       bit-identical; debug builds assert the incremental result
-///       against the rebuild every step.
+///     - the mark grids behind both skip tests (containment counts and
+///       per-endpoint prefix sums over the moved marks) are built from
+///       scratch, serially, right before each skipping sweep: O(n^2)
+///       plain loops, a small share of the sweeps they prune.
 /// Monotonicity of both tables makes every skipped site provably a no-op
 /// (its candidates are unchanged and were already min-applied), so
 /// results, change counts and iteration schedules are identical to the
@@ -341,7 +336,6 @@ class Engine final : public IEngine {
       mark_left_pre_.assign(grid, 0);
       mark_right_pre_.assign(grid, 0);
       frontier_.reserve(n_);
-      moved_roots_.resize(pairs_.size());
     }
     bind_instance(problem, /*fresh_tables=*/true);
   }
@@ -416,14 +410,6 @@ class Engine final : public IEngine {
     Cost value = 0;
   };
 
-  /// One mark entering (+1) or leaving (-1) a frontier grid between two
-  /// consecutive steps — the unit of the incremental grid maintenance.
-  struct MarkDelta {
-    std::uint32_t a = 0;
-    std::uint32_t b = 0;
-    std::int32_t add = 1;
-  };
-
   /// The HLV square window of quad `t`: admissible intermediates
   /// `r in [r_lo, p)` and `s in (q, s_hi]`. Shared by the candidate scan
   /// and the frontier skip test, which must agree on the operand set.
@@ -457,13 +443,6 @@ class Engine final : public IEngine {
           pw_root_moved_[k].store(0, std::memory_order_relaxed);
         }
       }
-      moved_roots_count_.store(0, std::memory_order_relaxed);
-      // The grids hold a previous instance's marks (or none); force a full
-      // rebuild at the first step that needs them.
-      square_grids_valid_ = false;
-      pebble_grids_valid_ = false;
-      square_marks_.clear();
-      pebble_marks_.clear();
       square_frontier_ready_ = false;
       // The initial frontier: every base entry w(i, i+1) was just set.
       frontier_.clear();
@@ -665,29 +644,10 @@ class Engine final : public IEngine {
   /// Records that some `pw` entry of root `pair_idx` moved, for both
   /// consumers: `root_dirty_` (read by a-pebble, sticky until the pair is
   /// rescanned) and `pw_root_moved_` (read by the next a-square, cleared
-  /// at every square apply). The first marking of a root also appends it
-  /// to the dense `moved_roots_` list — the exchange admits exactly one
-  /// appender per root per square interval, so the list is always the
-  /// exact set whose bitmap is `pw_root_moved_` (duplicate-free, in some
-  /// backend-dependent order, which is fine: every consumer folds it with
-  /// order-independent integer sums).
+  /// at every square apply).
   void mark_root_dirty(std::size_t pair_idx) {
     root_dirty_[pair_idx].store(1, std::memory_order_relaxed);
-    if (pw_root_moved_[pair_idx].exchange(1, std::memory_order_relaxed) ==
-        0) {
-      moved_roots_[moved_roots_count_.fetch_add(
-          1, std::memory_order_relaxed)] =
-          static_cast<std::uint32_t>(pair_idx);
-    }
-  }
-
-  /// Parallel zero-fill of a mark grid (flat ranges are independent).
-  void clear_grid(std::vector<std::uint8_t>& grid) {
-    machine_.run_blocks(static_cast<std::int64_t>(grid.size()),
-                        [&](std::int64_t lo, std::int64_t hi) {
-                          std::fill(grid.begin() + lo, grid.begin() + hi,
-                                    std::uint8_t{0});
-                        });
+    pw_root_moved_[pair_idx].store(1, std::memory_order_relaxed);
   }
 
   /// 2-D containment counts over interval marks: `out(i,j)` = #marked
@@ -695,292 +655,63 @@ class Engine final : public IEngine {
   /// and the square's root-block test). Computed as a row-prefix pass
   /// then a column-suffix pass — `out(i,j)` becomes the dominance count
   /// #marked `(a,b)` with `a >= i, b <= j`, which equals the containment
-  /// count at every cell since marks only exist at `a < b`. Each pass is
-  /// parallel over independent rows / columns (this rebuild was the
-  /// root-major sweep's per-step serial O(n^2) bottleneck); every cell
-  /// has one owner, so the counts are bit-identical to the serial
-  /// inclusion-exclusion DP they replace, whatever the backend.
+  /// count at every cell since marks only exist at `a < b`.
   void accumulate_containment(const std::vector<std::uint8_t>& marks,
-                              std::vector<std::uint32_t>& out) {
+                              std::vector<std::uint32_t>& out) const {
     const std::size_t stride = n_ + 1;
-    machine_.run_blocks(static_cast<std::int64_t>(n_ + 1),
-                        [&](std::int64_t lo, std::int64_t hi) {
-                          for (std::int64_t a = lo; a < hi; ++a) {
-                            const std::size_t row =
-                                static_cast<std::size_t>(a) * stride;
-                            std::uint32_t run = 0;
-                            for (std::size_t j = 0; j <= n_; ++j) {
-                              run += marks[row + j];
-                              out[row + j] = run;
-                            }
-                          }
-                        });
-    machine_.run_blocks(static_cast<std::int64_t>(n_ + 1),
-                        [&](std::int64_t lo, std::int64_t hi) {
-                          for (std::int64_t jj = lo; jj < hi; ++jj) {
-                            const std::size_t j =
-                                static_cast<std::size_t>(jj);
-                            for (std::size_t i = n_; i-- > 0;) {
-                              out[i * stride + j] +=
-                                  out[(i + 1) * stride + j];
-                            }
-                          }
-                        });
+    for (std::size_t a = 0; a <= n_; ++a) {
+      std::uint32_t run = 0;
+      for (std::size_t j = 0; j <= n_; ++j) {
+        run += marks[a * stride + j];
+        out[a * stride + j] = run;
+      }
+    }
+    for (std::size_t i = n_; i-- > 0;) {
+      for (std::size_t j = 0; j <= n_; ++j) {
+        out[i * stride + j] += out[(i + 1) * stride + j];
+      }
+    }
   }
 
   /// Builds the 2-D containment counts of the last pebble's moved
   /// `w` entries: `contained_(i,j)` = #moved `(p,q)` with `i<=p<q<=j`.
   void build_contained_counts() {
-    clear_grid(w_moved_);
+    if (prof_ != nullptr) ++prof_->mark_updates_rebuilt;
+    std::fill(w_moved_.begin(), w_moved_.end(), std::uint8_t{0});
     for (const Pair e : frontier_) w_moved_[e.i * (n_ + 1) + e.j] = 1;
     accumulate_containment(w_moved_, contained_);
-  }
-
-  // ---- Incremental grid maintenance --------------------------------------
-  // The from-scratch builds above touch every grid cell each step. When
-  // few marks changed between steps, it is cheaper to diff the new mark
-  // set against the marks standing in the grids and rank-update only the
-  // cells a changed mark contributes to: mark `(a, b)` sits on grid cell
-  // `(a, b)`, counts toward the containment rectangle rows `0..a` from
-  // column `b` on, and (square grids) toward the two per-endpoint prefix
-  // row suffixes. Both forms compute the same integer sums over the same
-  // mark set, so the counts are bit-identical; `update_*` picks the
-  // cheaper form via a touched-cell estimate and debug builds assert the
-  // incremental result against the rebuild.
-
-  /// True when applying `deltas` incrementally would touch at least a
-  /// full grid's worth of cells — the from-scratch rebuild is no slower
-  /// then. `with_prefix_rows` adds the square grids' two per-mark prefix
-  /// row suffixes to the estimate.
-  [[nodiscard]] bool delta_is_dense(const std::vector<MarkDelta>& deltas,
-                                    bool with_prefix_rows) const {
-    const std::uint64_t stride = n_ + 1;
-    const std::uint64_t full = stride * stride;
-    // Every row worker scans the whole delta list once.
-    std::uint64_t touched = stride * deltas.size();
-    for (const MarkDelta d : deltas) {
-      touched += static_cast<std::uint64_t>(d.a + 1) * (stride - d.b);
-      if (with_prefix_rows) touched += (stride - d.b) + (stride - d.a);
-      if (touched >= full) return true;
-    }
-    return touched >= full;
-  }
-
-  /// One parallel pass applying a mark-set delta to a mark grid, its
-  /// containment counts and (square grids; null for the pebble's)
-  /// the per-endpoint prefix grids. Ownership is by row index, so every
-  /// cell keeps one writer whatever the backend: mark `(a,b)` updates
-  /// `marks` and `right_pre` on row `a`, `left_pre` on row `b`, and the
-  /// containment rectangle rows `0..a` from column `b` on.
-  void apply_mark_delta(const std::vector<MarkDelta>& deltas,
-                        std::vector<std::uint8_t>& marks,
-                        std::vector<std::uint32_t>& counts,
-                        std::vector<std::uint32_t>* left_pre,
-                        std::vector<std::uint32_t>* right_pre) {
-    if (deltas.empty()) return;
-    const std::size_t stride = n_ + 1;
-    machine_.run_blocks(
-        static_cast<std::int64_t>(n_ + 1),
-        [&](std::int64_t lo64, std::int64_t hi64) {
-          const std::size_t lo = static_cast<std::size_t>(lo64);
-          const std::size_t hi = static_cast<std::size_t>(hi64);
-          for (const MarkDelta d : deltas) {
-            const std::size_t a = d.a;
-            const std::size_t b = d.b;
-            // Unsigned wraparound of -1 subtracts correctly.
-            const std::uint32_t add = static_cast<std::uint32_t>(d.add);
-            if (a >= lo && a < hi) {
-              marks[a * stride + b] = static_cast<std::uint8_t>(d.add > 0);
-              if (right_pre != nullptr) {
-                std::uint32_t* row = right_pre->data() + a * stride;
-                for (std::size_t s = b; s <= n_; ++s) row[s] += add;
-              }
-            }
-            if (left_pre != nullptr && b >= lo && b < hi) {
-              std::uint32_t* row = left_pre->data() + b * stride;
-              for (std::size_t r = a; r <= n_; ++r) row[r] += add;
-            }
-            const std::size_t row_hi = a + 1 < hi ? a + 1 : hi;
-            for (std::size_t r = lo; r < row_hi; ++r) {
-              std::uint32_t* row = counts.data() + r * stride;
-              for (std::size_t c = b; c <= n_; ++c) row[c] += add;
-            }
-          }
-        });
-  }
-
-#ifndef NDEBUG
-  /// Debug cross-checks: the incrementally maintained grids must equal
-  /// the from-scratch rebuild (which is left in place — it is identical).
-  void verify_contained_counts() {
-    const std::vector<std::uint8_t> marks = w_moved_;
-    const std::vector<std::uint32_t> counts = contained_;
-    build_contained_counts();
-    SUBDP_ASSERT(marks == w_moved_);
-    SUBDP_ASSERT(counts == contained_);
-  }
-
-  void verify_square_prefixes() {
-    const std::vector<std::uint8_t> marks = root_mark_grid_;
-    const std::vector<std::uint32_t> counts = root_contained_;
-    const std::vector<std::uint32_t> left = mark_left_pre_;
-    const std::vector<std::uint32_t> right = mark_right_pre_;
-    build_square_prefixes();
-    SUBDP_ASSERT(marks == root_mark_grid_);
-    SUBDP_ASSERT(counts == root_contained_);
-    SUBDP_ASSERT(left == mark_left_pre_);
-    SUBDP_ASSERT(right == mark_right_pre_);
-  }
-#endif
-
-  /// Brings `w_moved_` / `contained_` up to the current `frontier_`:
-  /// incremental rank updates when the diff against the standing marks
-  /// (`pebble_marks_`) is sparse, from-scratch rebuild when dense or when
-  /// no valid grid state exists yet (first pebble, post-reset).
-  void update_contained_counts() {
-    if (!pebble_grids_valid_) {
-      if (prof_ != nullptr) ++prof_->mark_updates_rebuilt;
-      build_contained_counts();
-      pebble_marks_.assign(frontier_.begin(), frontier_.end());
-      pebble_grids_valid_ = true;
-      return;
-    }
-    const std::size_t stride = n_ + 1;
-    // Diff through the mark grid itself: a persisting mark's cell is
-    // flagged 2 transiently so the erase scan can tell it from a true
-    // removal, then restored. Both lists are duplicate-free.
-    mark_delta_.clear();
-    for (const Pair e : frontier_) {
-      std::uint8_t& cell = w_moved_[e.i * stride + e.j];
-      if (cell != 0) {
-        cell = 2;
-      } else {
-        mark_delta_.push_back(MarkDelta{e.i, e.j, +1});
-      }
-    }
-    for (const Pair m : pebble_marks_) {
-      std::uint8_t& cell = w_moved_[m.i * stride + m.j];
-      if (cell == 2) {
-        cell = 1;
-      } else {
-        mark_delta_.push_back(MarkDelta{m.i, m.j, -1});
-      }
-    }
-    if (delta_is_dense(mark_delta_, /*with_prefix_rows=*/false)) {
-      if (prof_ != nullptr) ++prof_->mark_updates_rebuilt;
-      build_contained_counts();  // clears the transient flags with the rest
-      pebble_marks_.assign(frontier_.begin(), frontier_.end());
-      return;
-    }
-    if (prof_ != nullptr) ++prof_->mark_updates_incremental;
-    apply_mark_delta(mark_delta_, w_moved_, contained_, nullptr, nullptr);
-    pebble_marks_.assign(frontier_.begin(), frontier_.end());
-#ifndef NDEBUG
-    verify_contained_counts();
-#endif
   }
 
   /// Snapshots `pw_root_moved_` into grid form for the root-major square
   /// sweep: containment counts (`root_contained_`, the whole-block skip
   /// test) and per-endpoint prefix sums (`mark_left_pre_(q,r)` = #moved
   /// roots `(a,q)` with `a <= r`; `mark_right_pre_(p,s)` = #moved roots
-  /// `(p,b)` with `b <= s`) for the O(1) per-quad window tests. Every
-  /// stage runs parallel over its independent unit — mark cells, then
-  /// rows/columns of the three prefix grids.
+  /// `(p,b)` with `b <= s`) for the O(1) per-quad window tests.
   void build_square_prefixes() {
+    if (prof_ != nullptr) ++prof_->mark_updates_rebuilt;
     const std::size_t stride = n_ + 1;
-    clear_grid(root_mark_grid_);
-    machine_.run_blocks(
-        static_cast<std::int64_t>(pairs_.size()),
-        [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t k = lo; k < hi; ++k) {
-            if (pw_root_moved_[static_cast<std::size_t>(k)].load(
-                    std::memory_order_relaxed) != 0) {
-              const Pair pr = pairs_[static_cast<std::size_t>(k)];
-              root_mark_grid_[pr.i * stride + pr.j] = 1;  // distinct cells
-            }
-          }
-        });
+    std::fill(root_mark_grid_.begin(), root_mark_grid_.end(),
+              std::uint8_t{0});
+    for (std::size_t k = 0; k < pairs_.size(); ++k) {
+      if (pw_root_moved_[k].load(std::memory_order_relaxed) != 0) {
+        root_mark_grid_[pairs_[k].i * stride + pairs_[k].j] = 1;
+      }
+    }
     accumulate_containment(root_mark_grid_, root_contained_);
-    machine_.run_blocks(static_cast<std::int64_t>(n_ + 1),
-                        [&](std::int64_t lo, std::int64_t hi) {
-                          for (std::int64_t qq = lo; qq < hi; ++qq) {
-                            const std::size_t q =
-                                static_cast<std::size_t>(qq);
-                            std::uint32_t run = 0;
-                            for (std::size_t r = 0; r <= n_; ++r) {
-                              run += root_mark_grid_[r * stride + q];
-                              mark_left_pre_[q * stride + r] = run;
-                            }
-                          }
-                        });
-    machine_.run_blocks(static_cast<std::int64_t>(n_ + 1),
-                        [&](std::int64_t lo, std::int64_t hi) {
-                          for (std::int64_t pp = lo; pp < hi; ++pp) {
-                            const std::size_t p =
-                                static_cast<std::size_t>(pp);
-                            std::uint32_t run = 0;
-                            for (std::size_t s = 0; s <= n_; ++s) {
-                              run += root_mark_grid_[p * stride + s];
-                              mark_right_pre_[p * stride + s] = run;
-                            }
-                          }
-                        });
-  }
-
-  /// Records the mark set now standing in the square grids: exactly the
-  /// roots on the moved-roots list (`pw_root_moved_` is its bitmap).
-  void capture_square_marks() {
-    const std::size_t moved =
-        moved_roots_count_.load(std::memory_order_relaxed);
-    square_marks_.clear();
-    for (std::size_t k = 0; k < moved; ++k) {
-      square_marks_.push_back(pairs_[moved_roots_[k]]);
-    }
-    square_grids_valid_ = true;
-  }
-
-  /// Brings the square grids up to the current moved-roots set; see
-  /// `update_contained_counts` for the scheme. No transient flagging is
-  /// needed here: `root_mark_grid_` answers membership for additions and
-  /// `pw_root_moved_` (still set — the square apply clears it later) for
-  /// removals.
-  void update_square_prefixes() {
-    if (!square_grids_valid_) {
-      if (prof_ != nullptr) ++prof_->mark_updates_rebuilt;
-      build_square_prefixes();
-      capture_square_marks();
-      return;
-    }
-    const std::size_t stride = n_ + 1;
-    mark_delta_.clear();
-    const std::size_t moved =
-        moved_roots_count_.load(std::memory_order_relaxed);
-    for (std::size_t k = 0; k < moved; ++k) {
-      const Pair pr = pairs_[moved_roots_[k]];
-      if (root_mark_grid_[pr.i * stride + pr.j] == 0) {
-        mark_delta_.push_back(MarkDelta{pr.i, pr.j, +1});
+    for (std::size_t q = 0; q <= n_; ++q) {
+      std::uint32_t run = 0;
+      for (std::size_t r = 0; r <= n_; ++r) {
+        run += root_mark_grid_[r * stride + q];
+        mark_left_pre_[q * stride + r] = run;
       }
     }
-    for (const Pair m : square_marks_) {
-      if (pw_root_moved_[pair_index(m.i, m.j)].load(
-              std::memory_order_relaxed) == 0) {
-        mark_delta_.push_back(MarkDelta{m.i, m.j, -1});
+    for (std::size_t p = 0; p <= n_; ++p) {
+      std::uint32_t run = 0;
+      for (std::size_t s = 0; s <= n_; ++s) {
+        run += root_mark_grid_[p * stride + s];
+        mark_right_pre_[p * stride + s] = run;
       }
     }
-    if (delta_is_dense(mark_delta_, /*with_prefix_rows=*/true)) {
-      if (prof_ != nullptr) ++prof_->mark_updates_rebuilt;
-      build_square_prefixes();
-      capture_square_marks();
-      return;
-    }
-    if (prof_ != nullptr) ++prof_->mark_updates_incremental;
-    apply_mark_delta(mark_delta_, root_mark_grid_, root_contained_,
-                     &mark_left_pre_, &mark_right_pre_);
-    capture_square_marks();
-#ifndef NDEBUG
-    verify_square_prefixes();
-#endif
   }
 
   /// Hoisted root-block test: true iff any moved root lies inside `(i,j)`
@@ -1155,7 +886,7 @@ class Engine final : public IEngine {
       const bool hlv = options_.square_mode == SquareMode::kHlvOneLevel;
       const bool skip_clean =
           frontier_enabled_ && square_frontier_ready_ && hlv;
-      if (skip_clean) update_square_prefixes();
+      if (skip_clean) build_square_prefixes();
       const Cost* raw_read = pw_.raw_cells();
       const bool prof = prof_ != nullptr;
       if (prof) prof_->square_quads_total += quads.size();
@@ -1235,14 +966,9 @@ class Engine final : public IEngine {
     if (frontier_enabled_) {
       // This square consumed all accumulated movement marks; the next one
       // must see only its own applies plus the next activate's writes.
-      // The moved-roots list is the exact set behind `pw_root_moved_`, so
-      // the clear costs O(moved), not O(pairs).
-      const std::size_t moved =
-          moved_roots_count_.load(std::memory_order_relaxed);
-      for (std::size_t k = 0; k < moved; ++k) {
-        pw_root_moved_[moved_roots_[k]].store(0, std::memory_order_relaxed);
+      for (std::size_t k = 0; k < pairs_.size(); ++k) {
+        pw_root_moved_[k].store(0, std::memory_order_relaxed);
       }
-      moved_roots_count_.store(0, std::memory_order_relaxed);
       square_frontier_ready_ = true;
     }
     Cost* raw = pw_.raw_cells();
@@ -1284,7 +1010,7 @@ class Engine final : public IEngine {
           });
     } else {
       const bool use_frontier = frontier_enabled_;
-      if (use_frontier) update_contained_counts();
+      if (use_frontier) build_contained_counts();
       const bool prof = prof_ != nullptr;
       if (prof) prof_->pebble_pairs_total += w_end - w_begin;
       machine_.run_blocks(
@@ -1342,7 +1068,7 @@ class Engine final : public IEngine {
   // Parallel sweep lambdas accumulate block-local counters and flush them
   // to these relaxed atomics; `end_profile` loads the totals into the
   // iteration's StepProfile after the last barrier. Serial call sites
-  // (the activate density decision, the mark-grid update choice, the
+  // (the activate density decision, the mark-grid builds, the
   // post-barrier log totals) write `prof_` directly.
 
   void begin_profile() {
@@ -1405,23 +1131,11 @@ class Engine final : public IEngine {
   std::vector<Pair> frontier_;  ///< w entries moved by the last pebble.
   std::vector<std::uint8_t> w_moved_;
   std::vector<std::uint32_t> contained_;
-  // Root-major square sweep snapshots (maintained incrementally from the
-  // moved-roots delta when sparse, rebuilt in parallel row/column passes
-  // when dense — see update_square_prefixes).
+  // Root-major square sweep snapshots (see build_square_prefixes).
   std::vector<std::uint8_t> root_mark_grid_;
   std::vector<std::uint32_t> root_contained_;
   std::vector<std::uint32_t> mark_left_pre_;
   std::vector<std::uint32_t> mark_right_pre_;
-  // Incremental grid maintenance state: the dense list behind
-  // `pw_root_moved_`, the mark sets the grids currently reflect, and the
-  // scratch delta list (see update_contained_counts / _square_prefixes).
-  std::vector<std::uint32_t> moved_roots_;
-  std::atomic<std::size_t> moved_roots_count_{0};
-  std::vector<Pair> square_marks_;
-  std::vector<Pair> pebble_marks_;
-  std::vector<MarkDelta> mark_delta_;
-  bool square_grids_valid_ = false;
-  bool pebble_grids_valid_ = false;
 
   // Profiling state (see begin_profile / end_profile above). `prof_` is
   // non-null only inside a profiled iterate(); every hot-path counter

@@ -88,7 +88,7 @@ struct SublinearOptions {
   bool windowed_pebble = false;
   /// Per-step engine profiling: record a `StepProfile` per iteration
   /// (frontier density, blocks/quads/pairs skipped vs scanned,
-  /// incremental-mark updates vs rebuilds, write-log sizes), readable
+  /// mark-grid builds, write-log sizes), readable
   /// through `SolveSession::step_profile()`. Off by default; when off
   /// the engine takes no profiling branches at all, so results, timing
   /// and the ledger are untouched (asserted in the fastpath suite).
@@ -124,9 +124,15 @@ struct StepProfile {
   std::uint64_t pebble_pairs_total = 0;
   std::uint64_t pebble_pairs_scanned = 0;
   std::uint64_t pebble_pairs_skipped = 0;
-  // Incremental mark-grid maintenance: delta applications vs full
-  // parallel rebuilds (density fallback or invalidated grids).
+  // Mark-grid builds: the engine builds the skip tests' grids from
+  // scratch right before each skipping sweep.
+  /// Always 0: there is no incremental grid update. Kept only because
+  /// `perfbench/src/main.cpp` reads it for `core.marks_incremental_frac`,
+  /// which now reads 0 by construction; a later change to the benchmark
+  /// definition can retire both.
   std::uint64_t mark_updates_incremental = 0;
+  /// Number of grid builds in the iteration — one per skipping sweep
+  /// that ran (root-major a-square, frontier a-pebble).
   std::uint64_t mark_updates_rebuilt = 0;
   // Delta-buffer write-log sizes (entries applied after the barrier).
   std::uint64_t pw_log_entries = 0;

@@ -4,7 +4,7 @@
 // through the layout's general `get`, with the PRAM ledger whose values
 // test_golden pins. The fast path (`record_costs = false`) runs
 // frontier-driven sweeps, in-band cursors, `PwGapRun` pebble scans and
-// incrementally maintained mark grids. Every fast configuration — serial
+// the mark grids behind its skip tests. Every fast configuration — serial
 // or thread pool, profiled or not — and the counted engine on the thread
 // pool must produce output identical to the serial oracle: the same w
 // table, cost, iteration count, and per-iteration change counts, across
@@ -343,6 +343,11 @@ TEST(StepProfiles, CountersReconcilePerStepOnEveryFamily) {
         }
         // Frontier density accounting is a subset relation.
         EXPECT_LE(p.frontier_sites, p.total_split_sites) << label;
+        // One from-scratch grid build per skipping sweep: the frontier
+        // pebble skips from iteration 1, the root-major square (HLV,
+        // non-windowed) from iteration 2 on, once movement marks exist.
+        EXPECT_EQ(p.mark_updates_incremental, 0u) << label;
+        EXPECT_EQ(p.mark_updates_rebuilt, t == 0 ? 1u : 2u) << label;
       }
       // The sweeps genuinely ran: some work is attributed somewhere.
       std::uint64_t total_quads = 0;

@@ -359,10 +359,19 @@ TEST(ServeQos, InteractiveSubmitBehindABatchWallCompletesFirst) {
   });
   // Wait for the wall to be counted in (submission is counted before
   // the jobs become visible, and the worker is pinned, so nothing
-  // drains yet).
-  while (service.stats().jobs_submitted < 1 + kWall) {
+  // drains yet). A 10 s deadline turns a regression into a failure
+  // rather than a hang.
+  const auto poll_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (service.stats().jobs_submitted < 1 + kWall &&
+         std::chrono::steady_clock::now() < poll_deadline) {
     std::this_thread::yield();
   }
+  const std::uint64_t submitted = service.stats().jobs_submitted;
+  // On failure, release the pinned worker first: `wall_result`'s
+  // destructor joins the helper, whose solve_all needs the worker.
+  if (submitted != 1 + kWall) gated.gate()->open_gate();
+  ASSERT_EQ(submitted, 1 + kWall);
 
   // The interactive submit lands behind kWall queued batch jobs — and
   // is dequeued ahead of every one of them.

@@ -190,7 +190,9 @@ TEST(SnapshotRoundTrip, SmallShapesIncludingTrivial) {
                               std::size_t{3}}) {
     const auto fresh = core::SolvePlan::create(n);
     const auto encoded = encode_plan(*fresh);
-    if (n == 1) EXPECT_EQ(encoded.size(), kHeaderBytes);
+    if (n == 1) {
+      EXPECT_EQ(encoded.size(), kHeaderBytes);
+    }
     const auto loaded = reencode(fresh);
     support::Rng rng(n);
     const auto problem = bench::make_instance("matrix-chain", n, rng);
