@@ -64,8 +64,8 @@
 /// results, change counts and iteration schedules are identical to the
 /// oracle's — tests/test_core_fastpath.cpp verifies this per iteration.
 ///
-/// Storage policy and the in-band read path
-/// ----------------------------------------
+/// Storage policy and the a-square operand streams
+/// ------------------------------------------------
 /// `Table` must model `core::PwStoragePolicy` (pw_layout.hpp): the kernels
 /// below are instantiated once per layout with that layout's addressing
 /// inlined, not dispatched per call. On the fast path the HLV square scan
@@ -75,17 +75,27 @@
 /// p,q)` / `(p,s,p,q)` have slack `p-r` / `s-q <= B` by the window
 /// bounds), except the single identity operand `pw(i,j,i,j)`, whose
 /// candidate equals the target's old value and is skipped as a provable
-/// no-op. So the inner loops read through the layout's incremental window
-/// cursors and unchecked `in_band_slot` instead of the general `get`,
-/// eliminating the identity / slack / child-gap branches per read. The
-/// a-pebble gap scan gets the same treatment through `for_each_gap_run`:
-/// the layout emits every stored gap of a root as arithmetic-progression
-/// runs over raw `pw` slots paired with strided `w` slots (`PwGapRun`),
-/// so `pebble_scan_fast` is a pointer walk with no per-read addressing
-/// branches.
+/// no-op. Both operands therefore stream without the general `get`:
+///  - first operands walk the target's own root block through the
+///    layout's incremental window cursors;
+///  - second operands lie in a different root, hence a different length
+///    block, for every `r` / `s`. So before each fast HLV sweep,
+///    `gather_operand_columns` copies them, one serial O(n^2 B) pass,
+///    into per-gap columns ordered as the scan reads them, and the scan
+///    reads one contiguous run per window. The column buffer is a
+///    per-thread scratch (`operand_column_scratch`), not session state:
+///    it is rebuilt at the start of every sweep and read only within it.
+/// With both operands in `[0, kInfinity]`, the candidate fold is a plain
+/// `min(best, a + b)`, with no `is_finite` branch or `sat_add` (cost.hpp
+/// asserts the sum cannot overflow). The a-pebble gap scan streams too,
+/// through `for_each_gap_run`: the layout emits every stored gap of a
+/// root as arithmetic-progression runs over raw `pw` slots paired with
+/// strided `w` slots (`PwGapRun`), so `pebble_scan_fast` is a pointer walk
+/// with no per-read addressing branches.
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -104,6 +114,42 @@ namespace subdp::core::detail {
 
 /// Distinguishes pw-table addresses from w-table addresses in CREW checks.
 inline constexpr std::uint64_t kWAddressTag = std::uint64_t{1} << 62;
+
+/// Adds the wall time of its scope to `*field` in steady-clock
+/// nanoseconds. A null `field` reads no clock, so profile-off runs take
+/// no timing cost beyond the null test.
+class PhaseTimer {
+ public:
+  explicit PhaseTimer(std::uint64_t* field) : field_(field) {
+    if (field_ != nullptr) start_ = std::chrono::steady_clock::now();
+  }
+  ~PhaseTimer() {
+    if (field_ != nullptr) {
+      *field_ += static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - start_)
+              .count());
+    }
+  }
+  PhaseTimer(const PhaseTimer&) = delete;
+  PhaseTimer& operator=(const PhaseTimer&) = delete;
+
+ private:
+  std::uint64_t* field_;
+  std::chrono::steady_clock::time_point start_{};
+};
+
+/// The calling thread's a-square operand-column buffer. Each fast HLV
+/// sweep regathers it from scratch before its scan and reads it only
+/// within that sweep, so one buffer per solving thread serves every
+/// session that thread steps; it grows to the largest shape the thread
+/// has served and is reused. Pool workers read the caller's buffer
+/// during the sweep; the sweep's fork-join orders those reads after the
+/// gather.
+inline std::vector<Cost>& operand_column_scratch() {
+  thread_local std::vector<Cost> columns;
+  return columns;
+}
 
 /// Abstract stepping interface so the public solver can hold either
 /// table variant behind one pointer.
@@ -316,7 +362,9 @@ class Engine final : public IEngine {
         pairs_offset_by_length_(shape_->pairs_offset_by_length),
         entry_slots_(shape_->entry_slots),
         root_blocks_(shape_->root_blocks),
-        total_split_sites_(shape_->total_split_sites) {
+        total_split_sites_(shape_->total_split_sites),
+        column_width_(std::min(pw_.max_slack(), n_)),
+        column_cells_(n_ * (n_ + 1) * column_width_) {
     SUBDP_ASSERT(problem.size() == n_);
     pw_log_.resize(pw_.entries().size());
     w_log_.resize(pairs_.size());
@@ -560,41 +608,78 @@ class Engine final : public IEngine {
     return best;
   }
 
-  /// Fast-path HLV candidate scan: same candidate set, arithmetic and
-  /// min-fold as `square_scan`, but every operand is read through the
-  /// layout's incremental window cursors and unchecked `in_band_slot`
-  /// instead of the general `get` (see the file comment for why all
-  /// operands are provably in band). The lone identity operand — `r == i`
-  /// with `q == j`, or `s == j` with `p == i` — pairs `pw(i,j,i,j) = 0`
-  /// with the target's own old value and can never improve it, so it is
-  /// skipped rather than branch-tested on every read.
-  Cost square_scan_fast(const Quad& t, Cost old_value) const {
+  /// Offset of gap `(p,q)`'s right column in a gathered column buffer;
+  /// its left column is the `column_width_` slots just before (see
+  /// `gather_operand_columns`). Gaps are indexed triangularly by `q`.
+  [[nodiscard]] std::size_t column_middle(std::size_t p, std::size_t q) const {
+    return (q * (q - 1) / 2 + p) * 2 * column_width_ + column_width_;
+  }
+
+  /// Gathers every HLV second operand of the coming a-square into
+  /// contiguous per-gap columns, in the order the scan reads them: gap
+  /// `(p,q)` gets `pw(p-s, q, p, q)` at `middle[-s]` and `pw(p, q+s, p,
+  /// q)` at `middle[s-1]`, for `s = 1 .. column_width_` clipped to the
+  /// table (`s <= p`, `q + s <= n`); the clipped slots are never read.
+  /// The pass walks the table root by root: root `(a,b)` holds the left
+  /// operands `pw(a,b,a+s,b)` and the right operands `pw(a,b,a,b-s)` of
+  /// its slack-`s` gaps, which its window cursors stream without
+  /// re-deriving addresses. Every gathered operand has slack `s <= B`
+  /// and is in band. One serial O(n^2 B) pass over the pre-step table,
+  /// so a sweep's reads see the same values as the table's.
+  void gather_operand_columns(Cost* columns) const {
+    for (std::size_t len = 2; len <= n_; ++len) {
+      const std::size_t m = std::min(column_width_, len - 1);
+      for (std::size_t a = 0; a + len <= n_; ++a) {
+        const std::size_t b = a + len;
+        PwWindowCursor left = pw_.r_window_cursor(a, b, a + 1, b);
+        for (std::size_t s = 1; s <= m; ++s) {
+          columns[column_middle(a + s, b) - s] = left.value();
+          left.advance();
+        }
+        PwWindowCursor right = pw_.s_window_cursor(a, b, a, b - m);
+        for (std::size_t q = b - m; q < b; ++q) {
+          columns[column_middle(a, q) + (b - q - 1)] = right.value();
+          right.advance();
+        }
+      }
+    }
+  }
+
+  /// Fast-path HLV candidate scan: same candidate set and result as
+  /// `square_scan`. The first operand streams through the layout's
+  /// incremental window cursors, the second from the gap's gathered
+  /// columns (see the file comment for why all operands are in band).
+  /// The fold is a plain `min(best, a + b)`: every operand lies in
+  /// `[0, kInfinity]` and `best <= kInfinity`, so an unsaturated sum that
+  /// reaches `kInfinity` can never win, and no `is_finite` branch or
+  /// `sat_add` is needed. The lone identity operand — `r == i` with
+  /// `q == j`, or `s == j` with `p == i` — pairs `pw(i,j,i,j) = 0` with
+  /// the target's own old value and can never improve it, so it is
+  /// skipped rather than read.
+  Cost square_scan_fast(const Quad& t, Cost old_value,
+                        const Cost* columns) const {
     const std::size_t i = t.i, j = t.j, p = t.p, q = t.q;
     Cost best = old_value;
     const HlvWindow win = hlv_window(t);
-    const Cost* raw = pw_.raw_cells();
+    const Cost* middle = columns + column_middle(p, q);
     std::size_t r = win.r_lo;
     if (r == i && q == j) ++r;  // identity operand: provable no-op
     if (r < p) {
       PwWindowCursor cur = pw_.r_window_cursor(i, j, r, q);
+      const Cost* b = middle - (p - r);
       for (; r < p; ++r) {
-        const Cost a = cur.value();
+        best = std::min(best, cur.value() + *b++);
         cur.advance();
-        if (!is_finite(a)) continue;
-        const Cost b = raw[pw_.in_band_slot(r, q, p, q)];
-        best = sat_min(best, sat_add(a, b));
       }
     }
     std::size_t s_hi = win.s_hi;
     if (p == i && s_hi == j) --s_hi;  // identity operand: provable no-op
     if (q < s_hi) {
       PwWindowCursor cur = pw_.s_window_cursor(i, j, p, q + 1);
+      const Cost* b = middle;
       for (std::size_t s = q + 1; s <= s_hi; ++s) {
-        const Cost a = cur.value();
+        best = std::min(best, cur.value() + *b++);
         cur.advance();
-        if (!is_finite(a)) continue;
-        const Cost b = raw[pw_.in_band_slot(p, s, p, q)];
-        best = sat_min(best, sat_add(a, b));
       }
     }
     return best;
@@ -676,6 +761,7 @@ class Engine final : public IEngine {
   /// Builds the 2-D containment counts of the last pebble's moved
   /// `w` entries: `contained_(i,j)` = #moved `(p,q)` with `i<=p<q<=j`.
   void build_contained_counts() {
+    const PhaseTimer timer = phase_timer(&StepProfile::mark_grid_ns);
     if (prof_ != nullptr) ++prof_->mark_updates_rebuilt;
     std::fill(w_moved_.begin(), w_moved_.end(), std::uint8_t{0});
     for (const Pair e : frontier_) w_moved_[e.i * (n_ + 1) + e.j] = 1;
@@ -688,6 +774,7 @@ class Engine final : public IEngine {
   /// roots `(a,q)` with `a <= r`; `mark_right_pre_(p,s)` = #moved roots
   /// `(p,b)` with `b <= s`) for the O(1) per-quad window tests.
   void build_square_prefixes() {
+    const PhaseTimer timer = phase_timer(&StepProfile::mark_grid_ns);
     if (prof_ != nullptr) ++prof_->mark_updates_rebuilt;
     const std::size_t stride = n_ + 1;
     std::fill(root_mark_grid_.begin(), root_mark_grid_.end(),
@@ -763,6 +850,7 @@ class Engine final : public IEngine {
   // ---- Step drivers ------------------------------------------------------
 
   std::uint64_t run_activate() {
+    const PhaseTimer timer = phase_timer(&StepProfile::activate_ns);
     if (frontier_enabled_) {
       // Frontier-driven activate touches one site per (moved entry,
       // affected root); a full sweep touches every (pair, split) twice.
@@ -864,6 +952,7 @@ class Engine final : public IEngine {
     // post-barrier apply below.
     pw_log_count_.store(0, std::memory_order_relaxed);
     if (machine_.instrumented()) {
+      const PhaseTimer timer = phase_timer(&StepProfile::square_ns);
       machine_.step(
           "a-square", static_cast<std::int64_t>(quads.size()),
           [&](std::int64_t idx) -> std::uint64_t {
@@ -887,9 +976,18 @@ class Engine final : public IEngine {
       const bool skip_clean =
           frontier_enabled_ && square_frontier_ready_ && hlv;
       if (skip_clean) build_square_prefixes();
+      const Cost* columns = nullptr;
+      if (hlv) {
+        const PhaseTimer timer = phase_timer(&StepProfile::gather_ns);
+        std::vector<Cost>& scratch = operand_column_scratch();
+        if (scratch.size() < column_cells_) scratch.resize(column_cells_);
+        gather_operand_columns(scratch.data());
+        columns = scratch.data();
+      }
       const Cost* raw_read = pw_.raw_cells();
       const bool prof = prof_ != nullptr;
       if (prof) prof_->square_quads_total += quads.size();
+      const PhaseTimer timer = phase_timer(&StepProfile::square_ns);
       machine_.run_blocks(
           static_cast<std::int64_t>(quads.size()),
           [&](std::int64_t lo64, std::int64_t hi64) {
@@ -898,8 +996,9 @@ class Engine final : public IEngine {
             std::uint64_t ops = 0;
             const auto scan_one = [&](const Quad& t, std::size_t idx) {
               const Cost old_value = raw_read[entry_slots_[idx]];
-              const Cost best = hlv ? square_scan_fast(t, old_value)
-                                    : square_scan<false>(t, old_value, ops);
+              const Cost best =
+                  hlv ? square_scan_fast(t, old_value, columns)
+                      : square_scan<false>(t, old_value, ops);
               if (best < old_value) {
                 pw_log_[pw_log_count_.fetch_add(
                     1, std::memory_order_relaxed)] =
@@ -961,6 +1060,7 @@ class Engine final : public IEngine {
           });
     }
     // Apply after the barrier: one write per improved cell, all distinct.
+    const PhaseTimer timer = phase_timer(&StepProfile::log_apply_ns);
     const std::size_t logged = pw_log_count_.load(std::memory_order_relaxed);
     if (prof_ != nullptr) prof_->pw_log_entries = logged;
     if (frontier_enabled_) {
@@ -991,6 +1091,7 @@ class Engine final : public IEngine {
     }
     w_log_count_.store(0, std::memory_order_relaxed);
     if (machine_.instrumented()) {
+      const PhaseTimer timer = phase_timer(&StepProfile::pebble_ns);
       machine_.step(
           "a-pebble", static_cast<std::int64_t>(w_end - w_begin),
           [&, w_begin = w_begin](std::int64_t idx) -> std::uint64_t {
@@ -1013,6 +1114,7 @@ class Engine final : public IEngine {
       if (use_frontier) build_contained_counts();
       const bool prof = prof_ != nullptr;
       if (prof) prof_->pebble_pairs_total += w_end - w_begin;
+      const PhaseTimer timer = phase_timer(&StepProfile::pebble_ns);
       machine_.run_blocks(
           static_cast<std::int64_t>(w_end - w_begin),
           [&, w_begin = w_begin](std::int64_t lo, std::int64_t hi) {
@@ -1051,6 +1153,7 @@ class Engine final : public IEngine {
           });
     }
     // Apply after the barrier; the logged pairs are the next frontier.
+    const PhaseTimer timer = phase_timer(&StepProfile::log_apply_ns);
     const std::size_t logged = w_log_count_.load(std::memory_order_relaxed);
     if (prof_ != nullptr) prof_->w_log_entries = logged;
     if (frontier_enabled_) frontier_.clear();
@@ -1070,6 +1173,13 @@ class Engine final : public IEngine {
   // iteration's StepProfile after the last barrier. Serial call sites
   // (the activate density decision, the mark-grid builds, the
   // post-barrier log totals) write `prof_` directly.
+
+  /// Times the enclosing scope into `prof_->*field` when profiling; reads
+  /// no clock otherwise.
+  [[nodiscard]] PhaseTimer phase_timer(
+      std::uint64_t StepProfile::*field) const {
+    return PhaseTimer(prof_ != nullptr ? &(prof_->*field) : nullptr);
+  }
 
   void begin_profile() {
     profiles_.emplace_back();
@@ -1116,6 +1226,11 @@ class Engine final : public IEngine {
   const ShapeArray<std::uint32_t>& entry_slots_;  ///< Slot per entry.
   const ShapeArray<RootBlock>& root_blocks_;      ///< Per-root runs.
   std::uint64_t total_split_sites_ = 0;
+
+  // Gathered a-square operand columns (see gather_operand_columns): slots
+  // per gap side, and the buffer size, 2 * column_width_ per gap.
+  std::size_t column_width_ = 0;
+  std::size_t column_cells_ = 0;
 
   // Write logs of the current step (see the file comment).
   std::vector<Delta> pw_log_;

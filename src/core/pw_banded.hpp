@@ -261,14 +261,6 @@ class BandedPwTable {
     return layout_->flat(i, j, p, s);
   }
 
-  /// Unchecked slot of an entry known to be stored *in band* (slack in
-  /// `[1, B]`, non-identity). Skips the identity / child-gap fallbacks of
-  /// `get`; the square kernel's operands are provably in this regime.
-  [[nodiscard]] std::size_t in_band_slot(std::size_t i, std::size_t j,
-                                         std::size_t p, std::size_t q) const {
-    return layout_->flat(i, j, p, (j - i) - (q - p));
-  }
-
   /// Incremental reader over `pw'(i,j,r,q)` for ascending `r` starting at
   /// `r0` (the HLV r-window's first operand): the slack grows by one per
   /// step, so the slot advances by `s+2, s+3, ...`.

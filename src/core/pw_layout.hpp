@@ -16,16 +16,16 @@
 /// *unchecked in-band read machinery* the fast-path square kernel is built
 /// on:
 ///
-///  * `in_band_slot(i,j,p,q)` — the raw cell index of an entry known to be
-///    stored in band, computed branch-free (no identity test, no slack
-///    test, no child-gap fallback);
 ///  * `r_window_cursor` / `s_window_cursor` — incremental readers along
 ///    the HLV windows. In every layout the slot of `pw'(i,j,r,q)` for
 ///    ascending `r` (and of `pw'(i,j,p,s)` for ascending `s`) advances by
 ///    an *arithmetic progression* — dense rows stride `len-a-1, len-a-2,
 ///    ...`, banded slack blocks stride `s+2, s+3, ...` — so one
 ///    `PwWindowCursor{cell, step, dstep}` covers all four cases with two
-///    adds per element and no address re-derivation;
+///    adds per element and no address re-derivation. The square scan
+///    streams its first operands through them, and the operand-column
+///    gather walks each root's `pw'(i,j,i+s,j)` and `pw'(i,j,i,j-s)`,
+///    `s = 1, 2, ...`, with them too;
 ///  * `for_each_gap_run` — the a-pebble analogue of the window cursors: the
 ///    stored gaps of one root `(i,j)`, partitioned into `PwGapRun`s inside
 ///    which both the pw slot and the flat `w(p,q)` slot (stride `n+1`)
@@ -155,7 +155,6 @@ concept PwStoragePolicy =
       { c.stores(z, z, z, z) } -> std::same_as<bool>;
       { c.address(z, z, z, z) } -> std::same_as<std::uint64_t>;
       { c.entry_slot(z, z, z, z) } -> std::same_as<std::size_t>;
-      { c.in_band_slot(z, z, z, z) } -> std::same_as<std::size_t>;
       { c.r_window_cursor(z, z, z, z) } -> std::same_as<PwWindowCursor>;
       { c.s_window_cursor(z, z, z, z) } -> std::same_as<PwWindowCursor>;
       { t.raw_cells() } noexcept -> std::same_as<Cost*>;

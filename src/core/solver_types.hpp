@@ -88,7 +88,7 @@ struct SublinearOptions {
   bool windowed_pebble = false;
   /// Per-step engine profiling: record a `StepProfile` per iteration
   /// (frontier density, blocks/quads/pairs skipped vs scanned,
-  /// mark-grid builds, write-log sizes), readable
+  /// mark-grid builds, write-log sizes, per-phase wall times), readable
   /// through `SolveSession::step_profile()`. Off by default; when off
   /// the engine takes no profiling branches at all, so results, timing
   /// and the ledger are untouched (asserted in the fastpath suite).
@@ -137,6 +137,16 @@ struct StepProfile {
   // Delta-buffer write-log sizes (entries applied after the barrier).
   std::uint64_t pw_log_entries = 0;
   std::uint64_t w_log_entries = 0;
+  // Wall time per macro-step phase, in steady-clock nanoseconds. The
+  // phases are disjoint, so their sum is at most the iteration's wall
+  // time; a phase that did not run reads 0. Unlike the counters above,
+  // the timers cover the oracle sweeps too.
+  std::uint64_t activate_ns = 0;
+  std::uint64_t gather_ns = 0;     ///< a-square operand-column gather
+  std::uint64_t square_ns = 0;     ///< a-square sweep
+  std::uint64_t pebble_ns = 0;     ///< a-pebble sweep
+  std::uint64_t mark_grid_ns = 0;  ///< both mark-grid builds
+  std::uint64_t log_apply_ns = 0;  ///< both write-log applies
 };
 
 /// Per-iteration progress counters (experiment E5/E8 traces).

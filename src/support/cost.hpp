@@ -23,6 +23,12 @@ using Cost = std::int64_t;
 /// Sentinel for "no decomposition known yet" (the paper's \f$\infty\f$).
 inline constexpr Cost kInfinity = std::numeric_limits<Cost>::max() / 4;
 
+// The unsaturated sum of two costs in `[0, kInfinity]` cannot overflow.
+// The fast a-square fold relies on it: it takes `min(best, a + b)` without
+// `sat_add`, since with `best <= kInfinity` a sum at or past `kInfinity`
+// never wins.
+static_assert(kInfinity <= std::numeric_limits<Cost>::max() / 2);
+
 /// True iff `c` represents a real (non-infinite) cost.
 [[nodiscard]] constexpr bool is_finite(Cost c) noexcept {
   return c < kInfinity;

@@ -12,8 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -77,6 +81,78 @@ std::vector<EngineConfig> variant_configs() {
   };
 }
 
+/// Every w cell, then every stored pw cell, in a fixed order.
+std::vector<Cost> capture_cells(const SolveSession& session) {
+  const std::size_t n = session.plan().n();
+  const bool dense = session.plan().options().variant == PwVariant::kDense;
+  const std::size_t band = session.plan().effective_band();
+  std::vector<Cost> cells;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j <= n; ++j) {
+      cells.push_back(session.current_w(i, j));
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 2; j <= n; ++j) {
+      for (std::size_t p = i; p < j; ++p) {
+        for (std::size_t q = p + 1; q <= j; ++q) {
+          if (p == i && q == j) continue;
+          if (dense || (j - i) - (q - p) <= band || p == i || q == j) {
+            cells.push_back(session.current_pw(i, j, p, q));
+          }
+        }
+      }
+    }
+  }
+  return cells;
+}
+
+/// One step's observable result: its change counts and the cells after.
+struct StepRecord {
+  IterationOutcome outcome;
+  std::vector<Cost> cells;
+};
+
+StepRecord step_and_capture(SolveSession& session) {
+  const IterationOutcome outcome = session.step();
+  return {outcome, capture_cells(session)};
+}
+
+/// The oracle's per-iteration records for `problem` under `options`.
+std::vector<StepRecord> oracle_steps(const dp::Problem& problem,
+                                     SublinearOptions options) {
+  options.machine.record_costs = true;
+  options.machine.backend = pram::Backend::kSerial;
+  SolveSession session(SolvePlan::create(problem.size(), options));
+  session.reset(problem);
+  std::vector<StepRecord> steps;
+  for (std::size_t t = 0; t < session.plan().iteration_bound(); ++t) {
+    steps.push_back(step_and_capture(session));
+  }
+  return steps;
+}
+
+void expect_step_matches(const StepRecord& ref, const StepRecord& got,
+                         const std::string& label) {
+  EXPECT_EQ(ref.outcome.activate_changed, got.outcome.activate_changed)
+      << label;
+  EXPECT_EQ(ref.outcome.square_changed, got.outcome.square_changed)
+      << label;
+  EXPECT_EQ(ref.outcome.pebble_changed, got.outcome.pebble_changed)
+      << label;
+  EXPECT_TRUE(ref.cells == got.cells) << label << ": cells differ";
+}
+
+SublinearOptions fast_options(PwVariant variant, pram::Backend backend,
+                              std::size_t band_width = 0) {
+  SublinearOptions options;
+  options.variant = variant;
+  options.band_width = band_width;
+  options.machine.record_costs = false;
+  options.machine.backend = backend;
+  return options;
+}
+
 TEST(FastPath, AllConfigurationsAgreeOnEveryFamilyBanded) {
   for (const std::string& family : bench::instance_families()) {
     support::Rng rng(2024);
@@ -110,36 +186,14 @@ TEST(FastPath, PwTablesMatchCellByCell) {
   support::Rng rng(99);
   const std::size_t n = 20;
   const auto problem = bench::make_instance("matrix-chain", n, rng);
-
-  SublinearOptions ref_options;  // instrumented oracle
-  SublinearOptions fast_options;
-  fast_options.machine.record_costs = false;
-
-  SolveSession ref(SolvePlan::create(n, ref_options));
-  SolveSession fast(SolvePlan::create(n, fast_options));
-  ref.reset(*problem);
+  const SublinearOptions options =
+      fast_options(PwVariant::kBanded, pram::Backend::kSerial);
+  const auto ref = oracle_steps(*problem, options);
+  SolveSession fast(SolvePlan::create(n, options));
   fast.reset(*problem);
-  ASSERT_EQ(ref.plan().effective_band(), fast.plan().effective_band());
-  const std::size_t band = ref.plan().effective_band();
-
-  for (std::size_t iter = 0; iter < ref.plan().iteration_bound(); ++iter) {
-    (void)ref.step();
-    (void)fast.step();
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 2; j <= n; ++j) {
-        for (std::size_t p = i; p < j; ++p) {
-          for (std::size_t q = p + 1; q <= j; ++q) {
-            if (p == i && q == j) continue;
-            const bool stored =
-                (j - i) - (q - p) <= band || p == i || q == j;
-            if (!stored) continue;
-            ASSERT_EQ(ref.current_pw(i, j, p, q), fast.current_pw(i, j, p, q))
-                << "iteration " << iter + 1 << " pw(" << i << "," << j << ","
-                << p << "," << q << ")";
-          }
-        }
-      }
-    }
+  for (std::size_t t = 0; t < ref.size(); ++t) {
+    expect_step_matches(ref[t], step_and_capture(fast),
+                        "iteration " + std::to_string(t + 1));
   }
 }
 
@@ -185,6 +239,122 @@ TEST(FastPath, WindowedPebbleMatchesReferenceEngine) {
   const auto a = ref.solve(*problem);
   const auto b = fast.solve(*problem);
   expect_identical(a, b, "windowed");
+}
+
+// ---- Narrow bands and the operand-column scratch ---------------------------
+// The fast HLV square reads its second operands from per-gap columns it
+// gathers into a per-thread scratch buffer before each sweep. These tests
+// pin the column ends (B = 1, gaps near the table edges, where the columns
+// are clipped) and the buffer's lifetime (regathered every sweep, never
+// stale across sessions, shapes or threads), per iteration against the
+// oracle.
+
+TEST(FastPath, NarrowBandsMatchTheOraclePerIteration) {
+  // B = 1 leaves one operand per column side; B = 2, 3 exercise short
+  // windows. At every B the columns of gaps with p < B or q + B > n are
+  // clipped at the table edge. Bands this narrow need not reach the
+  // optimum within the iteration bound, so the check is bit-identity to
+  // the oracle, not to sequential DP.
+  const std::size_t n = 19;
+  for (const std::string& family : bench::instance_families()) {
+    support::Rng rng(1903);
+    const auto problem = bench::make_instance(family, n, rng);
+    for (const std::size_t band : {1, 2, 3}) {
+      const auto ref = oracle_steps(
+          *problem, fast_options(PwVariant::kBanded,
+                                 pram::Backend::kSerial, band));
+      for (const pram::Backend backend :
+           {pram::Backend::kSerial, pram::Backend::kThreadPool}) {
+        SolveSession session(SolvePlan::create(
+            n, fast_options(PwVariant::kBanded, backend, band)));
+        ASSERT_EQ(session.plan().effective_band(), band);
+        session.reset(*problem);
+        for (std::size_t t = 0; t < ref.size(); ++t) {
+          expect_step_matches(
+              ref[t], step_and_capture(session),
+              family + " B=" + std::to_string(band) + " " +
+                  pram::to_string(backend) + " iteration " +
+                  std::to_string(t + 1));
+        }
+      }
+    }
+  }
+}
+
+TEST(FastPath, OperandScratchIsRegatheredAcrossSessionsOfTwoShapes) {
+  // One thread steps a banded and a dense session of different n in
+  // turn, so its column buffer alternates between two shapes (the larger
+  // leaves stale slots past the smaller's extent) and each sweep must
+  // regather before reading.
+  support::Rng rng(31);
+  const auto banded_problem = bench::make_instance("zigzag", 30, rng);
+  const auto dense_problem = bench::make_instance("optimal-bst", 17, rng);
+  for (const pram::Backend backend :
+       {pram::Backend::kSerial, pram::Backend::kThreadPool}) {
+    const auto banded_options = fast_options(PwVariant::kBanded, backend);
+    const auto dense_options = fast_options(PwVariant::kDense, backend);
+    const auto banded_ref = oracle_steps(*banded_problem, banded_options);
+    const auto dense_ref = oracle_steps(*dense_problem, dense_options);
+    SolveSession banded(SolvePlan::create(30, banded_options));
+    SolveSession dense(SolvePlan::create(17, dense_options));
+    banded.reset(*banded_problem);
+    dense.reset(*dense_problem);
+    const std::size_t steps = std::max(banded_ref.size(), dense_ref.size());
+    for (std::size_t t = 0; t < steps; ++t) {
+      const std::string at = std::string(pram::to_string(backend)) +
+                             " iteration " + std::to_string(t + 1);
+      if (t < banded_ref.size()) {
+        expect_step_matches(banded_ref[t], step_and_capture(banded),
+                            "banded " + at);
+      }
+      if (t < dense_ref.size()) {
+        expect_step_matches(dense_ref[t], step_and_capture(dense),
+                            "dense " + at);
+      }
+    }
+  }
+}
+
+TEST(FastPath, OperandScratchFollowsTheSteppingThread) {
+  // One session is stepped by two threads in strict turns, so each sweep
+  // runs on a thread whose buffer was last gathered two steps earlier:
+  // reading it without regathering would fold stale operands.
+  support::Rng rng(32);
+  const std::size_t n = 28;
+  const auto problem = bench::make_instance("matrix-chain", n, rng);
+  for (const pram::Backend backend :
+       {pram::Backend::kSerial, pram::Backend::kThreadPool}) {
+    const auto options = fast_options(PwVariant::kBanded, backend);
+    const auto ref = oracle_steps(*problem, options);
+    SolveSession session(SolvePlan::create(n, options));
+    session.reset(*problem);
+
+    std::vector<StepRecord> got(ref.size());
+    std::mutex mu;
+    std::condition_variable turn_changed;
+    std::size_t turn = 0;
+    const auto stepper = [&](std::size_t parity) {
+      for (;;) {
+        std::unique_lock<std::mutex> lock(mu);
+        turn_changed.wait(lock, [&] {
+          return turn >= ref.size() || turn % 2 == parity;
+        });
+        if (turn >= ref.size()) return;
+        got[turn] = step_and_capture(session);
+        ++turn;
+        turn_changed.notify_all();
+      }
+    };
+    std::thread even(stepper, 0);
+    std::thread odd(stepper, 1);
+    even.join();
+    odd.join();
+    for (std::size_t t = 0; t < ref.size(); ++t) {
+      expect_step_matches(ref[t], got[t],
+                          std::string(pram::to_string(backend)) +
+                              " iteration " + std::to_string(t + 1));
+    }
+  }
 }
 
 // ---- Cross-layout equivalence ----------------------------------------------
@@ -358,6 +528,66 @@ TEST(StepProfiles, CountersReconcilePerStepOnEveryFamily) {
       }
       EXPECT_GT(total_quads, 0u) << family;
       EXPECT_GT(total_pairs, 0u) << family;
+    }
+  }
+}
+
+TEST(StepProfiles, PhaseTimersCoverTheStepsThatRanAndFitInsideIt) {
+  // Each phase timer is positive whenever its phase ran, and the phases
+  // are disjoint slices of the step, so they sum to at most the step's
+  // externally timed wall time. The oracle sweeps gather no columns.
+  using Clock = std::chrono::steady_clock;
+  for (const std::string& family : bench::instance_families()) {
+    for (const PwVariant variant : {PwVariant::kBanded, PwVariant::kDense}) {
+      for (const bool oracle : {false, true}) {
+        support::Rng rng(609);
+        const auto problem = bench::make_instance(family, 22, rng);
+        SublinearOptions options;
+        options.variant = variant;
+        options.profile = true;
+        options.machine.record_costs = oracle;
+        options.machine.backend = pram::Backend::kThreadPool;
+        SolveSession session(SolvePlan::create(problem->size(), options));
+        session.reset(*problem);
+        std::vector<std::uint64_t> step_ns;
+        for (std::size_t t = 0; t < session.plan().iteration_bound(); ++t) {
+          const auto t0 = Clock::now();
+          (void)session.step();
+          step_ns.push_back(static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  Clock::now() - t0)
+                  .count()));
+        }
+        const std::vector<StepProfile>& profiles = session.step_profile();
+        ASSERT_EQ(profiles.size(), step_ns.size());
+        for (std::size_t t = 0; t < profiles.size(); ++t) {
+          const StepProfile& p = profiles[t];
+          const std::string label = family + (oracle ? " oracle" : " fast") +
+                                    " " + to_string(variant) +
+                                    " iteration " + std::to_string(t + 1);
+          // A frontier activate over an empty frontier does no work.
+          if (!p.activate_used_frontier || p.frontier_sites > 0) {
+            EXPECT_GT(p.activate_ns, 0u) << label;
+          }
+          EXPECT_GT(p.square_ns, 0u) << label;
+          EXPECT_GT(p.pebble_ns, 0u) << label;  // no pebble window
+          if (p.pw_log_entries + p.w_log_entries > 0) {
+            EXPECT_GT(p.log_apply_ns, 0u) << label;
+          }
+          if (oracle) {
+            EXPECT_EQ(p.gather_ns, 0u) << label;
+            EXPECT_EQ(p.mark_grid_ns, 0u) << label;
+          } else {
+            EXPECT_GT(p.gather_ns, 0u) << label;
+            EXPECT_EQ(p.mark_grid_ns > 0, p.mark_updates_rebuilt > 0)
+                << label;
+          }
+          EXPECT_LE(p.activate_ns + p.gather_ns + p.square_ns + p.pebble_ns +
+                        p.mark_grid_ns + p.log_apply_ns,
+                    step_ns[t])
+              << label;
+        }
+      }
     }
   }
 }

@@ -1,9 +1,9 @@
 // Tests for the two pw-table layouts (core/pw_dense.hpp,
 // core/pw_banded.hpp): addressing, band semantics, the Sec. 5 cell-count
 // reduction, dense/banded agreement inside the band, and the
-// storage-policy surface (pw_layout.hpp) — overflow-checked sizing,
-// unchecked in-band slots, and the incremental window cursors the engine's
-// fast square kernel reads through.
+// storage-policy surface (pw_layout.hpp) — overflow-checked sizing and
+// the incremental window cursors the engine's fast square kernel and its
+// operand-column gather read through.
 
 #include <gtest/gtest.h>
 
@@ -99,7 +99,6 @@ TEST(DensePwTable, AddressingIsInjectiveAndInBounds) {
           EXPECT_TRUE(seen.insert(addr).second)
               << "(" << i << "," << j << "," << p << "," << q << ")";
           EXPECT_EQ(t.entry_slot(i, j, p, q), addr);
-          EXPECT_EQ(t.in_band_slot(i, j, p, q), addr);
         }
       }
     }
@@ -130,11 +129,11 @@ TEST(PwLayout, CheckedSizeArithmeticThrowsInsteadOfWrapping) {
   EXPECT_THROW((void)checked_size_add(kMax, 1), std::invalid_argument);
 }
 
-// ---- Window cursors / unchecked in-band reads ----
+// ---- Window cursors ----
 
-/// Replicates the engine's HLV window and walks both cursors plus the
-/// second-operand `in_band_slot` reads, comparing every value against the
-/// general `get`. Exercised for both layouts below.
+/// Replicates the engine's HLV window walks and its operand-column
+/// gather walks, comparing every cursor value against the general `get`.
+/// Exercised for both layouts below.
 template <class Table>
 void expect_cursors_match_get(Table& t) {
   const std::size_t n = t.n();
@@ -152,7 +151,6 @@ void expect_cursors_match_get(Table& t) {
       }
     }
   }
-  const Cost* raw = std::as_const(t).raw_cells();
   for (const Quad& e : t.entries()) {
     const std::size_t i = e.i, j = e.j, p = e.p, q = e.q;
     const std::size_t r_lo = p > maxs && p - maxs > i ? p - maxs : i;
@@ -165,8 +163,6 @@ void expect_cursors_match_get(Table& t) {
         ASSERT_EQ(cur.value(), t.get(i, j, r, q))
             << "r-cursor (" << i << "," << j << "," << r << "," << q << ")";
         cur.advance();
-        ASSERT_EQ(raw[t.in_band_slot(r, q, p, q)], t.get(r, q, p, q))
-            << "r-slot (" << r << "," << q << "," << p << "," << q << ")";
       }
     }
     std::size_t s_end = s_hi;
@@ -177,8 +173,29 @@ void expect_cursors_match_get(Table& t) {
         ASSERT_EQ(cur.value(), t.get(i, j, p, s))
             << "s-cursor (" << i << "," << j << "," << p << "," << s << ")";
         cur.advance();
-        ASSERT_EQ(raw[t.in_band_slot(p, s, p, q)], t.get(p, s, p, q))
-            << "s-slot (" << p << "," << s << "," << p << "," << q << ")";
+      }
+    }
+  }
+  // The gather's walks: per root (a,b), the left operands pw(a,b,a+s,b)
+  // and the right operands pw(a,b,a,b-s) of its slack-s gaps,
+  // s = 1 .. min(B, len-1), the latter walked by ascending gap end.
+  for (std::size_t len = 2; len <= n; ++len) {
+    const std::size_t m = std::min(maxs, len - 1);
+    for (std::size_t a = 0; a + len <= n; ++a) {
+      const std::size_t b = a + len;
+      PwWindowCursor left = t.r_window_cursor(a, b, a + 1, b);
+      for (std::size_t s = 1; s <= m; ++s) {
+        ASSERT_EQ(left.value(), t.get(a, b, a + s, b))
+            << "left gather (" << a << "," << b << "," << a + s << "," << b
+            << ")";
+        left.advance();
+      }
+      PwWindowCursor right = t.s_window_cursor(a, b, a, b - m);
+      for (std::size_t q = b - m; q < b; ++q) {
+        ASSERT_EQ(right.value(), t.get(a, b, a, q))
+            << "right gather (" << a << "," << b << "," << a << "," << q
+            << ")";
+        right.advance();
       }
     }
   }

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace subdp {
 namespace {
 
@@ -52,6 +54,20 @@ TEST(Cost, SatAddIsAssociativeOnSamples) {
     for (const Cost b : samples) {
       for (const Cost c : samples) {
         EXPECT_EQ(sat_add(sat_add(a, b), c), sat_add(a, sat_add(b, c)));
+      }
+    }
+  }
+}
+
+TEST(Cost, PlainMinPlusEqualsSaturatingMinPlus) {
+  // The fast a-square fold: with operands in [0, kInfinity] and
+  // best <= kInfinity, the unsaturated min-plus equals the saturating one.
+  const Cost values[] = {0, 1, kInfinity - 1, kInfinity};
+  for (const Cost best : values) {
+    for (const Cost a : values) {
+      for (const Cost b : values) {
+        EXPECT_EQ(std::min(best, a + b), sat_min(best, sat_add(a, b)))
+            << "best=" << best << " a=" << a << " b=" << b;
       }
     }
   }
