@@ -1,5 +1,5 @@
-// Experiment E7a (Sec. 5 ablation): dense vs banded layouts — identical
-// answers, smaller tables, less square work.
+// Experiment E7a (Sec. 5 ablation): dense (B = n) vs banded (B = 2 ceil sqrt n)
+// — identical answers, smaller tables, less square work.
 //
 // Reproduces: the O(n^4) -> O(n^2 B^2 + n^3) cell reduction and the
 // per-step square-work reduction that drives the O(n^5/log n) ->
@@ -10,7 +10,6 @@
 
 #include "common.hpp"
 #include "core/pw_banded.hpp"
-#include "core/pw_dense.hpp"
 #include "core/solve_plan.hpp"
 #include "core/solve_session.hpp"
 #include "dp/sequential.hpp"
@@ -39,6 +38,17 @@ std::uint64_t dense_square_ops_per_iteration(std::size_t n) {
   return total;
 }
 
+// Cells of the dense (B = n) table, which stores every slack and needs
+// no child-gap side stores: sum over root lengths L of (n-L+1) roots of
+// C(L+1,2) - 1 gaps. Equals a dense plan's `pw_cell_count()`.
+std::size_t dense_cell_count(std::size_t n) {
+  std::size_t total = 0;
+  for (std::size_t len = 2; len <= n; ++len) {
+    total += (n - len + 1) * (len * (len + 1) / 2 - 1);
+  }
+  return total;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -55,8 +65,8 @@ int main(int argc, char** argv) {
 
   support::TableWriter table(
       "E7a: dense (Sec. 2) vs banded (Sec. 5) on matrix-chain instances "
-      "(fixed schedule; dense square ops analytic, validated against the "
-      "measured run up to the dense memory envelope)",
+      "(fixed schedule; dense cells and square ops analytic, validated "
+      "against the measured run up to the dense memory envelope)",
       {"n", "B", "cells banded", "cells dense", "cell ratio",
        "sq work banded", "sq work dense", "work ratio", "same w"});
 
@@ -68,7 +78,7 @@ int main(int argc, char** argv) {
     const std::size_t iterations = support::two_ceil_sqrt(n);
     const std::uint64_t dense_square =
         dense_square_ops_per_iteration(n) * iterations;
-    const std::size_t dense_cells = (n + 1) * (n + 1) * (n + 1) * (n + 1);
+    const std::size_t dense_cells = dense_cell_count(n);
 
     core::SublinearOptions banded_opts;
     banded_opts.termination = core::TerminationMode::kFixedBound;
@@ -94,6 +104,13 @@ int main(int argc, char** argv) {
                      "%llu vs measured %llu\n",
                      n, static_cast<unsigned long long>(dense_square),
                      static_cast<unsigned long long>(measured));
+        return 1;
+      }
+      if (dense.pw_cell_count() != dense_cells) {
+        std::fprintf(stderr,
+                     "closed-form dense cell count mismatch at n=%zu: "
+                     "%zu vs measured %zu\n",
+                     n, dense_cells, dense.pw_cell_count());
         return 1;
       }
       if (same == "NO") {

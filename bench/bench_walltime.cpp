@@ -4,8 +4,8 @@
 // diagonal-parallel wavefront and the sublinear solver on the serial and
 // thread-pool backends, the sublinear solver's two engine paths
 // ("reference", the instrumented oracle with the PRAM ledger on, and
-// "fast", the ledger off) in the banded layout, the dense layout on the
-// fast path, and the raw pebbling game. Each solver iteration builds a
+// "fast", the ledger off) at the paper's band, the dense variant (band n)
+// on the fast path, and the raw pebbling game. Each solver iteration builds a
 // fresh plan, so the timings include plan construction.
 //
 // The PRAM results are about operation counts; this suite grounds the

@@ -12,7 +12,7 @@
 ///    sessions, reset a session in place for every same-shape instance,
 ///    step, trace, or CREW-check each solve. The Rytter-style
 ///    full-squaring baseline of [8] is a plan whose options select
-///    `SquareMode::kRytterFull` (conventionally with the dense layout and
+///    `SquareMode::kRytterFull` (conventionally with the dense variant and
 ///    fixed-point termination); `SolvePlan::create` caps it at n <= 24.
 ///  * `serve::SolverService` (serve/solver_service.hpp) — many instances:
 ///    a bounded LRU plan cache keyed by `(n, options)`, per-plan session

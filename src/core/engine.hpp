@@ -3,8 +3,9 @@
 /// \file engine.hpp
 /// The iteration engine behind `SolveSession` (implementation detail).
 ///
-/// Template on the partial-weight table type so dense (Sec. 2) and banded
-/// (Sec. 5) variants share one implementation of the three macro-steps:
+/// One implementation of the three macro-steps over the one `pw'` layout,
+/// `BandedPwTable` (pw_banded.hpp); the Sec. 2 variant is that layout at
+/// band `B = n`, the Sec. 5 variant at `B = 2*ceil(sqrt n)` by default:
 ///
 ///   a-activate (eq. 1a/1b):
 ///     pw'(i,j,i,k) <- min(pw'(i,j,i,k), f(i,k,j) + w'(k,j))
@@ -64,11 +65,10 @@
 /// results, change counts and iteration schedules are identical to the
 /// oracle's — tests/test_core_fastpath.cpp verifies this per iteration.
 ///
-/// Storage policy and the a-square operand streams
-/// ------------------------------------------------
-/// `Table` must model `core::PwStoragePolicy` (pw_layout.hpp): the kernels
-/// below are instantiated once per layout with that layout's addressing
-/// inlined, not dispatched per call. On the fast path the HLV square scan
+/// The a-square operand streams
+/// ----------------------------
+/// The kernels below are compiled once, against the one layout, with its
+/// addressing inlined. On the fast path the HLV square scan
 /// (`square_scan_fast`) exploits a structural fact: every candidate
 /// operand of an in-band target is itself in band (first operands share
 /// the target's root with strictly smaller slack; second operands `(r,q,
@@ -77,7 +77,7 @@
 /// candidate equals the target's old value and is skipped as a provable
 /// no-op. Both operands therefore stream without the general `get`:
 ///  - first operands walk the target's own root block through the
-///    layout's incremental window cursors;
+///    layout's incremental window cursors (pw_layout.hpp);
 ///  - second operands lie in a different root, hence a different length
 ///    block, for every `r` / `s`. So before each fast HLV sweep,
 ///    `gather_operand_columns` copies them, one serial O(n^2 B) pass,
@@ -102,6 +102,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/pw_banded.hpp"
 #include "core/pw_layout.hpp"
 #include "core/quad.hpp"
 #include "core/solver_types.hpp"
@@ -151,29 +152,6 @@ inline std::vector<Cost>& operand_column_scratch() {
   return columns;
 }
 
-/// Abstract stepping interface so the public solver can hold either
-/// table variant behind one pointer.
-class IEngine {
- public:
-  virtual ~IEngine() = default;
-  virtual IterationOutcome iterate() = 0;
-  /// Re-initialises every per-instance table and counter in place for a
-  /// new problem of the same shape — no reallocation, no geometry rebuild
-  /// (the `SolveSession::reset` hot path).
-  virtual void reset(const dp::Problem& problem) = 0;
-  [[nodiscard]] virtual std::size_t iterations_done() const = 0;
-  [[nodiscard]] virtual Cost w_value(std::size_t i, std::size_t j) const = 0;
-  [[nodiscard]] virtual Cost pw_value(std::size_t i, std::size_t j,
-                                      std::size_t p, std::size_t q) const = 0;
-  [[nodiscard]] virtual const support::Grid2D<Cost>& w_table() const = 0;
-  [[nodiscard]] virtual std::uint64_t w_finite_count() const = 0;
-  [[nodiscard]] virtual std::size_t pw_cell_count() const = 0;
-  /// One StepProfile per completed iteration when
-  /// `SublinearOptions::profile` is on; empty otherwise.
-  [[nodiscard]] virtual const std::vector<StepProfile>& step_profiles()
-      const = 0;
-};
-
 /// One pair `(i,j)` of the pebble/activate sweeps. 32-bit fields: unlike
 /// the packed `Quad` (whose tables cap `n` anyway), pair lists are cheap
 /// enough to exist for `n` far beyond 65535, so they must not truncate.
@@ -195,15 +173,11 @@ struct RootBlock {
 /// storage layout, the length-major pair list and its offsets, the write-
 /// log slot of every square entry, the root-block runs of the root-major
 /// sweep, and the activate-site total the frontier density test compares
-/// against. A `SolvePlan` builds one `EngineShape` per pw layout and every
-/// engine (session) of that shape shares it, so per-instance preparation
-/// is a table fill instead of an O(n^2 B^2) rebuild.
-template <class Table>
+/// against. A `SolvePlan` builds one `EngineShape` and every engine
+/// (session) of that shape shares it, so per-instance preparation is a
+/// table fill instead of an O(n^2 B^2) rebuild.
 struct EngineShape {
-  static_assert(PwStoragePolicy<Table>,
-                "EngineShape requires a pw storage policy");
-
-  std::shared_ptr<const typename Table::Layout> layout;
+  std::shared_ptr<const BandedPwLayout> layout;
   std::size_t n = 0;
   std::size_t band = 0;
   /// Pairs with length >= 2, grouped by length ascending.
@@ -225,7 +199,7 @@ struct EngineShape {
   [[nodiscard]] static std::shared_ptr<const EngineShape> build(
       std::size_t n, std::size_t band) {
     auto shape = std::make_shared<EngineShape>();
-    shape->layout = Table::make_layout(n, band);
+    shape->layout = std::make_shared<const BandedPwLayout>(n, band);
     shape->n = n;
     shape->band = band;
 
@@ -256,7 +230,7 @@ struct EngineShape {
       entry_slots.push_back(static_cast<std::uint32_t>(
           shape->layout->entry_slot(t.i, t.j, t.p, t.q)));
     }
-    // Per-root runs of the entry list (both layouts emit the quads of a
+    // Per-root runs of the entry list (the layout emits the quads of a
     // root contiguously) — the unit of the root-major square sweep.
     std::vector<RootBlock> blocks;
     for (std::size_t idx = 0; idx < quads.size(); ++idx) {
@@ -290,7 +264,7 @@ struct EngineShape {
   /// produce, throwing on any disagreement so a corrupt file can never
   /// yield a structurally inconsistent shape.
   [[nodiscard]] static std::shared_ptr<const EngineShape> restore(
-      std::shared_ptr<const typename Table::Layout> layout, std::size_t n,
+      std::shared_ptr<const BandedPwLayout> layout, std::size_t n,
       std::size_t band, ShapeArray<Pair> pairs,
       ShapeArray<std::size_t> pairs_offset_by_length,
       ShapeArray<std::uint32_t> entry_slots, ShapeArray<RootBlock> root_blocks,
@@ -324,7 +298,7 @@ struct EngineShape {
                   "pw table too large for 32-bit write-log slots");
     SUBDP_REQUIRE(entry_slots.size() == quad_count,
                   "snapshot entry-slot count disagrees with the layout");
-    // Both layouts give every root of length >= 2 at least one quad, so
+    // The layout gives every root of length >= 2 at least one quad, so
     // the per-root runs must be one block per pair and end at the list.
     SUBDP_REQUIRE(root_blocks.size() == (quad_count > 0 ? pairs.size() : 0),
                   "snapshot root-block count disagrees with the pair list");
@@ -342,13 +316,11 @@ struct EngineShape {
   }
 };
 
-template <class Table>
-class Engine final : public IEngine {
-  static_assert(PwStoragePolicy<Table>,
-                "Engine requires a pw storage policy (see pw_layout.hpp)");
-
+/// The per-session solving state over one shared `EngineShape`; the
+/// stepping interface `SolveSession` drives.
+class Engine {
  public:
-  Engine(std::shared_ptr<const EngineShape<Table>> shape,
+  Engine(std::shared_ptr<const EngineShape> shape,
          const dp::Problem& problem, const SublinearOptions& options,
          pram::Machine& machine)
       : shape_(std::move(shape)),
@@ -390,9 +362,10 @@ class Engine final : public IEngine {
 
   /// Rebinds the engine to a new same-shape instance: fills both tables
   /// back to their initial state in place and clears every per-instance
-  /// counter and frontier mark. Geometry (layout, pair lists, entry
+  /// counter and frontier mark — no reallocation, no geometry rebuild (the
+  /// `SolveSession::reset` hot path). Geometry (layout, pair lists, entry
   /// slots, root blocks) is shape-owned and untouched.
-  void reset(const dp::Problem& problem) override {
+  void reset(const dp::Problem& problem) {
     SUBDP_REQUIRE(problem.size() == n_,
                   "engine reset requires an instance of the plan's size");
     pw_.reset();
@@ -400,7 +373,7 @@ class Engine final : public IEngine {
     bind_instance(problem, /*fresh_tables=*/false);
   }
 
-  IterationOutcome iterate() override {
+  IterationOutcome iterate() {
     ++iteration_;
     if (profile_) begin_profile();
     IterationOutcome out;
@@ -411,27 +384,27 @@ class Engine final : public IEngine {
     return out;
   }
 
-  [[nodiscard]] std::size_t iterations_done() const override {
+  [[nodiscard]] std::size_t iterations_done() const {
     return iteration_;
   }
 
-  [[nodiscard]] Cost w_value(std::size_t i, std::size_t j) const override {
+  [[nodiscard]] Cost w_value(std::size_t i, std::size_t j) const {
     SUBDP_REQUIRE(i < j && j <= n_, "w index out of range");
     return w_(i, j);
   }
 
   [[nodiscard]] Cost pw_value(std::size_t i, std::size_t j, std::size_t p,
-                              std::size_t q) const override {
+                              std::size_t q) const {
     SUBDP_REQUIRE(i <= p && p < q && q <= j && j <= n_,
                   "pw index out of range");
     return pw_.get(i, j, p, q);
   }
 
-  [[nodiscard]] const support::Grid2D<Cost>& w_table() const override {
+  [[nodiscard]] const support::Grid2D<Cost>& w_table() const {
     return w_;
   }
 
-  [[nodiscard]] std::uint64_t w_finite_count() const override {
+  [[nodiscard]] std::uint64_t w_finite_count() const {
     std::uint64_t count = 0;
     for (std::size_t i = 0; i < n_; ++i) {
       for (std::size_t j = i + 1; j <= n_; ++j) {
@@ -441,12 +414,9 @@ class Engine final : public IEngine {
     return count;
   }
 
-  [[nodiscard]] std::size_t pw_cell_count() const override {
-    return pw_.cell_count();
-  }
-
-  [[nodiscard]] const std::vector<StepProfile>& step_profiles()
-      const override {
+  /// One StepProfile per completed iteration when
+  /// `SublinearOptions::profile` is on; empty otherwise.
+  [[nodiscard]] const std::vector<StepProfile>& step_profiles() const {
     return profiles_;
   }
 
@@ -536,10 +506,10 @@ class Engine final : public IEngine {
   std::uint64_t activate_pair(std::size_t i, std::size_t j,
                               std::uint64_t& ops) {
     std::uint64_t local_changed = 0;
-    // Both tables store every child gap (eq. 1a/1b write targets): the
-    // banded layout keeps out-of-band child gaps in a dedicated side
-    // store because the terminal pebble of a balanced node needs them
-    // (see pw_banded.hpp).
+    // The table stores every child gap (eq. 1a/1b write targets): the
+    // layout keeps out-of-band child gaps in a dedicated side store
+    // because the terminal pebble of a balanced node needs them (see
+    // pw_banded.hpp).
     for (std::size_t k = i + 1; k <= j - 1; ++k) {
       if constexpr (Instr) ops += 2;
       const Cost fv = problem_->f(i, k, j);
@@ -1212,12 +1182,12 @@ class Engine final : public IEngine {
     prof_ = nullptr;
   }
 
-  std::shared_ptr<const EngineShape<Table>> shape_;
+  std::shared_ptr<const EngineShape> shape_;
   const dp::Problem* problem_;
   SublinearOptions options_;
   pram::Machine& machine_;
   std::size_t n_;
-  Table pw_;
+  BandedPwTable pw_;
   support::Grid2D<Cost> w_;
 
   // Shape-owned geometry — immutable aliases into `*shape_`.

@@ -24,7 +24,10 @@ void BandedPwLayout::init_geometry(std::vector<std::size_t>& length_base,
 
   // Child-gap side tables: tetrahedral addressing over the triples
   // (i, k, j) with i < k < j <= n — C(n+1, 3) cells per family instead of
-  // a flat (n+1)^3 cube (~6x smaller), still O(1) access.
+  // a flat (n+1)^3 cube (~6x smaller), still O(1) access. Only slacks past
+  // the band need them: at band + 1 >= n every gap is in band, so the
+  // stores (and their offset table) stay empty.
+  if (band_ >= n_ - 1) return;
   tetra_base.assign(n_ + 1, 0);
   std::size_t tetra_total = 0;
   for (std::size_t i = 0; i + 2 <= n_; ++i) {
@@ -32,11 +35,9 @@ void BandedPwLayout::init_geometry(std::vector<std::size_t>& length_base,
     tetra_total += (n_ - i) * (n_ - i - 1) / 2;
   }
   child_cell_count_ = tetra_total;
-  for (std::size_t len = 2; len <= n_; ++len) {
-    if (len - 1 > band_) {
-      // Out-of-band slacks s in (B, len-1]: two child gaps per slack.
-      out_of_band_child_count_ += (n_ - len + 1) * 2 * (len - 1 - band_);
-    }
+  for (std::size_t len = band_ + 2; len <= n_; ++len) {
+    // Out-of-band slacks s in (B, len-1]: two child gaps per slack.
+    out_of_band_child_count_ += (n_ - len + 1) * 2 * (len - 1 - band_);
   }
 }
 

@@ -1,7 +1,9 @@
 #pragma once
 
 /// \file pw_banded.hpp
-/// Slack-banded partial-weight table (the Sec. 5 processor reduction).
+/// Slack-banded partial-weight table: the one `pw'` layout, serving both
+/// the Sec. 5 processor reduction (`B = 2*ceil(sqrt n)`) and, at `B = n`,
+/// the Sec. 2 algorithm's every-slack table.
 ///
 /// Section 5 observes that the square step only ever needs partial weights
 /// whose *slack* `s = (j-i) - (q-p)` — the number of leaves of the root
@@ -34,12 +36,21 @@
 /// `s + 1` gap offsets `o = p - i ∈ [0, s]`; all offsets have closed
 /// forms, so addressing is O(1).
 ///
+/// At `B >= n - 1` every slack is in band: the layout then stores the
+/// Sec. 2 algorithm's full table (`PwVariant::kDense` is this layout at
+/// `B = n`), `sum_L (n-L+1) (L(L+1)/2 - 1)` cells with no identity slot,
+/// and the child-gap side stores are empty, since no child gap can leave
+/// the band.
+///
 /// Plan/instance split: everything above is a function of `(n, B)` only,
 /// so it lives in an immutable `BandedPwLayout` — offset tables, entry
 /// list, cell counts. A `BandedPwTable` binds a (shared) layout to its own
 /// mutable cell vectors; `SolvePlan` builds the layout once per shape and
 /// every `SolveSession` table of that shape shares it, so per-instance
-/// setup is a fill, not a rebuild.
+/// setup is a fill, not a rebuild. The layout's bulk arrays are
+/// `ShapeArray`s (shape_array.hpp), so a layout rehydrated from a plan
+/// snapshot can alias the file mapping instead of copying the entry list
+/// (snapshot/plan_snapshot.hpp).
 
 #include <cstdint>
 #include <memory>
@@ -47,6 +58,7 @@
 
 #include "core/pw_layout.hpp"
 #include "core/quad.hpp"
+#include "core/shape_array.hpp"
 #include "support/cost.hpp"
 
 namespace subdp::core {
@@ -78,7 +90,8 @@ class BandedPwLayout {
     return band_cell_count_;
   }
 
-  /// Cells per child-gap side store (`C(n+1,3)` each).
+  /// Cells per child-gap side store: `C(n+1,3)` each, or 0 when
+  /// `band + 1 >= n` (no child gap leaves the band).
   [[nodiscard]] std::size_t child_cell_count() const noexcept {
     return child_cell_count_;
   }
@@ -112,7 +125,8 @@ class BandedPwLayout {
     return length_base_;
   }
 
-  /// Child-store offsets per `i` (snapshot serialisation).
+  /// Child-store offsets per `i` (snapshot serialisation); empty when the
+  /// side stores are.
   [[nodiscard]] const ShapeArray<std::size_t>& tetra_base() const noexcept {
     return tetra_base_;
   }
@@ -169,22 +183,10 @@ class BandedPwLayout {
 /// slack. Reads of anything else yield `kInfinity`.
 class BandedPwTable {
  public:
-  /// Storage-policy identifier (diagnostics, bench labels).
-  static constexpr const char* kLayoutName = "banded";
-
-  /// The immutable geometry this table's cells are addressed by.
-  using Layout = BandedPwLayout;
-
-  /// Builds the shared layout for one `(n, band)` shape.
-  [[nodiscard]] static std::shared_ptr<const BandedPwLayout> make_layout(
-      std::size_t n, std::size_t band) {
-    return std::make_shared<const BandedPwLayout>(n, band);
-  }
-
   /// `band` = maximal stored slack `B >= 1` for general gaps. Builds a
   /// private layout (one-shot use; plans share layouts instead).
   BandedPwTable(std::size_t n, std::size_t band)
-      : BandedPwTable(make_layout(n, band)) {}
+      : BandedPwTable(std::make_shared<const BandedPwLayout>(n, band)) {}
 
   /// Binds a shared layout; allocates only this instance's cells.
   explicit BandedPwTable(std::shared_ptr<const BandedPwLayout> layout);
@@ -376,7 +378,5 @@ class BandedPwTable {
   std::vector<Cost> left_child_cells_;
   std::vector<Cost> right_child_cells_;
 };
-
-static_assert(PwStoragePolicy<BandedPwTable>);
 
 }  // namespace subdp::core

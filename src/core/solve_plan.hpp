@@ -6,12 +6,13 @@
 /// single instance cost.
 ///
 /// A `SolvePlan` owns, behind `shared_ptr`s:
-///  * the validated option set (size caps, dense-layout cap, windowed-
+///  * the validated option set (size caps, dense-variant cap, windowed-
 ///    pebble/termination compatibility, band clamping) and the derived
 ///    scalars — the `2*ceil(sqrt n)` iteration schedule, the effective
-///    band `B`, and the iteration cap;
-///  * the pw storage layout (`BandedPwLayout` / `DensePwLayout`): offset
-///    tables and the root-major square-entry list;
+///    band `B` (`n` for `PwVariant::kDense`, the Sec. 2 every-slack
+///    table), and the iteration cap;
+///  * the pw storage layout (`BandedPwLayout`, the one layout both
+///    variants share): offset tables and the root-major square-entry list;
 ///  * the engine shape (`detail::EngineShape`): length-major pair lists
 ///    and their prefix offsets, the write-log slot of every square entry,
 ///    the root-block runs of the root-major sweep, and the frontier
@@ -35,8 +36,6 @@
 #include <memory>
 
 #include "core/engine.hpp"
-#include "core/pw_banded.hpp"
-#include "core/pw_dense.hpp"
 #include "core/solver_types.hpp"
 #include "dp/problem.hpp"
 #include "pram/machine.hpp"
@@ -50,24 +49,29 @@ class SolvePlan {
   /// square step reads O(n^2) candidates per stored quadruple.
   static constexpr std::size_t kMaxRytterN = 24;
 
+  /// Largest `n` a `PwVariant::kDense` plan accepts. The every-slack table
+  /// holds ~n^4/24 cells, so 192 keeps one table within ~0.45 GB; the
+  /// layout additionally overflow-checks its cell arithmetic, so the cap
+  /// is a memory policy, not a correctness guard.
+  static constexpr std::size_t kMaxDenseN = 192;
+
   /// Validates `options` for instances of `n` objects and precomputes the
   /// shape-dependent state. Throws `std::invalid_argument` on invalid
-  /// combinations (n out of the packed-coordinate range, dense layout
-  /// above `DensePwTable::kMaxDenseN`, Rytter squaring above
+  /// combinations (n out of the packed-coordinate range, the dense
+  /// variant above `kMaxDenseN`, Rytter squaring above
   /// `kMaxRytterN`, windowed pebble without fixed-bound termination).
   [[nodiscard]] static std::shared_ptr<const SolvePlan> create(
       std::size_t n, const SublinearOptions& options = {});
 
-  /// Adopts prebuilt engine shapes instead of constructing them — the plan
-  /// snapshot rehydration path (snapshot/plan_snapshot.hpp). Runs exactly
-  /// `create`'s validation and derived-scalar computation, then requires
-  /// the shape matching `options.variant` (and only that one) to be
-  /// present with agreeing `n`/band; throws on any mismatch. The returned
-  /// plan is indistinguishable from a `create`d one.
+  /// Adopts a prebuilt engine shape instead of constructing one — the
+  /// plan snapshot rehydration path (snapshot/plan_snapshot.hpp). Runs
+  /// exactly `create`'s validation and derived-scalar computation, then
+  /// requires the shape (null for trivial `n == 1` plans) to agree on
+  /// `n` and band; throws on any mismatch. The returned plan is
+  /// indistinguishable from a `create`d one.
   [[nodiscard]] static std::shared_ptr<const SolvePlan> restore(
       std::size_t n, const SublinearOptions& options,
-      std::shared_ptr<const detail::EngineShape<BandedPwTable>> banded_shape,
-      std::shared_ptr<const detail::EngineShape<DensePwTable>> dense_shape);
+      std::shared_ptr<const detail::EngineShape> shape);
 
   /// Instance size this plan serves; sessions reject anything else.
   [[nodiscard]] std::size_t n() const noexcept { return n_; }
@@ -81,7 +85,8 @@ class SolvePlan {
     return bound_;
   }
 
-  /// Effective band width `B` (clamped to `[1, n]`).
+  /// Effective band width `B` (clamped to `[1, n]`; `n` for the dense
+  /// variant).
   [[nodiscard]] std::size_t effective_band() const noexcept { return band_; }
 
   /// Iterations a `solve` runs at most (the bound, the Rytter log
@@ -96,20 +101,15 @@ class SolvePlan {
 
   /// Binds the plan's precomputed shape to a concrete instance on the
   /// given machine. Returns null for trivial plans (`n == 1`). Sessions
-  /// call this once and `IEngine::reset` for every further instance.
-  [[nodiscard]] std::unique_ptr<detail::IEngine> make_engine(
+  /// call this once and `Engine::reset` for every further instance.
+  [[nodiscard]] std::unique_ptr<detail::Engine> make_engine(
       const dp::Problem& problem, pram::Machine& machine) const;
 
-  /// The precomputed engine shape (null unless `options().variant` selects
-  /// this layout and `n >= 2`); snapshot serialisation reads through these.
-  [[nodiscard]] const std::shared_ptr<
-      const detail::EngineShape<BandedPwTable>>&
-  banded_shape() const noexcept {
-    return banded_shape_;
-  }
-  [[nodiscard]] const std::shared_ptr<const detail::EngineShape<DensePwTable>>&
-  dense_shape() const noexcept {
-    return dense_shape_;
+  /// The precomputed engine shape (null for trivial `n == 1` plans);
+  /// snapshot serialisation reads through it.
+  [[nodiscard]] const std::shared_ptr<const detail::EngineShape>& shape()
+      const noexcept {
+    return shape_;
   }
 
  private:
@@ -124,9 +124,8 @@ class SolvePlan {
   std::size_t band_ = 0;
   std::size_t cap_ = 0;
   SublinearOptions options_;
-  /// Exactly one of the two is set (by `options_.variant`) when `n >= 2`.
-  std::shared_ptr<const detail::EngineShape<BandedPwTable>> banded_shape_;
-  std::shared_ptr<const detail::EngineShape<DensePwTable>> dense_shape_;
+  /// Set when `n >= 2`.
+  std::shared_ptr<const detail::EngineShape> shape_;
 };
 
 }  // namespace subdp::core

@@ -107,7 +107,7 @@ class SolveSession {
   std::shared_ptr<const SolvePlan> plan_;
   /// Never null; heap-held so the engine's reference survives a move.
   std::unique_ptr<pram::Machine> machine_;
-  std::unique_ptr<detail::IEngine> engine_;
+  std::unique_ptr<detail::Engine> engine_;
   std::vector<IterationTrace> trace_;
   State state_ = State::kIdle;
   Cost trivial_cost_ = kInfinity;  ///< Used when n == 1 (no iterations).

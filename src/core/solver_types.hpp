@@ -16,9 +16,11 @@
 
 namespace subdp::core {
 
-/// Which partial-weight table the solver keeps.
+/// Which partial-weight table the solver keeps. Both are the one banded
+/// layout (pw_banded.hpp); they differ only in the band `B`.
 enum class PwVariant {
-  kDense,   ///< Sec. 2 algorithm: O(n^4) table, O(n^5) square work.
+  kDense,   ///< Sec. 2 algorithm: band `B = n` (every slack stored, so
+            ///< `band_width` is ignored), O(n^4) table, O(n^5) square work.
   kBanded,  ///< Sec. 5 reduction: slack <= B entries, O(n^3 B) square work.
 };
 
@@ -67,8 +69,8 @@ enum class TerminationMode {
 /// Together with the instance size `n`, an option set keys a `SolvePlan`
 /// (solve_plan.hpp): plans are immutable per `(n, options)` and shared
 /// across sessions, so option validation happens once per shape —
-/// `SolvePlan::create` rejects invalid combinations (dense layout above
-/// `DensePwTable::kMaxDenseN`, Rytter squaring above
+/// `SolvePlan::create` rejects invalid combinations (the dense variant
+/// above `SolvePlan::kMaxDenseN`, Rytter squaring above
 /// `SolvePlan::kMaxRytterN`, windowed pebble without fixed-bound
 /// termination, `n` beyond the packed-coordinate cap) with a
 /// `SUBDP_REQUIRE` diagnostic before any instance is touched.
@@ -76,7 +78,8 @@ struct SublinearOptions {
   PwVariant variant = PwVariant::kBanded;
   SquareMode square_mode = SquareMode::kHlvOneLevel;
   TerminationMode termination = TerminationMode::kFixedPoint;
-  /// Maximal stored slack `B`; 0 = the paper's `2*ceil(sqrt n)`.
+  /// Maximal stored slack `B`; 0 = the paper's `2*ceil(sqrt n)`. Ignored
+  /// by `PwVariant::kDense`, which stores every slack.
   std::size_t band_width = 0;
   /// Iteration cap; 0 = `2*ceil(sqrt n)` (or `4*ceil(log2 n) + 8` for
   /// `SquareMode::kRytterFull`).

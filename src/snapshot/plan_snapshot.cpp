@@ -9,7 +9,6 @@
 
 #include "core/engine.hpp"
 #include "core/pw_banded.hpp"
-#include "core/pw_dense.hpp"
 #include "core/quad.hpp"
 #include "support/assert.hpp"
 
@@ -150,14 +149,12 @@ class SectionReader {
   std::shared_ptr<const void> owner_;
 };
 
-template <class Shape>
-void append_shape_payload(std::vector<std::uint8_t>& out, const Shape& shape,
+void append_shape_payload(std::vector<std::uint8_t>& out,
+                          const core::detail::EngineShape& shape,
                           SnapshotHeader& h) {
-  const auto& layout = *shape.layout;
+  const core::BandedPwLayout& layout = *shape.layout;
   h.length_base_count = layout.length_base().size();
-  if constexpr (requires { layout.tetra_base(); }) {
-    h.tetra_base_count = layout.tetra_base().size();
-  }
+  h.tetra_base_count = layout.tetra_base().size();
   h.entry_count = layout.entries().size();
   h.pair_count = shape.pairs.size();
   h.pair_offset_count = shape.pairs_offset_by_length.size();
@@ -167,12 +164,7 @@ void append_shape_payload(std::vector<std::uint8_t>& out, const Shape& shape,
 
   append_section(out, layout.length_base().data(),
                  layout.length_base().size());
-  if constexpr (requires { layout.tetra_base(); }) {
-    append_section(out, layout.tetra_base().data(),
-                   layout.tetra_base().size());
-  } else {
-    append_section<std::size_t>(out, nullptr, 0);
-  }
+  append_section(out, layout.tetra_base().data(), layout.tetra_base().size());
   append_section(out, layout.entries().data(), layout.entries().size());
   append_section(out, shape.pairs.data(), shape.pairs.size());
   append_section(out, shape.pairs_offset_by_length.data(),
@@ -219,11 +211,7 @@ std::vector<std::uint8_t> encode_plan(const core::SolvePlan& plan) {
   h.cap = plan.iteration_cap();
 
   std::vector<std::uint8_t> out(sizeof(SnapshotHeader), 0);
-  if (plan.banded_shape() != nullptr) {
-    append_shape_payload(out, *plan.banded_shape(), h);
-  } else if (plan.dense_shape() != nullptr) {
-    append_shape_payload(out, *plan.dense_shape(), h);
-  }
+  if (plan.shape() != nullptr) append_shape_payload(out, *plan.shape(), h);
   // Trivial plans (n == 1) carry no payload: every count stays 0.
   out.resize(pad_to_align(out.size()), 0);
 
@@ -278,24 +266,15 @@ std::shared_ptr<const core::SolvePlan> decode_plan(
     SUBDP_REQUIRE(h.length_base_count == 0 && h.entry_count == 0 &&
                       h.pair_count == 0,
                   "trivial plan snapshot carries geometry");
-    plan = core::SolvePlan::restore(n, options, nullptr, nullptr);
-  } else if (options.variant == core::PwVariant::kDense) {
-    SUBDP_REQUIRE(h.tetra_base_count == 0,
-                  "dense plan snapshot carries banded offsets");
-    auto layout = std::make_shared<const core::DensePwLayout>(
-        n, std::move(length_base), std::move(entries));
-    auto shape = core::detail::EngineShape<core::DensePwTable>::restore(
-        std::move(layout), n, band, std::move(pairs), std::move(pair_offsets),
-        std::move(entry_slots), std::move(root_blocks), h.total_split_sites);
-    plan = core::SolvePlan::restore(n, options, nullptr, std::move(shape));
+    plan = core::SolvePlan::restore(n, options, nullptr);
   } else {
     auto layout = std::make_shared<const core::BandedPwLayout>(
         n, band, std::move(length_base), std::move(tetra_base),
         std::move(entries));
-    auto shape = core::detail::EngineShape<core::BandedPwTable>::restore(
+    auto shape = core::detail::EngineShape::restore(
         std::move(layout), n, band, std::move(pairs), std::move(pair_offsets),
         std::move(entry_slots), std::move(root_blocks), h.total_split_sites);
-    plan = core::SolvePlan::restore(n, options, std::move(shape), nullptr);
+    plan = core::SolvePlan::restore(n, options, std::move(shape));
   }
 
   // `restore` recomputed the derived scalars from (n, options); the

@@ -12,7 +12,7 @@
 ///   [ SnapshotHeader : 160 bytes, trivially copyable ]
 ///   [ payload: 7 sections, each 16-byte aligned, zero-padded ]
 ///     1. layout length_base     (std::size_t per element)
-///     2. layout tetra_base      (banded only; empty for dense)
+///     2. layout tetra_base      (empty when band + 1 >= n: no side stores)
 ///     3. layout entries         (core::Quad)
 ///     4. shape pairs            (core::detail::Pair)
 ///     5. shape pair offsets     (std::size_t)
@@ -41,7 +41,10 @@
 /// freshly built one — same geometry bytes (checksummed), same derived
 /// scalars (cross-checked) — so every solve through it produces
 /// bit-identical results (tests/test_snapshot_roundtrip.cpp asserts this
-/// across both layouts and all bench families).
+/// for both variants and all bench families).
+///
+/// Both `PwVariant`s encode the same sections: a dense plan is the one
+/// layout at band `n`.
 
 #include <cstddef>
 #include <cstdint>
@@ -56,7 +59,7 @@ namespace subdp::snapshot {
 
 /// Bumped on any incompatible change to the header or payload layout;
 /// decoders reject other versions (the caller rebuilds and overwrites).
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// "SUBDPSNP" — identifies a plan snapshot regardless of version.
 inline constexpr char kMagic[8] = {'S', 'U', 'B', 'D', 'P', 'S', 'N', 'P'};

@@ -57,7 +57,7 @@ TEST(Plan, ValidatesOptionsPerShape) {
 
   SublinearOptions dense;
   dense.variant = PwVariant::kDense;
-  EXPECT_THROW((void)SolvePlan::create(DensePwTable::kMaxDenseN + 1, dense),
+  EXPECT_THROW((void)SolvePlan::create(SolvePlan::kMaxDenseN + 1, dense),
                std::invalid_argument);
 
   SublinearOptions windowed;

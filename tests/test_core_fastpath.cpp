@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "core/pw_dense.hpp"
 #include "core/solve_plan.hpp"
 #include "core/solve_session.hpp"
 #include "dp/sequential.hpp"
@@ -84,8 +83,7 @@ std::vector<EngineConfig> variant_configs() {
 /// Every w cell, then every stored pw cell, in a fixed order.
 std::vector<Cost> capture_cells(const SolveSession& session) {
   const std::size_t n = session.plan().n();
-  const bool dense = session.plan().options().variant == PwVariant::kDense;
-  const std::size_t band = session.plan().effective_band();
+  const std::size_t band = session.plan().effective_band();  // n if dense
   std::vector<Cost> cells;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j <= n; ++j) {
@@ -97,7 +95,7 @@ std::vector<Cost> capture_cells(const SolveSession& session) {
       for (std::size_t p = i; p < j; ++p) {
         for (std::size_t q = p + 1; q <= j; ++q) {
           if (p == i && q == j) continue;
-          if (dense || (j - i) - (q - p) <= band || p == i || q == j) {
+          if ((j - i) - (q - p) <= band || p == i || q == j) {
             cells.push_back(session.current_pw(i, j, p, q));
           }
         }
@@ -357,16 +355,16 @@ TEST(FastPath, OperandScratchFollowsTheSteppingThread) {
   }
 }
 
-// ---- Cross-layout equivalence ----------------------------------------------
-// The storage-policy refactor must leave semantics untouched: layouts that
-// store the same entry set are bit-identical in every observable, and all
-// layouts agree on the converged tables.
+// ---- Cross-variant equivalence ---------------------------------------------
+// Both variants run the one layout: plans that store the same entry set are
+// bit-identical in every observable, and every band agrees on the
+// converged tables.
 
 TEST(CrossLayout, DenseAndWideBandAgreeBitForBitOnEveryFamily) {
-  // The entries-indexed dense layout and a banded table with band = n
-  // store exactly the same entry set (only the addressing differs), so
-  // costs, w tables, iteration schedules and per-iteration change counts
-  // must match bit for bit — oracle and fast path alike.
+  // A dense plan is the layout at band n, so a banded plan asking for
+  // band_width = n stores exactly the same entry set: costs, w tables,
+  // iteration schedules and per-iteration change counts must match bit for
+  // bit — oracle and fast path alike.
   for (const std::string& family : bench::instance_families()) {
     support::Rng rng(4242);
     const std::size_t n = 21;
@@ -423,8 +421,8 @@ TEST(CrossLayout, DenseAndBandedConvergeToTheSameTables) {
 
 TEST(CrossLayout, DensePastTheOldCubeCapSolvesCorrectly) {
   // n = 80 would have needed a 330-MB (n+1)^4 cube (rejected at 64); the
-  // entries-indexed layout handles it in ~14 MB and still matches
-  // sequential DP and the banded layout.
+  // full-band layout handles it in ~14 MB and still matches sequential DP
+  // and the paper's band.
   support::Rng rng(8080);
   const std::size_t n = 80;
   const auto problem = bench::make_instance("matrix-chain", n, rng);
@@ -463,7 +461,7 @@ TEST(CrossLayout, PlanEnforcesTheNewDenseLimit) {
   dense_opts.variant = PwVariant::kDense;
 
   // Rejected up front (before any table allocation).
-  EXPECT_THROW((void)SolvePlan::create(DensePwTable::kMaxDenseN + 1,
+  EXPECT_THROW((void)SolvePlan::create(SolvePlan::kMaxDenseN + 1,
                                        dense_opts),
                std::invalid_argument);
 

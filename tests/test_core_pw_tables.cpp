@@ -1,9 +1,8 @@
-// Tests for the two pw-table layouts (core/pw_dense.hpp,
-// core/pw_banded.hpp): addressing, band semantics, the Sec. 5 cell-count
-// reduction, dense/banded agreement inside the band, and the
-// storage-policy surface (pw_layout.hpp) — overflow-checked sizing and
-// the incremental window cursors the engine's fast square kernel and its
-// operand-column gather read through.
+// Tests for the pw-table layout (core/pw_banded.hpp): addressing, band
+// semantics, the Sec. 5 cell-count reduction, the full-band table that
+// serves the Sec. 2 algorithm, and the read machinery (pw_layout.hpp) —
+// overflow-checked sizing and the incremental window cursors the engine's
+// fast square kernel and its operand-column gather read through.
 
 #include <gtest/gtest.h>
 
@@ -15,109 +14,19 @@
 #include <vector>
 
 #include "core/pw_banded.hpp"
-#include "core/pw_dense.hpp"
 #include "core/pw_layout.hpp"
 #include "support/stats.hpp"
 
 namespace subdp::core {
 namespace {
 
-static_assert(PwStoragePolicy<DensePwTable>);
-static_assert(PwStoragePolicy<BandedPwTable>);
-
-TEST(DensePwTable, IdentityGapIsZero) {
-  DensePwTable t(6);
-  EXPECT_EQ(t.get(1, 4, 1, 4), 0);
-  EXPECT_EQ(t.get(0, 6, 0, 6), 0);
-  EXPECT_EQ(t.get(2, 3, 2, 3), 0);  // leaf identity
-}
-
-TEST(DensePwTable, UnwrittenEntriesAreInfinite) {
-  DensePwTable t(6);
-  EXPECT_EQ(t.get(0, 6, 2, 4), kInfinity);
-  EXPECT_EQ(t.get(1, 5, 1, 2), kInfinity);
-}
-
-TEST(DensePwTable, SetThenGetRoundTrips) {
-  DensePwTable t(8);
-  t.set(0, 8, 3, 5, 42);
-  t.set(1, 7, 1, 6, 17);
-  EXPECT_EQ(t.get(0, 8, 3, 5), 42);
-  EXPECT_EQ(t.get(1, 7, 1, 6), 17);
-  EXPECT_EQ(t.get(0, 8, 3, 6), kInfinity);  // neighbours untouched
-}
-
-TEST(DensePwTable, EntryCountMatchesClosedForm) {
-  // Per (i,j) of length L: C(L+1,2) - 1 gaps.
-  for (const std::size_t n : {2u, 3u, 5u, 9u}) {
-    DensePwTable t(n);
-    std::size_t expected = 0;
-    for (std::size_t len = 2; len <= n; ++len) {
-      expected += (n - len + 1) * (len * (len + 1) / 2 - 1);
-    }
-    EXPECT_EQ(t.entry_count(), expected) << "n=" << n;
-    EXPECT_EQ(t.entries().size(), expected);
+/// Entries of the Sec. 2 table: per root of length L, C(L+1,2) - 1 gaps.
+std::size_t full_table_entries(std::size_t n) {
+  std::size_t total = 0;
+  for (std::size_t len = 2; len <= n; ++len) {
+    total += (n - len + 1) * (len * (len + 1) / 2 - 1);
   }
-}
-
-TEST(DensePwTable, EntriesAreUniqueAndValid) {
-  DensePwTable t(7);
-  std::set<std::uint64_t> seen;
-  for (const Quad& e : t.entries()) {
-    EXPECT_LE(e.i, e.p);
-    EXPECT_LT(e.p, e.q);
-    EXPECT_LE(e.q, e.j);
-    EXPECT_FALSE(e.p == e.i && e.q == e.j);
-    EXPECT_TRUE(seen.insert(t.address(e.i, e.j, e.p, e.q)).second);
-  }
-}
-
-TEST(DensePwTable, RejectsOversizedN) {
-  // The cap throws before any allocation, so this is cheap even though
-  // kMaxDenseN is now 192.
-  EXPECT_THROW(DensePwTable t(DensePwTable::kMaxDenseN + 1),
-               std::invalid_argument);
-}
-
-TEST(DensePwTable, CapIsWellPastTheOldCubeLimit) {
-  // The seed's (n+1)^4 cube capped dense instances at 64; the
-  // entries-indexed layout lifts that.
-  EXPECT_GE(DensePwTable::kMaxDenseN, 128u);
-}
-
-TEST(DensePwTable, AddressingIsInjectiveAndInBounds) {
-  const std::size_t n = 12;
-  DensePwTable t(n);
-  std::set<std::uint64_t> seen;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 2; j <= n; ++j) {
-      for (std::size_t p = i; p < j; ++p) {
-        for (std::size_t q = p + 1; q <= j; ++q) {
-          if (p == i && q == j) continue;
-          const std::uint64_t addr = t.address(i, j, p, q);
-          EXPECT_LT(addr, t.cell_count());
-          EXPECT_TRUE(seen.insert(addr).second)
-              << "(" << i << "," << j << "," << p << "," << q << ")";
-          EXPECT_EQ(t.entry_slot(i, j, p, q), addr);
-        }
-      }
-    }
-  }
-  EXPECT_EQ(seen.size(), t.entry_count());
-}
-
-TEST(DensePwTable, CellCountIsEntriesPlusOneIdentitySlotPerRoot) {
-  // The entries-indexed layout wastes exactly the identity slot per root
-  // (kept so gap addressing stays branch-free) — a ~24x cut from the old
-  // (n+1)^4 cube.
-  for (const std::size_t n : {4u, 9u, 17u}) {
-    DensePwTable t(n);
-    std::size_t roots = 0;
-    for (std::size_t len = 2; len <= n; ++len) roots += n - len + 1;
-    EXPECT_EQ(t.cell_count(), t.entry_count() + roots) << "n=" << n;
-    const std::size_t cube = (n + 1) * (n + 1) * (n + 1) * (n + 1);
-    EXPECT_LT(t.cell_count() * 10, cube) << "n=" << n;
-  }
+  return total;
 }
 
 TEST(PwLayout, CheckedSizeArithmeticThrowsInsteadOfWrapping) {
@@ -133,9 +42,8 @@ TEST(PwLayout, CheckedSizeArithmeticThrowsInsteadOfWrapping) {
 
 /// Replicates the engine's HLV window walks and its operand-column
 /// gather walks, comparing every cursor value against the general `get`.
-/// Exercised for both layouts below.
-template <class Table>
-void expect_cursors_match_get(Table& t) {
+/// Exercised at narrow and full bands below.
+void expect_cursors_match_get(BandedPwTable& t) {
   const std::size_t n = t.n();
   const std::size_t maxs = t.max_slack();
   // Make every stored cell distinct so an addressing slip cannot alias to
@@ -201,11 +109,6 @@ void expect_cursors_match_get(Table& t) {
   }
 }
 
-TEST(PwLayoutCursors, DenseWindowsMatchGeneralGet) {
-  DensePwTable t(11);
-  expect_cursors_match_get(t);
-}
-
 TEST(PwLayoutCursors, BandedWindowsMatchGeneralGet) {
   BandedPwTable t(13, 4);
   expect_cursors_match_get(t);
@@ -214,6 +117,8 @@ TEST(PwLayoutCursors, BandedWindowsMatchGeneralGet) {
 TEST(PwLayoutCursors, BandedWideBandWindowsMatchGeneralGet) {
   BandedPwTable t(10, 10);
   expect_cursors_match_get(t);
+  BandedPwTable full(11, 11);
+  expect_cursors_match_get(full);
 }
 
 // ---- Gap runs (the fast pebble scan's reader) ----
@@ -226,8 +131,7 @@ TEST(PwLayoutCursors, BandedWideBandWindowsMatchGeneralGet) {
 /// `for_each_gap` + `get` enumeration. Equality of the sorted triple sets
 /// proves the runs cover exactly the stored gaps, address the right cells
 /// and pair each with the right `w` slot.
-template <class Table>
-void expect_gap_runs_match_for_each_gap(Table& t) {
+void expect_gap_runs_match_for_each_gap(BandedPwTable& t) {
   const std::size_t n = t.n();
   Cost v = 1;
   for (std::size_t i = 0; i < n; ++i) {
@@ -267,11 +171,6 @@ void expect_gap_runs_match_for_each_gap(Table& t) {
   }
 }
 
-TEST(PwGapRuns, DenseRunsMatchForEachGap) {
-  DensePwTable t(11);
-  expect_gap_runs_match_for_each_gap(t);
-}
-
 TEST(PwGapRuns, BandedRunsMatchForEachGap) {
   BandedPwTable t(13, 4);
   expect_gap_runs_match_for_each_gap(t);
@@ -281,6 +180,8 @@ TEST(PwGapRuns, BandedWideBandRunsMatchForEachGap) {
   // band >= n - 1: every gap in band, no child-gap side runs anywhere.
   BandedPwTable t(10, 10);
   expect_gap_runs_match_for_each_gap(t);
+  BandedPwTable full(11, 11);
+  expect_gap_runs_match_for_each_gap(full);
 }
 
 TEST(PwGapRuns, BandedNarrowestBandRunsMatchForEachGap) {
@@ -293,11 +194,9 @@ TEST(PwGapRuns, BandedNarrowestBandRunsMatchForEachGap) {
 TEST(PwGapRuns, EdgeSizesMatchForEachGap) {
   // Smallest meaningful tables: a single root (n = 2) and the first size
   // with length-3 roots.
-  DensePwTable d2(2), d3(3);
-  expect_gap_runs_match_for_each_gap(d2);
-  expect_gap_runs_match_for_each_gap(d3);
-  BandedPwTable b2(2, 1), b3(3, 1), b3w(3, 3);
+  BandedPwTable b2(2, 1), b2w(2, 2), b3(3, 1), b3w(3, 3);
   expect_gap_runs_match_for_each_gap(b2);
+  expect_gap_runs_match_for_each_gap(b2w);
   expect_gap_runs_match_for_each_gap(b3);
   expect_gap_runs_match_for_each_gap(b3w);
 }
@@ -309,21 +208,32 @@ TEST(PwGapRuns, PaperBandMatchesForEachGap) {
   expect_gap_runs_match_for_each_gap(t);
 }
 
-TEST(DensePwTable, ResetRestoresInfinity) {
-  DensePwTable t(5);
-  t.set(0, 5, 1, 3, 9);
+TEST(BandedPwTable, ResetRestoresInfinity) {
+  BandedPwTable full(5, 5);
+  full.set(0, 5, 1, 3, 9);
+  full.reset();
+  EXPECT_EQ(full.get(0, 5, 1, 3), kInfinity);
+  // Narrow band: the child-gap side stores are reset too.
+  BandedPwTable t(10, 2);
+  t.set(0, 10, 0, 5, 21);
+  t.set(0, 10, 5, 10, 22);
   t.reset();
-  EXPECT_EQ(t.get(0, 5, 1, 3), kInfinity);
+  EXPECT_EQ(t.get(0, 10, 0, 5), kInfinity);
+  EXPECT_EQ(t.get(0, 10, 5, 10), kInfinity);
 }
 
 // ---- Banded ----
 
 TEST(BandedPwTable, InBandBehavesLikeDense) {
-  BandedPwTable t(10, 4);
-  EXPECT_EQ(t.get(0, 10, 0, 10), 0);           // identity
-  EXPECT_EQ(t.get(2, 8, 3, 7), kInfinity);     // slack 2, unwritten
-  t.set(2, 8, 3, 7, 55);                       // slack 2 <= 4
-  EXPECT_EQ(t.get(2, 8, 3, 7), 55);
+  for (const std::size_t band : {4u, 10u}) {  // 10: the full (Sec. 2) table
+    BandedPwTable t(10, band);
+    EXPECT_EQ(t.get(0, 10, 0, 10), 0);        // identity
+    EXPECT_EQ(t.get(2, 3, 2, 3), 0);          // leaf identity
+    EXPECT_EQ(t.get(2, 8, 3, 7), kInfinity);  // slack 2, unwritten
+    t.set(2, 8, 3, 7, 55);                    // slack 2 <= band
+    EXPECT_EQ(t.get(2, 8, 3, 7), 55);
+    EXPECT_EQ(t.get(2, 8, 3, 6), kInfinity);  // neighbours untouched
+  }
 }
 
 TEST(BandedPwTable, OutOfBandInteriorReadsAreInfinite) {
@@ -346,23 +256,27 @@ TEST(BandedPwTable, OutOfBandChildGapsAreStored) {
 }
 
 TEST(BandedPwTable, StoresBandPlusChildGaps) {
-  const std::size_t n = 9, band = 3;
-  BandedPwTable t(n, band);
-  std::size_t expected = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 2; j <= n; ++j) {
-      for (std::size_t p = i; p < j; ++p) {
-        for (std::size_t q = p + 1; q <= j; ++q) {
-          if (p == i && q == j) continue;
-          const bool in_band = (j - i) - (q - p) <= band;
-          const bool child_gap = p == i || q == j;
-          EXPECT_EQ(t.stores(i, j, p, q), in_band || child_gap);
-          if (in_band || child_gap) ++expected;
+  // At band >= n - 1 every gap is stored (the Sec. 2 table).
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {9, 3}, {2, 2}, {3, 3}, {5, 5}, {9, 9}};
+  for (const auto& [n, band] : shapes) {
+    BandedPwTable t(n, band);
+    std::size_t expected = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 2; j <= n; ++j) {
+        for (std::size_t p = i; p < j; ++p) {
+          for (std::size_t q = p + 1; q <= j; ++q) {
+            if (p == i && q == j) continue;
+            const bool in_band = (j - i) - (q - p) <= band;
+            const bool child_gap = p == i || q == j;
+            EXPECT_EQ(t.stores(i, j, p, q), in_band || child_gap);
+            if (in_band || child_gap) ++expected;
+          }
         }
       }
     }
+    EXPECT_EQ(t.entry_count(), expected) << "n=" << n << " band=" << band;
   }
-  EXPECT_EQ(t.entry_count(), expected);
 }
 
 TEST(BandedPwTable, AddressingIsInjective) {
@@ -386,26 +300,28 @@ TEST(BandedPwTable, AddressingIsInjective) {
 }
 
 TEST(BandedPwTable, RoundTripsEveryStoredEntry) {
-  const std::size_t n = 11, band = 4;
-  BandedPwTable t(n, band);
-  Cost v = 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 2; j <= n; ++j) {
-      for (std::size_t p = i; p < j; ++p) {
-        for (std::size_t q = p + 1; q <= j; ++q) {
-          if ((p == i && q == j) || !t.stores(i, j, p, q)) continue;
-          t.set(i, j, p, q, v++);
+  for (const auto& [n, band] :
+       std::vector<std::pair<std::size_t, std::size_t>>{{11, 4}, {8, 8}}) {
+    BandedPwTable t(n, band);
+    Cost v = 1;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 2; j <= n; ++j) {
+        for (std::size_t p = i; p < j; ++p) {
+          for (std::size_t q = p + 1; q <= j; ++q) {
+            if ((p == i && q == j) || !t.stores(i, j, p, q)) continue;
+            t.set(i, j, p, q, v++);
+          }
         }
       }
     }
-  }
-  v = 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 2; j <= n; ++j) {
-      for (std::size_t p = i; p < j; ++p) {
-        for (std::size_t q = p + 1; q <= j; ++q) {
-          if ((p == i && q == j) || !t.stores(i, j, p, q)) continue;
-          ASSERT_EQ(t.get(i, j, p, q), v++);
+    v = 1;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 2; j <= n; ++j) {
+        for (std::size_t p = i; p < j; ++p) {
+          for (std::size_t q = p + 1; q <= j; ++q) {
+            if ((p == i && q == j) || !t.stores(i, j, p, q)) continue;
+            ASSERT_EQ(t.get(i, j, p, q), v++);
+          }
         }
       }
     }
@@ -437,33 +353,47 @@ TEST(BandedPwTable, ForEachGapEnumeratesExactlyTheStoredGaps) {
 
 TEST(BandedPwTable, CellCountIsQuadraticallySmallerThanDense) {
   // Sec. 5: O(n^2 B^2) vs O(n^4) meaningful entries. Compare against the
-  // closed-form dense count so we do not have to allocate the dense cube.
-  auto dense_entries = [](std::size_t n) {
-    std::size_t total = 0;
-    for (std::size_t len = 2; len <= n; ++len) {
-      total += (n - len + 1) * (len * (len + 1) / 2 - 1);
-    }
-    return total;
-  };
+  // closed-form full-table count so we do not have to allocate it.
   const std::size_t n = 128;
   BandedPwTable banded(n, support::two_ceil_sqrt(n));
-  EXPECT_LT(banded.entry_count() * 3, dense_entries(n));
+  EXPECT_LT(banded.entry_count() * 3, full_table_entries(n));
   // The ratio widens with n (~ n/B^2-fold):
   const std::size_t m = 48;
   BandedPwTable banded_small(m, support::two_ceil_sqrt(m));
   const double ratio_small =
-      static_cast<double>(dense_entries(m)) /
+      static_cast<double>(full_table_entries(m)) /
       static_cast<double>(banded_small.entry_count());
-  const double ratio_large = static_cast<double>(dense_entries(n)) /
+  const double ratio_large = static_cast<double>(full_table_entries(n)) /
                              static_cast<double>(banded.entry_count());
   EXPECT_GT(ratio_large, ratio_small);
 }
 
-TEST(BandedPwTable, WideBandCoversEverything) {
-  const std::size_t n = 8;
-  BandedPwTable banded(n, n);
-  DensePwTable dense(n);
-  EXPECT_EQ(banded.entry_count(), dense.entry_count());
+TEST(BandedPwTable, EntriesAreUniqueAndValid) {
+  for (const auto& [n, band] :
+       std::vector<std::pair<std::size_t, std::size_t>>{{7, 7}, {12, 5}}) {
+    BandedPwTable t(n, band);
+    std::set<std::uint64_t> seen;
+    for (const Quad& e : t.entries()) {
+      EXPECT_LE(e.i, e.p);
+      EXPECT_LT(e.p, e.q);
+      EXPECT_LE(e.q, e.j);
+      EXPECT_FALSE(e.p == e.i && e.q == e.j);
+      EXPECT_TRUE(seen.insert(t.address(e.i, e.j, e.p, e.q)).second);
+    }
+  }
+}
+
+TEST(BandedPwTable, FullBandCellCountIsTheEntryCount) {
+  // At band >= n - 1 no child gap leaves the band, so the child-gap side
+  // stores are empty and every allocated cell backs a Sec. 2 entry.
+  for (const std::size_t n : {2u, 3u, 9u, 17u, 64u}) {
+    const BandedPwLayout layout(n, n);
+    EXPECT_EQ(layout.cell_count(), full_table_entries(n)) << "n=" << n;
+    EXPECT_EQ(layout.child_cell_count(), 0u) << "n=" << n;
+  }
+  EXPECT_EQ(BandedPwLayout(64, 64).cell_count(), 764400u);
+  EXPECT_EQ(BandedPwLayout(9, 8).child_cell_count(), 0u);  // band = n - 1
+  EXPECT_GT(BandedPwLayout(9, 7).child_cell_count(), 0u);  // band = n - 2
 }
 
 TEST(BandedPwTable, RejectsZeroBand) {

@@ -19,7 +19,7 @@
 namespace subdp::core {
 namespace {
 
-/// The baseline's canonical options: dense layout, full squaring,
+/// The baseline's canonical options: dense variant, full squaring,
 /// fixed-point termination (O(log n) iterations).
 SublinearOptions rytter() {
   SublinearOptions options;

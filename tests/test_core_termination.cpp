@@ -118,7 +118,9 @@ TEST(Termination, TraceShowsMonotoneProgress) {
   bool quiet = false;
   for (const auto& t : result.trace) {
     const bool changed = t.pw_cells_changed + t.w_cells_changed > 0;
-    if (quiet) ASSERT_FALSE(changed);
+    if (quiet) {
+      ASSERT_FALSE(changed);
+    }
     if (!changed) quiet = true;
   }
 }

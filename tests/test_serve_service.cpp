@@ -286,7 +286,7 @@ TEST(Service, SubmitSurfacesPlanValidationThroughTheFuture) {
   SolverService service;
   support::Rng rng(609);
   const auto problem = dp::MatrixChainProblem::random(
-      core::DensePwTable::kMaxDenseN + 1, rng);
+      core::SolvePlan::kMaxDenseN + 1, rng);
   core::SublinearOptions dense;
   dense.variant = core::PwVariant::kDense;  // too large for dense
   auto future = service.submit(problem, dense);

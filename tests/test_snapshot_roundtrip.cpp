@@ -5,7 +5,7 @@
 // The contract under test is bit-identity: a plan decoded from a snapshot
 // must be indistinguishable from a freshly built one, so a solve through
 // it produces the same cost, iteration count, full w table and
-// per-iteration trace — across both pw layouts, every bench instance
+// per-iteration trace — across both pw variants, every bench instance
 // family, and the option toggles that shape a plan. The rejection half
 // asserts the trust-nothing decode: truncated files, flipped payload or
 // checksum bytes, stale format versions and key/filename mismatches are
@@ -111,7 +111,7 @@ fs::path only_snapshot_file(const fs::path& dir) {
   return found;
 }
 
-// Format-v2 byte offsets (documented in plan_snapshot.cpp's header
+// Format-v3 byte offsets (documented in plan_snapshot.cpp's header
 // struct); the tamper tests below flip bytes at these positions.
 constexpr std::size_t kHeaderBytes = 160;
 constexpr std::size_t kVersionOffset = 8;     // format_version u32
@@ -324,12 +324,16 @@ TEST(SnapshotRejection, StaleFormatVersion) {
 }
 
 TEST(SnapshotRejection, RetiredFormatV1) {
-  // Version 1 carried four engine-toggle key bytes that version 2 drops;
-  // a leftover v1 file must be rejected and rebuilt, never misread.
-  expect_rejected_then_rebuilt("format-v1", [](auto& bytes) {
-    const std::uint32_t v1 = 1;
-    std::memcpy(bytes.data() + kVersionOffset, &v1, sizeof(v1));
-  });
+  // Version 1 carried four engine-toggle key bytes that version 2 drops,
+  // and version 2 dense images carried a layout version 3 no longer has;
+  // a leftover file of either must be rejected and rebuilt, never misread.
+  for (const std::uint32_t retired : {1u, 2u}) {
+    expect_rejected_then_rebuilt(
+        "format-v" + std::to_string(retired), [retired](auto& bytes) {
+          std::memcpy(bytes.data() + kVersionOffset, &retired,
+                      sizeof(retired));
+        });
+  }
 }
 
 TEST(SnapshotRejection, BadMagic) {
