@@ -24,13 +24,15 @@
 /// a-square and a-pebble both read and write the same array, so every read
 /// within a step must observe the *previous* step's state regardless of
 /// execution backend. Instead of double-buffering (a full table copy per
-/// step), the step records a write log of `(cell, new value)` pairs while
-/// scanning and applies it only after the step's barrier: reads during the
+/// step), the oracle's steps (and the fast path's Rytter square and
+/// a-pebble) record a write log of `(cell, new value)` pairs while
+/// scanning and apply it only after the step's barrier: reads during the
 /// step see pre-step state by construction, and since each cell is written
 /// by exactly one logical processor per step (owner-computes, CREW), the
 /// apply order is immaterial. The log doubles as the change count and —
 /// for a-pebble — as the next iteration's frontier. a-activate writes
-/// cells nobody reads within the step and updates in place.
+/// cells nobody reads within the step and updates in place. The fast HLV
+/// a-square needs no log: it writes in place, tile by tile (below).
 ///
 /// Two execution paths
 /// -------------------
@@ -44,49 +46,72 @@
 ///    and the ledger `test_golden` pins.
 ///  * the *fast path* (`Machine::run_blocks`, templated body): the
 ///    kernels inline into the worker loop with no op counting, and the
-///    sweeps are frontier-driven (except under the windowed pebble
-///    schedule, which pebbles a different pair window each iteration):
+///    sweeps skip provable no-ops:
 ///     - a-activate re-evaluates only the sites reading a `w(i,j)` the
 ///       last pebble moved (falling back to the full sweep when that
 ///       frontier is dense);
-///     - a-square (HLV mode) runs *root-major*: the entry list is walked
-///       as contiguous per-root blocks, a 2-D containment count over the
-///       moved roots answers "did any pw entry inside `(i,j)` move?" in
-///       O(1) and skips the whole block when not, and surviving quads
-///       test their HLV windows against per-endpoint prefix sums;
+///     - a-square (HLV mode) runs one tile per root: a 2-D containment
+///       count over the moved roots answers "did any pw entry inside
+///       `(i,j)` move?" in O(1) and skips the whole root when not, and a
+///       visited root evaluates only the candidates with a moved operand
+///       (semi-naive evaluation, below);
 ///     - a-pebble skips pairs with no root `pw` movement since their last
 ///       rescan and no moved `w` among their gaps;
-///     - the mark grids behind both skip tests (containment counts and
-///       per-endpoint prefix sums over the moved marks) are built from
+///     - the containment grids behind both skip tests are built from
 ///       scratch, serially, right before each skipping sweep: O(n^2)
 ///       plain loops, a small share of the sweeps they prune.
+///    The activate and pebble skips follow the moved-`w` frontier, so
+///    they are off under the windowed pebble schedule, which pebbles a
+///    different pair window each iteration; the square's are not.
 /// Monotonicity of both tables makes every skipped site provably a no-op
 /// (its candidates are unchanged and were already min-applied), so
 /// results, change counts and iteration schedules are identical to the
 /// oracle's — tests/test_core_fastpath.cpp verifies this per iteration.
 ///
-/// The a-square operand streams
-/// ----------------------------
+/// The tiled a-square
+/// ------------------
 /// The kernels below are compiled once, against the one layout, with its
-/// addressing inlined. On the fast path the HLV square scan
-/// (`square_scan_fast`) exploits a structural fact: every candidate
-/// operand of an in-band target is itself in band (first operands share
-/// the target's root with strictly smaller slack; second operands `(r,q,
-/// p,q)` / `(p,s,p,q)` have slack `p-r` / `s-q <= B` by the window
-/// bounds), except the single identity operand `pw(i,j,i,j)`, whose
-/// candidate equals the target's old value and is skipped as a provable
-/// no-op. Both operands therefore stream without the general `get`:
-///  - first operands walk the target's own root block through the
-///    layout's incremental window cursors (pw_layout.hpp);
-///  - second operands lie in a different root, hence a different length
-///    block, for every `r` / `s`. So before each fast HLV sweep,
-///    `gather_operand_columns` copies them, one serial O(n^2 B) pass,
-///    into per-gap columns ordered as the scan reads them, and the scan
-///    reads one contiguous run per window. The column buffer is a
-///    per-thread scratch (`operand_column_scratch`), not session state:
-///    it is rebuilt at the start of every sweep and read only within it.
-/// With both operands in `[0, kInfinity]`, the candidate fold is a plain
-/// `min(best, a + b)`, with no `is_finite` branch or `sat_add` (cost.hpp
+/// addressing inlined. In root `(i,j)`, write target `pw(i,j,i+l,j-r)` as
+/// `V[r][l]`: the root's stored cells are the slack triangle `l + r <= m`,
+/// `m = min(B, j-i-1)`, one contiguous block of the layout, minus the
+/// identity `V[0][0] = pw(i,j,i,j) = 0`. Eq. 2c then reads
+///
+///   row:    V[r][l] <- min over l' < l of  V[r][l'] + E_(i+l', j-r)[l-l']
+///   column: V[r][l] <- min over r' < r of  V[r'][l] + F_(i+l, j-r')[r-r']
+///
+/// with the two edges of a root `(a,b)`, `E_(a,b)[d] = pw(a,b,a+d,b)` and
+/// `F_(a,b)[d] = pw(a,b,a,b-d)`, `1 <= d <= B`. Every operand is in band,
+/// and the identity candidate (`V[0][0]` plus the target's own old value)
+/// is a provable no-op, so the tile holds `V[0][0] = kInfinity`.
+///  - *Edges.* Before the sweep, one serial O(n^2 B) pass (`gather_edges`)
+///    copies every root's two edges into the calling thread's
+///    `edge_scratch`, never session state: it is rebuilt at the start of
+///    every sweep and read only within it.
+///  - *Tiles.* Each visited root copies its triangle into one square
+///    accumulator tile in the worker's `tile_scratch`, folds the row pass
+///    over the `E` snapshot (contiguous runs) and the column pass over
+///    the `F` snapshot (strided runs) into it, reading the first operands
+///    straight from its own block, and writes the improved cells back
+///    into that block.
+///  - *Moved bytes.* One byte per in-band cell says "changed since the
+///    last square's pre-step state": a-activate sets it on its in-band
+///    writes, and the write-back sets it on improvements and clears the
+///    rest of its block. The edge gather derives each root's moved-edge
+///    slack ranges `[lo, hi]` from these bytes. A (row, first operand)
+///    segment is evaluated over the whole row if the first operand moved,
+///    over the partner edge's moved range otherwise, and not at all when
+///    the first operand is `kInfinity`. Every candidate left out has two
+///    unmoved operands, so the previous square (or, before any square,
+///    the all-infinite reset state) already applied it: results are the
+///    oracle's, bit for bit.
+///  - *CREW without a log.* A tile reads other roots only through the
+///    pre-sweep edge snapshot and writes only its own block, its own moved
+///    bytes and its own root flags, so in-place write-back races with no
+///    read: every read of the sweep sees pre-step state, and each cell
+///    has one writer. The edge ranges come from the serial gather, never
+///    from a-activate's concurrent writers.
+/// Both operands lie in `[0, kInfinity]`, so the fold is a plain
+/// `min(acc, a + b)`, with no `is_finite` branch or `sat_add` (cost.hpp
 /// asserts the sum cannot overflow). The a-pebble gap scan streams too,
 /// through `for_each_gap_run`: the layout emits every stored gap of a
 /// root as arithmetic-progression runs over raw `pw` slots paired with
@@ -140,16 +165,47 @@ class PhaseTimer {
   std::chrono::steady_clock::time_point start_{};
 };
 
-/// The calling thread's a-square operand-column buffer. Each fast HLV
-/// sweep regathers it from scratch before its scan and reads it only
-/// within that sweep, so one buffer per solving thread serves every
-/// session that thread steps; it grows to the largest shape the thread
-/// has served and is reused. Pool workers read the caller's buffer
-/// during the sweep; the sweep's fork-join orders those reads after the
-/// gather.
-inline std::vector<Cost>& operand_column_scratch() {
-  thread_local std::vector<Cost> columns;
-  return columns;
+/// One root's moved-edge slack ranges for a tiled a-square sweep: the
+/// `E` (left edge) and `F` (right edge) cells with slack in `[lo, hi]`
+/// include every one that moved since the last square; `lo > hi` when
+/// none did.
+struct EdgeMoves {
+  std::uint16_t e_lo = 0;
+  std::uint16_t e_hi = 0;
+  std::uint16_t f_lo = 0;
+  std::uint16_t f_hi = 0;
+};
+
+/// The a-square edge snapshot: per root, its `E` and `F` edges and their
+/// moved ranges (see the file comment).
+struct EdgeScratch {
+  std::vector<Cost> edges;
+  std::vector<EdgeMoves> moves;
+};
+
+/// The calling thread's edge snapshot. Each tiled sweep regathers it from
+/// scratch before its tiles and reads it only within that sweep, so one
+/// buffer per solving thread serves every session that thread steps; it
+/// grows to the largest shape the thread has served and is reused. Pool
+/// workers read the caller's snapshot during the sweep; the sweep's
+/// fork-join orders those reads after the gather.
+inline EdgeScratch& edge_scratch() {
+  thread_local EdgeScratch scratch;
+  return scratch;
+}
+
+/// One worker's a-square tile buffers: the candidate accumulator `V[r][l]`
+/// at `r * (m+1) + l`, and the targets that had a candidate evaluated
+/// (profiling only). Loaded and consumed within one root, so any tile of
+/// any session may reuse them.
+struct TileScratch {
+  std::vector<Cost> best;
+  std::vector<std::uint8_t> touched;
+};
+
+inline TileScratch& tile_scratch() {
+  thread_local TileScratch scratch;
+  return scratch;
 }
 
 /// One pair `(i,j)` of the pebble/activate sweeps. 32-bit fields: unlike
@@ -160,20 +216,19 @@ struct Pair {
   std::uint32_t j = 0;
 };
 
-/// One root's contiguous run `[begin, end)` of the square-entry list,
-/// plus the root's index into the pair list (root-major sweep unit).
+/// One root's contiguous run `[begin, end)` of the square-entry list (the
+/// tiled square's sweep unit). Blocks follow the pair list: block `k`
+/// belongs to pair `k`.
 struct RootBlock {
   std::uint32_t begin = 0;
   std::uint32_t end = 0;
-  std::uint32_t pair = 0;
 };
 
 /// Everything the engine precomputes that depends only on the *shape*
 /// `(n, band)` — never on a concrete instance's costs: the shared
-/// storage layout, the length-major pair list and its offsets, the write-
-/// log slot of every square entry, the root-block runs of the root-major
-/// sweep, and the activate-site total the frontier density test compares
-/// against. A `SolvePlan` builds one `EngineShape` and every engine
+/// storage layout, the length-major pair list and its offsets, the root-
+/// block runs of the tiled square sweep, and the activate-site total the
+/// frontier density test compares against. A `SolvePlan` builds one `EngineShape` and every engine
 /// (session) of that shape shares it, so per-instance preparation is a
 /// table fill instead of an O(n^2 B^2) rebuild.
 struct EngineShape {
@@ -184,9 +239,9 @@ struct EngineShape {
   ShapeArray<Pair> pairs;
   /// Prefix offsets addressing a window of lengths in `pairs`.
   ShapeArray<std::size_t> pairs_offset_by_length;
-  /// Storage slot per square entry (write-log apply).
-  ShapeArray<std::uint32_t> entry_slots;
-  /// Per-root runs of the entry list (root-major square sweep).
+  /// Per-root runs of the entry list (tiled square sweep). The layout
+  /// emits entries in storage order, so entry `k` lives in slot `k` and a
+  /// run is also its root's block of cells.
   ShapeArray<RootBlock> root_blocks;
   /// Total (pair, split) activate sites — the frontier density cutoff.
   std::uint64_t total_split_sites = 0;
@@ -223,27 +278,20 @@ struct EngineShape {
 
     const auto& quads = shape->layout->entries();
     SUBDP_REQUIRE(shape->layout->cell_count() <= UINT32_MAX,
-                  "pw table too large for 32-bit write-log slots");
-    std::vector<std::uint32_t> entry_slots;
-    entry_slots.reserve(quads.size());
-    for (const Quad& t : quads) {
-      entry_slots.push_back(static_cast<std::uint32_t>(
-          shape->layout->entry_slot(t.i, t.j, t.p, t.q)));
-    }
+                  "pw table too large for 32-bit entry indices");
     // Per-root runs of the entry list (the layout emits the quads of a
-    // root contiguously) — the unit of the root-major square sweep.
+    // root contiguously, length-major like the pairs) — the unit of the
+    // tiled square sweep.
     std::vector<RootBlock> blocks;
     for (std::size_t idx = 0; idx < quads.size(); ++idx) {
       const Quad& t = quads[idx];
-      if (blocks.empty() || pairs[blocks.back().pair].i != t.i ||
-          pairs[blocks.back().pair].j != t.j) {
+      if (idx == 0 || quads[idx - 1].i != t.i || quads[idx - 1].j != t.j) {
         if (!blocks.empty()) {
           blocks.back().end = static_cast<std::uint32_t>(idx);
         }
-        blocks.push_back(RootBlock{
-            static_cast<std::uint32_t>(idx), 0,
-            static_cast<std::uint32_t>(pairs_offset_by_length[t.j - t.i] +
-                                       t.i)});
+        SUBDP_ASSERT(pairs_offset_by_length[t.j - t.i] + t.i ==
+                     blocks.size());
+        blocks.push_back(RootBlock{static_cast<std::uint32_t>(idx), 0});
       }
     }
     if (!blocks.empty()) {
@@ -251,7 +299,6 @@ struct EngineShape {
     }
     shape->pairs = std::move(pairs);
     shape->pairs_offset_by_length = std::move(pairs_offset_by_length);
-    shape->entry_slots = std::move(entry_slots);
     shape->root_blocks = std::move(blocks);
     return shape;
   }
@@ -259,16 +306,16 @@ struct EngineShape {
   /// Rehydrates a shape around snapshot-backed arrays (the mmap load path;
   /// see snapshot/plan_snapshot.hpp). Array *contents* are vouched for by
   /// the snapshot checksum; this factory re-derives everything cheap — the
-  /// O(n) pair offsets and the split-site total — verifies it against the
-  /// stored copy, and checks every array count against what `build` would
-  /// produce, throwing on any disagreement so a corrupt file can never
-  /// yield a structurally inconsistent shape.
+  /// O(n) pair offsets, the split-site total and the O(n^2) root-block
+  /// runs — verifies it against the stored copy, and checks every array
+  /// count against what `build` would produce, throwing on any
+  /// disagreement so a corrupt file can never yield a structurally
+  /// inconsistent shape.
   [[nodiscard]] static std::shared_ptr<const EngineShape> restore(
       std::shared_ptr<const BandedPwLayout> layout, std::size_t n,
       std::size_t band, ShapeArray<Pair> pairs,
       ShapeArray<std::size_t> pairs_offset_by_length,
-      ShapeArray<std::uint32_t> entry_slots, ShapeArray<RootBlock> root_blocks,
-      std::uint64_t total_split_sites) {
+      ShapeArray<RootBlock> root_blocks, std::uint64_t total_split_sites) {
     auto shape = std::make_shared<EngineShape>();
     shape->layout = std::move(layout);
     shape->n = n;
@@ -295,21 +342,27 @@ struct EngineShape {
 
     const std::size_t quad_count = shape->layout->entries().size();
     SUBDP_REQUIRE(shape->layout->cell_count() <= UINT32_MAX,
-                  "pw table too large for 32-bit write-log slots");
-    SUBDP_REQUIRE(entry_slots.size() == quad_count,
-                  "snapshot entry-slot count disagrees with the layout");
+                  "pw table too large for 32-bit entry indices");
     // The layout gives every root of length >= 2 at least one quad, so
     // the per-root runs must be one block per pair and end at the list.
     SUBDP_REQUIRE(root_blocks.size() == (quad_count > 0 ? pairs.size() : 0),
                   "snapshot root-block count disagrees with the pair list");
-    SUBDP_REQUIRE(root_blocks.empty() ||
-                      (root_blocks.front().begin == 0 &&
-                       root_blocks.back().end == quad_count),
-                  "snapshot root-block runs do not cover the entry list");
+    // The tiled square addresses a root's cells from its run's start, so
+    // every run must be exactly its root's block of the layout (O(n^2)).
+    const BandedPwLayout& geometry = *shape->layout;
+    std::size_t k = 0;
+    for (std::size_t len = 2; len <= n && !root_blocks.empty(); ++len) {
+      for (std::size_t i = 0; i + len <= n; ++i, ++k) {
+        const std::size_t begin = geometry.flat(i, i + len, i, 1);
+        SUBDP_REQUIRE(
+            root_blocks[k].begin == begin &&
+                root_blocks[k].end == begin + geometry.block_size(len),
+            "snapshot root-block runs disagree with the layout");
+      }
+    }
 
     shape->pairs = std::move(pairs);
     shape->pairs_offset_by_length = std::move(pairs_offset_by_length);
-    shape->entry_slots = std::move(entry_slots);
     shape->root_blocks = std::move(root_blocks);
     shape->total_split_sites = total_split_sites;
     return shape;
@@ -332,29 +385,33 @@ class Engine {
         w_(n_ + 1, n_ + 1, kInfinity),
         pairs_(shape_->pairs),
         pairs_offset_by_length_(shape_->pairs_offset_by_length),
-        entry_slots_(shape_->entry_slots),
         root_blocks_(shape_->root_blocks),
         total_split_sites_(shape_->total_split_sites),
-        column_width_(std::min(pw_.max_slack(), n_)),
-        column_cells_(n_ * (n_ + 1) * column_width_) {
+        edge_stride_(std::min(pw_.max_slack(), n_ - 1) + 1) {
     SUBDP_ASSERT(problem.size() == n_);
-    pw_log_.resize(pw_.entries().size());
+    const bool fast = !machine_.instrumented();
+    frontier_enabled_ = fast && !options_.windowed_pebble;
+    tiled_ = fast && options_.square_mode == SquareMode::kHlvOneLevel;
+    // The tiled square writes in place; only the other squares log.
+    if (!tiled_) pw_log_.resize(pw_.entries().size());
     w_log_.resize(pairs_.size());
-    frontier_enabled_ = !options_.windowed_pebble && !machine_.instrumented();
     profile_ = options_.profile;
-    if (frontier_enabled_) {
+    const std::size_t grid = (n_ + 1) * (n_ + 1);
+    if (fast) {
       // Value-initialised (zeroed) atomic flag arrays.
       root_dirty_ =
           std::make_unique<std::atomic<std::uint8_t>[]>(pairs_.size());
       pw_root_moved_ =
           std::make_unique<std::atomic<std::uint8_t>[]>(pairs_.size());
-      const std::size_t grid = (n_ + 1) * (n_ + 1);
-      w_moved_.assign(grid, 0);
-      contained_.assign(grid, 0);
+    }
+    if (tiled_) {
+      moved_.assign(pw_.entries().size(), 0);
       root_mark_grid_.assign(grid, 0);
       root_contained_.assign(grid, 0);
-      mark_left_pre_.assign(grid, 0);
-      mark_right_pre_.assign(grid, 0);
+    }
+    if (frontier_enabled_) {
+      w_moved_.assign(grid, 0);
+      contained_.assign(grid, 0);
       frontier_.reserve(n_);
     }
     bind_instance(problem, /*fresh_tables=*/true);
@@ -363,8 +420,8 @@ class Engine {
   /// Rebinds the engine to a new same-shape instance: fills both tables
   /// back to their initial state in place and clears every per-instance
   /// counter and frontier mark — no reallocation, no geometry rebuild (the
-  /// `SolveSession::reset` hot path). Geometry (layout, pair lists, entry
-  /// slots, root blocks) is shape-owned and untouched.
+  /// `SolveSession::reset` hot path). Geometry (layout, pair lists, root
+  /// blocks) is shape-owned and untouched.
   void reset(const dp::Problem& problem) {
     SUBDP_REQUIRE(problem.size() == n_,
                   "engine reset requires an instance of the plan's size");
@@ -422,15 +479,15 @@ class Engine {
 
  private:
   /// One deferred write of a step's log: for a-square, `index` is into
-  /// `entries()`; for a-pebble, into `pairs_`.
+  /// `entries()` (which is also the cell's storage slot); for a-pebble,
+  /// into `pairs_`.
   struct Delta {
     std::uint32_t index = 0;
     Cost value = 0;
   };
 
   /// The HLV square window of quad `t`: admissible intermediates
-  /// `r in [r_lo, p)` and `s in (q, s_hi]`. Shared by the candidate scan
-  /// and the frontier skip test, which must agree on the operand set.
+  /// `r in [r_lo, p)` and `s in (q, s_hi]` (the oracle's candidate scan).
   struct HlvWindow {
     std::size_t r_lo = 0;
     std::size_t s_hi = 0;
@@ -454,14 +511,14 @@ class Engine {
     for (std::size_t i = 0; i < n_; ++i) {
       w_(i, i + 1) = problem.init(i);
     }
-    if (frontier_enabled_) {
-      if (!fresh_tables) {
-        for (std::size_t k = 0; k < pairs_.size(); ++k) {
-          root_dirty_[k].store(0, std::memory_order_relaxed);
-          pw_root_moved_[k].store(0, std::memory_order_relaxed);
-        }
+    if (!fresh_tables && root_dirty_ != nullptr) {
+      for (std::size_t k = 0; k < pairs_.size(); ++k) {
+        root_dirty_[k].store(0, std::memory_order_relaxed);
+        pw_root_moved_[k].store(0, std::memory_order_relaxed);
       }
-      square_frontier_ready_ = false;
+      std::fill(moved_.begin(), moved_.end(), std::uint8_t{0});
+    }
+    if (frontier_enabled_) {
       // The initial frontier: every base entry w(i, i+1) was just set.
       frontier_.clear();
       for (std::size_t i = 0; i < n_; ++i) {
@@ -497,7 +554,7 @@ class Engine {
   // reporting vanish at compile time and the kernel inlines into the
   // worker loop of the fast path. `pebble_scan` is oracle-only: the fast
   // path pebbles through `pebble_scan_fast` and squares through
-  // `square_scan_fast` (HLV) or `square_scan<false>` (Rytter).
+  // `square_tile` (HLV) or `square_scan<false>` (Rytter).
 
   /// Full a-activate scan of one pair: both eq. 1a/1b targets for every
   /// split `k`. In-place writes (activate targets are read by nobody
@@ -518,7 +575,11 @@ class Engine {
         const Cost cand = sat_add(fv, w_right);
         if (cand < pw_.get(i, j, i, k)) {
           pw_.set(i, j, i, k, cand);
-          if constexpr (Instr) machine_.note_write(pw_.address(i, j, i, k));
+          if constexpr (Instr) {
+            machine_.note_write(pw_.address(i, j, i, k));
+          } else {
+            mark_cell_moved(i, j, i, k);
+          }
           ++local_changed;
         }
       }
@@ -527,7 +588,11 @@ class Engine {
         const Cost cand = sat_add(fv, w_left);
         if (cand < pw_.get(i, j, k, j)) {
           pw_.set(i, j, k, j, cand);
-          if constexpr (Instr) machine_.note_write(pw_.address(i, j, k, j));
+          if constexpr (Instr) {
+            machine_.note_write(pw_.address(i, j, k, j));
+          } else {
+            mark_cell_moved(i, j, k, j);
+          }
           ++local_changed;
         }
       }
@@ -578,81 +643,178 @@ class Engine {
     return best;
   }
 
-  /// Offset of gap `(p,q)`'s right column in a gathered column buffer;
-  /// its left column is the `column_width_` slots just before (see
-  /// `gather_operand_columns`). Gaps are indexed triangularly by `q`.
-  [[nodiscard]] std::size_t column_middle(std::size_t p, std::size_t q) const {
-    return (q * (q - 1) / 2 + p) * 2 * column_width_ + column_width_;
+  /// Slacks stored in root `k`'s block: `min(B, j - i - 1)`.
+  [[nodiscard]] std::size_t root_slacks(std::size_t k) const {
+    return std::min(pw_.max_slack(),
+                    static_cast<std::size_t>(pairs_[k].j - pairs_[k].i) - 1);
   }
 
-  /// Gathers every HLV second operand of the coming a-square into
-  /// contiguous per-gap columns, in the order the scan reads them: gap
-  /// `(p,q)` gets `pw(p-s, q, p, q)` at `middle[-s]` and `pw(p, q+s, p,
-  /// q)` at `middle[s-1]`, for `s = 1 .. column_width_` clipped to the
-  /// table (`s <= p`, `q + s <= n`); the clipped slots are never read.
-  /// The pass walks the table root by root: root `(a,b)` holds the left
-  /// operands `pw(a,b,a+s,b)` and the right operands `pw(a,b,a,b-s)` of
-  /// its slack-`s` gaps, which its window cursors stream without
-  /// re-deriving addresses. Every gathered operand has slack `s <= B`
-  /// and is in band. One serial O(n^2 B) pass over the pre-step table,
-  /// so a sweep's reads see the same values as the table's.
-  void gather_operand_columns(Cost* columns) const {
-    for (std::size_t len = 2; len <= n_; ++len) {
-      const std::size_t m = std::min(column_width_, len - 1);
-      for (std::size_t a = 0; a + len <= n_; ++a) {
-        const std::size_t b = a + len;
-        PwWindowCursor left = pw_.r_window_cursor(a, b, a + 1, b);
-        for (std::size_t s = 1; s <= m; ++s) {
-          columns[column_middle(a + s, b) - s] = left.value();
-          left.advance();
+  /// Copies every root's two edges, `E[d] = pw(a,b,a+d,b)` at
+  /// `edges[k * 2 * edge_stride_ + d]` and `F[d] = pw(a,b,a,b-d)` at
+  /// `edges[(2k + 1) * edge_stride_ + d]` for root `k = (a,b)` and
+  /// `d = 1 .. min(B, b-a-1)`, and derives each root's moved-edge ranges
+  /// from the moved bytes (see the file comment). Within slack `d` of a
+  /// root block (`BandedPwLayout::slack_offset`), `F[d]` is the first
+  /// cell and `E[d]` the last. One serial O(n^2 B) pass over the pre-step
+  /// table, so the sweep's reads see the same values as the table's.
+  void gather_edges(EdgeScratch& scratch) const {
+    const std::size_t roots = root_blocks_.size();
+    if (scratch.edges.size() < roots * 2 * edge_stride_) {
+      scratch.edges.resize(roots * 2 * edge_stride_);
+    }
+    if (scratch.moves.size() < roots) scratch.moves.resize(roots);
+    const Cost* cells = pw_.raw_cells();
+    const std::uint8_t* moved = moved_.data();
+    for (std::size_t k = 0; k < roots; ++k) {
+      const std::size_t m = root_slacks(k);
+      Cost* e = scratch.edges.data() + k * 2 * edge_stride_;
+      Cost* f = e + edge_stride_;
+      EdgeMoves em{UINT16_MAX, 0, UINT16_MAX, 0};
+      std::size_t at = root_blocks_[k].begin;
+      for (std::size_t d = 1; d <= m; at += d + 1, ++d) {
+        f[d] = cells[at];
+        e[d] = cells[at + d];
+        if (moved[at] != 0) {
+          if (em.f_lo == UINT16_MAX) em.f_lo = static_cast<std::uint16_t>(d);
+          em.f_hi = static_cast<std::uint16_t>(d);
         }
-        PwWindowCursor right = pw_.s_window_cursor(a, b, a, b - m);
-        for (std::size_t q = b - m; q < b; ++q) {
-          columns[column_middle(a, q) + (b - q - 1)] = right.value();
-          right.advance();
+        if (moved[at + d] != 0) {
+          if (em.e_lo == UINT16_MAX) em.e_lo = static_cast<std::uint16_t>(d);
+          em.e_hi = static_cast<std::uint16_t>(d);
         }
       }
+      scratch.moves[k] = em;
     }
   }
 
-  /// Fast-path HLV candidate scan: same candidate set and result as
-  /// `square_scan`. The first operand streams through the layout's
-  /// incremental window cursors, the second from the gap's gathered
-  /// columns (see the file comment for why all operands are in band).
-  /// The fold is a plain `min(best, a + b)`: every operand lies in
-  /// `[0, kInfinity]` and `best <= kInfinity`, so an unsaturated sum that
-  /// reaches `kInfinity` can never win, and no `is_finite` branch or
-  /// `sat_add` is needed. The lone identity operand — `r == i` with
-  /// `q == j`, or `s == j` with `p == i` — pairs `pw(i,j,i,j) = 0` with
-  /// the target's own old value and can never improve it, so it is
-  /// skipped rather than read.
-  Cost square_scan_fast(const Quad& t, Cost old_value,
-                        const Cost* columns) const {
-    const std::size_t i = t.i, j = t.j, p = t.p, q = t.q;
-    Cost best = old_value;
-    const HlvWindow win = hlv_window(t);
-    const Cost* middle = columns + column_middle(p, q);
-    std::size_t r = win.r_lo;
-    if (r == i && q == j) ++r;  // identity operand: provable no-op
-    if (r < p) {
-      PwWindowCursor cur = pw_.r_window_cursor(i, j, r, q);
-      const Cost* b = middle - (p - r);
-      for (; r < p; ++r) {
-        best = std::min(best, cur.value() + *b++);
-        cur.advance();
+  /// Per-chunk profile tallies of the tiled sweep.
+  struct TileCounts {
+    std::uint64_t quads_scanned = 0;
+    std::uint64_t quads_skipped = 0;
+    std::uint64_t candidates = 0;
+  };
+
+  /// Semi-naive tiled a-square of root block `k` (see the file comment):
+  /// folds the row candidates over the `E` and the column candidates over
+  /// the `F` edge snapshot into one accumulator tile, then writes the
+  /// improved cells back in place. First operands and old values are read
+  /// straight from the root's own block, which nothing else writes during
+  /// the sweep and this tile writes only after its last read. Returns the
+  /// number of cells improved. `Prof` additionally tallies the evaluated
+  /// candidates and the targets that had any.
+  template <bool Prof>
+  std::uint64_t square_tile(std::size_t k, const EdgeScratch& snapshot,
+                            TileScratch& tile, TileCounts& counts) {
+    const std::size_t i = pairs_[k].i, j = pairs_[k].j;
+    const std::size_t m = root_slacks(k);
+    const std::size_t t = m + 1;  // tile stride: V[r][l] at r * t + l
+    if (tile.best.size() < t * t) tile.best.resize(t * t);
+    if constexpr (Prof) {
+      if (tile.touched.size() < t * t) tile.touched.resize(t * t);
+    }
+    Cost* const best = tile.best.data();
+    std::uint8_t* const touched = tile.touched.data();
+    // Block-relative: V[r][l] sits at slack_offset(r + l) + l.
+    Cost* const cells = pw_.raw_cells() + root_blocks_[k].begin;
+    std::uint8_t* const moved = moved_.data() + root_blocks_[k].begin;
+
+    std::size_t at = 0;
+    for (std::size_t s = 1; s <= m; ++s) {
+      for (std::size_t l = 0; l <= s; ++l, ++at) {
+        best[(s - l) * t + l] = cells[at];
+        if constexpr (Prof) touched[(s - l) * t + l] = 0;
       }
     }
-    std::size_t s_hi = win.s_hi;
-    if (p == i && s_hi == j) --s_hi;  // identity operand: provable no-op
-    if (q < s_hi) {
-      PwWindowCursor cur = pw_.s_window_cursor(i, j, p, q + 1);
-      const Cost* b = middle;
-      for (std::size_t s = q + 1; s <= s_hi; ++s) {
-        best = std::min(best, cur.value() + *b++);
-        cur.advance();
+
+    const Cost* const edges = snapshot.edges.data();
+    const EdgeMoves* const moves = snapshot.moves.data();
+    // Row pass: target V[r][l'+d] reads V[r][l'] + E_(i+l', j-r)[d]. The
+    // first operand V[0][0] is the identity, a provable no-op.
+    for (std::size_t r = 0; r < m; ++r) {
+      const std::size_t l_max = m - r;
+      for (std::size_t lq = r == 0 ? 1 : 0; lq < l_max; ++lq) {
+        const std::size_t a_at = BandedPwLayout::slack_offset(r + lq) + lq;
+        const Cost a = cells[a_at];
+        if (!is_finite(a)) continue;
+        const std::size_t sub = pair_index(i + lq, j - r);
+        std::size_t lo = 1;
+        std::size_t hi = l_max - lq;
+        if (moved[a_at] == 0) {
+          const EdgeMoves em = moves[sub];
+          lo = em.e_lo;
+          if (em.e_hi < hi) hi = em.e_hi;
+          if (lo > hi) continue;
+        }
+        const Cost* const e = edges + sub * 2 * edge_stride_;
+        Cost* const out = best + r * t + lq;
+        for (std::size_t d = lo; d <= hi; ++d) {
+          out[d] = std::min(out[d], a + e[d]);
+        }
+        if constexpr (Prof) {
+          counts.candidates += hi - lo + 1;
+          for (std::size_t d = lo; d <= hi; ++d) touched[r * t + lq + d] = 1;
+        }
       }
     }
-    return best;
+    // Column pass: target V[r'+d][l] reads V[r'][l] + F_(i+l, j-r')[d].
+    for (std::size_t l = 0; l < m; ++l) {
+      const std::size_t r_max = m - l;
+      for (std::size_t rq = l == 0 ? 1 : 0; rq < r_max; ++rq) {
+        const std::size_t a_at = BandedPwLayout::slack_offset(rq + l) + l;
+        const Cost a = cells[a_at];
+        if (!is_finite(a)) continue;
+        const std::size_t sub = pair_index(i + l, j - rq);
+        std::size_t lo = 1;
+        std::size_t hi = r_max - rq;
+        if (moved[a_at] == 0) {
+          const EdgeMoves em = moves[sub];
+          lo = em.f_lo;
+          if (em.f_hi < hi) hi = em.f_hi;
+          if (lo > hi) continue;
+        }
+        const Cost* const f = edges + (2 * sub + 1) * edge_stride_;
+        Cost* const out = best + rq * t + l;
+        for (std::size_t d = lo; d <= hi; ++d) {
+          out[d * t] = std::min(out[d * t], a + f[d]);
+        }
+        if constexpr (Prof) {
+          counts.candidates += hi - lo + 1;
+          for (std::size_t d = lo; d <= hi; ++d) touched[(rq + d) * t + l] = 1;
+        }
+      }
+    }
+
+    // Write-back: this root's cells, moved bytes and flags have no other
+    // writer in the sweep, and no other tile reads them.
+    std::uint64_t improved = 0;
+    at = 0;
+    for (std::size_t s = 1; s <= m; ++s) {
+      for (std::size_t l = 0; l <= s; ++l, ++at) {
+        const std::size_t tv = (s - l) * t + l;
+        const bool better = best[tv] < cells[at];
+        if (better) {
+          cells[at] = best[tv];
+          ++improved;
+        }
+        moved[at] = better ? 1 : 0;
+        if constexpr (Prof) {
+          if (touched[tv] != 0) {
+            ++counts.quads_scanned;
+          } else {
+            ++counts.quads_skipped;
+          }
+        }
+      }
+    }
+    if (improved > 0) mark_root_dirty(k);
+    return improved;
+  }
+
+  /// HLV candidates of a root block with `m` slacks in a full sweep,
+  /// identities excluded: sum over slacks `s` of `(s+1) s`, less the `2m`
+  /// identity candidates of the edge targets.
+  [[nodiscard]] static std::uint64_t block_candidates(std::size_t m) {
+    return static_cast<std::uint64_t>(m) * (m + 1) * (m + 2) / 3 - 2 * m;
   }
 
   /// Oracle a-pebble gap scan for one pair; returns the best pebbled cost
@@ -697,12 +859,22 @@ class Engine {
   // ---- Frontier bookkeeping ----------------------------------------------
 
   /// Records that some `pw` entry of root `pair_idx` moved, for both
-  /// consumers: `root_dirty_` (read by a-pebble, sticky until the pair is
-  /// rescanned) and `pw_root_moved_` (read by the next a-square, cleared
-  /// at every square apply).
+  /// consumers: `root_dirty_` (read by the frontier a-pebble, sticky until
+  /// the pair is rescanned) and `pw_root_moved_` (read by the next tiled
+  /// a-square, cleared when it snapshots them). Fast path only.
   void mark_root_dirty(std::size_t pair_idx) {
     root_dirty_[pair_idx].store(1, std::memory_order_relaxed);
     pw_root_moved_[pair_idx].store(1, std::memory_order_relaxed);
+  }
+
+  /// Sets the moved byte of an activate write for the next tiled
+  /// a-square. Out-of-band child gaps have none: they are never square
+  /// operands. Each cell has one writer per step, so plain bytes suffice.
+  void mark_cell_moved(std::size_t i, std::size_t j, std::size_t p,
+                       std::size_t q) {
+    if (moved_.empty()) return;
+    const std::size_t s = (j - i) - (q - p);
+    if (s <= pw_.max_slack()) moved_[pw_.entry_slot(i, j, p, q)] = 1;
   }
 
   /// 2-D containment counts over interval marks: `out(i,j)` = #marked
@@ -738,12 +910,10 @@ class Engine {
     accumulate_containment(w_moved_, contained_);
   }
 
-  /// Snapshots `pw_root_moved_` into grid form for the root-major square
-  /// sweep: containment counts (`root_contained_`, the whole-block skip
-  /// test) and per-endpoint prefix sums (`mark_left_pre_(q,r)` = #moved
-  /// roots `(a,q)` with `a <= r`; `mark_right_pre_(p,s)` = #moved roots
-  /// `(p,b)` with `b <= s`) for the O(1) per-quad window tests.
-  void build_square_prefixes() {
+  /// Snapshots `pw_root_moved_` into `root_contained_` (the tiled sweep's
+  /// whole-root skip test) and clears the flags, which the sweep's own
+  /// write-backs then set afresh for the next square.
+  void build_root_contained() {
     const PhaseTimer timer = phase_timer(&StepProfile::mark_grid_ns);
     if (prof_ != nullptr) ++prof_->mark_updates_rebuilt;
     const std::size_t stride = n_ + 1;
@@ -752,62 +922,17 @@ class Engine {
     for (std::size_t k = 0; k < pairs_.size(); ++k) {
       if (pw_root_moved_[k].load(std::memory_order_relaxed) != 0) {
         root_mark_grid_[pairs_[k].i * stride + pairs_[k].j] = 1;
+        pw_root_moved_[k].store(0, std::memory_order_relaxed);
       }
     }
     accumulate_containment(root_mark_grid_, root_contained_);
-    for (std::size_t q = 0; q <= n_; ++q) {
-      std::uint32_t run = 0;
-      for (std::size_t r = 0; r <= n_; ++r) {
-        run += root_mark_grid_[r * stride + q];
-        mark_left_pre_[q * stride + r] = run;
-      }
-    }
-    for (std::size_t p = 0; p <= n_; ++p) {
-      std::uint32_t run = 0;
-      for (std::size_t s = 0; s <= n_; ++s) {
-        run += root_mark_grid_[p * stride + s];
-        mark_right_pre_[p * stride + s] = run;
-      }
-    }
   }
 
   /// Hoisted root-block test: true iff any moved root lies inside `(i,j)`
-  /// — a superset of every operand root of every quad of the block, so a
-  /// false answer proves the whole block clean.
+  /// — a superset of every operand root of every target of the block, so
+  /// a false answer proves the whole block clean.
   [[nodiscard]] bool root_block_moved(const Pair root) const {
     return root_contained_[root.i * (n_ + 1) + root.j] != 0;
-  }
-
-  /// O(1) window test replacing the O(B) per-quad root walk: true iff a
-  /// second-operand root `(r,q)` with `r` in `[r_lo, p)` or `(p,s)` with
-  /// `s` in `(q, s_hi]` moved — exactly the set the scan would read. The
-  /// quad's own root is tested separately (hoisted per block).
-  [[nodiscard]] bool square_window_moved(const Quad& t) const {
-    const std::size_t stride = n_ + 1;
-    const std::size_t p = t.p, q = t.q;
-    const HlvWindow win = hlv_window(t);
-    if (win.r_lo < p) {
-      const std::uint32_t hi = mark_left_pre_[q * stride + (p - 1)];
-      const std::uint32_t lo =
-          win.r_lo == 0 ? 0 : mark_left_pre_[q * stride + (win.r_lo - 1)];
-      if (hi != lo) return true;
-    }
-    if (win.s_hi > q) {
-      if (mark_right_pre_[p * stride + win.s_hi] !=
-          mark_right_pre_[p * stride + q]) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// Index of the first root block whose entry range contains `entry_idx`
-  /// (the blocks partition the entry list in order).
-  [[nodiscard]] std::size_t block_at(std::size_t entry_idx) const {
-    const auto it = std::upper_bound(
-        root_blocks_.begin(), root_blocks_.end(), entry_idx,
-        [](std::size_t v, const RootBlock& blk) { return v < blk.end; });
-    return static_cast<std::size_t>(it - root_blocks_.begin());
   }
 
   /// True iff some moved `w(p,q)` is a proper sub-interval of `(i,j)` —
@@ -858,9 +983,7 @@ class Engine {
               const Pair pr = pairs_[static_cast<std::size_t>(idx)];
               const std::uint64_t local =
                   activate_pair<false>(pr.i, pr.j, ops);
-              if (local > 0 && frontier_enabled_) {
-                mark_root_dirty(static_cast<std::size_t>(idx));
-              }
+              if (local > 0) mark_root_dirty(static_cast<std::size_t>(idx));
               block_changed += local;
             }
             if (block_changed > 0) {
@@ -894,6 +1017,7 @@ class Engine {
                 const Cost cand = sat_add(problem_->f(i, a, b), wv);
                 if (cand < pw_.get(i, b, i, a)) {
                   pw_.set(i, b, i, a, cand);
+                  mark_cell_moved(i, b, i, a);
                   mark_root_dirty(pair_index(i, b));
                   ++block_changed;
                 }
@@ -903,6 +1027,7 @@ class Engine {
                 const Cost cand = sat_add(problem_->f(a, b, j), wv);
                 if (cand < pw_.get(a, j, b, j)) {
                   pw_.set(a, j, b, j, cand);
+                  mark_cell_moved(a, j, b, j);
                   mark_root_dirty(pair_index(a, j));
                   ++block_changed;
                 }
@@ -917,140 +1042,133 @@ class Engine {
   }
 
   std::uint64_t run_square() {
+    if (tiled_) return run_square_tiled();
     const auto& quads = pw_.entries();
     // Reads see pre-step state because all writes are deferred to the
     // post-barrier apply below.
     pw_log_count_.store(0, std::memory_order_relaxed);
-    if (machine_.instrumented()) {
+    const bool fast = !machine_.instrumented();
+    {
       const PhaseTimer timer = phase_timer(&StepProfile::square_ns);
-      machine_.step(
-          "a-square", static_cast<std::int64_t>(quads.size()),
-          [&](std::int64_t idx) -> std::uint64_t {
-            const Quad t = quads[static_cast<std::size_t>(idx)];
-            const Cost old_value = pw_.get(t.i, t.j, t.p, t.q);
-            std::uint64_t ops = 0;
-            const Cost best = square_scan<true>(t, old_value, ops);
-            if (best < old_value) {
-              pw_log_[pw_log_count_.fetch_add(1, std::memory_order_relaxed)] =
-                  Delta{static_cast<std::uint32_t>(idx), best};
-              machine_.note_write(pw_.address(t.i, t.j, t.p, t.q));
-            }
-            return ops;
-          });
-    } else {
-      // Fast path: HLV scans run the unchecked in-band kernel, and — once
-      // operand-movement marks exist (every square after the first) — the
-      // sweep is root-major: whole root blocks are skipped via the
-      // containment test, surviving quads via the O(1) window test.
-      const bool hlv = options_.square_mode == SquareMode::kHlvOneLevel;
-      const bool skip_clean =
-          frontier_enabled_ && square_frontier_ready_ && hlv;
-      if (skip_clean) build_square_prefixes();
-      const Cost* columns = nullptr;
-      if (hlv) {
-        const PhaseTimer timer = phase_timer(&StepProfile::gather_ns);
-        std::vector<Cost>& scratch = operand_column_scratch();
-        if (scratch.size() < column_cells_) scratch.resize(column_cells_);
-        gather_operand_columns(scratch.data());
-        columns = scratch.data();
-      }
-      const Cost* raw_read = pw_.raw_cells();
-      const bool prof = prof_ != nullptr;
-      if (prof) prof_->square_quads_total += quads.size();
-      const PhaseTimer timer = phase_timer(&StepProfile::square_ns);
-      machine_.run_blocks(
-          static_cast<std::int64_t>(quads.size()),
-          [&](std::int64_t lo64, std::int64_t hi64) {
-            const std::size_t lo = static_cast<std::size_t>(lo64);
-            const std::size_t hi = static_cast<std::size_t>(hi64);
-            std::uint64_t ops = 0;
-            const auto scan_one = [&](const Quad& t, std::size_t idx) {
-              const Cost old_value = raw_read[entry_slots_[idx]];
-              const Cost best =
-                  hlv ? square_scan_fast(t, old_value, columns)
-                      : square_scan<false>(t, old_value, ops);
+      if (!fast) {
+        machine_.step(
+            "a-square", static_cast<std::int64_t>(quads.size()),
+            [&](std::int64_t idx) -> std::uint64_t {
+              const Quad t = quads[static_cast<std::size_t>(idx)];
+              const Cost old_value = pw_.get(t.i, t.j, t.p, t.q);
+              std::uint64_t ops = 0;
+              const Cost best = square_scan<true>(t, old_value, ops);
               if (best < old_value) {
-                pw_log_[pw_log_count_.fetch_add(
-                    1, std::memory_order_relaxed)] =
+                pw_log_[pw_log_count_.fetch_add(1,
+                                                std::memory_order_relaxed)] =
                     Delta{static_cast<std::uint32_t>(idx), best};
+                machine_.note_write(pw_.address(t.i, t.j, t.p, t.q));
               }
-            };
-            if (!skip_clean) {
-              for (std::size_t idx = lo; idx < hi; ++idx) {
-                scan_one(quads[idx], idx);
-              }
-              if (prof) {
-                prof_quads_scanned_.fetch_add(hi - lo,
-                                              std::memory_order_relaxed);
-              }
-              return;
-            }
-            std::uint64_t blocks_scanned = 0, blocks_skipped = 0;
-            std::uint64_t quads_scanned = 0, quads_skipped = 0;
-            std::uint64_t quads_block_skipped = 0;
-            for (std::size_t bi = block_at(lo); bi < root_blocks_.size();
-                 ++bi) {
-              const RootBlock& rb = root_blocks_[bi];
-              if (rb.begin >= hi) break;
-              const std::size_t b = rb.begin < lo ? lo : rb.begin;
-              const std::size_t e = rb.end < hi ? rb.end : hi;
-              if (!root_block_moved(pairs_[rb.pair])) {
-                if (prof) {
-                  ++blocks_skipped;
-                  quads_block_skipped += e > b ? e - b : 0;
+              return ops;
+            });
+      } else {
+        // Fast Rytter square: a full sweep of the unchecked kernel.
+        if (prof_ != nullptr) {
+          prof_->square_quads_total = quads.size();
+          prof_->square_quads_scanned = quads.size();
+        }
+        const Cost* raw_read = pw_.raw_cells();
+        machine_.run_blocks(
+            static_cast<std::int64_t>(quads.size()),
+            [&](std::int64_t lo, std::int64_t hi) {
+              std::uint64_t ops = 0;
+              for (std::int64_t idx = lo; idx < hi; ++idx) {
+                const Quad t = quads[static_cast<std::size_t>(idx)];
+                const Cost old_value = raw_read[idx];
+                const Cost best = square_scan<false>(t, old_value, ops);
+                if (best < old_value) {
+                  pw_log_[pw_log_count_.fetch_add(
+                      1, std::memory_order_relaxed)] =
+                      Delta{static_cast<std::uint32_t>(idx), best};
                 }
-                continue;
               }
-              if (prof) ++blocks_scanned;
-              const bool root_moved =
-                  pw_root_moved_[rb.pair].load(std::memory_order_relaxed) !=
-                  0;
-              for (std::size_t idx = b; idx < e; ++idx) {
-                const Quad t = quads[idx];
-                if (!root_moved && !square_window_moved(t)) {
-                  if (prof) ++quads_skipped;
-                  continue;
-                }
-                if (prof) ++quads_scanned;
-                scan_one(t, idx);
-              }
-            }
-            if (prof) {
-              prof_blocks_scanned_.fetch_add(blocks_scanned,
-                                             std::memory_order_relaxed);
-              prof_blocks_skipped_.fetch_add(blocks_skipped,
-                                             std::memory_order_relaxed);
-              prof_quads_scanned_.fetch_add(quads_scanned,
-                                            std::memory_order_relaxed);
-              prof_quads_skipped_.fetch_add(quads_skipped,
-                                            std::memory_order_relaxed);
-              prof_quads_block_skipped_.fetch_add(quads_block_skipped,
-                                                  std::memory_order_relaxed);
-            }
-          });
+            });
+      }
     }
     // Apply after the barrier: one write per improved cell, all distinct.
     const PhaseTimer timer = phase_timer(&StepProfile::log_apply_ns);
     const std::size_t logged = pw_log_count_.load(std::memory_order_relaxed);
     if (prof_ != nullptr) prof_->pw_log_entries = logged;
-    if (frontier_enabled_) {
-      // This square consumed all accumulated movement marks; the next one
-      // must see only its own applies plus the next activate's writes.
-      for (std::size_t k = 0; k < pairs_.size(); ++k) {
-        pw_root_moved_[k].store(0, std::memory_order_relaxed);
-      }
-      square_frontier_ready_ = true;
-    }
     Cost* raw = pw_.raw_cells();
     for (std::size_t k = 0; k < logged; ++k) {
       const Delta rec = pw_log_[k];
-      raw[entry_slots_[rec.index]] = rec.value;
-      if (frontier_enabled_) {
+      raw[rec.index] = rec.value;
+      if (fast) {
         const Quad t = quads[rec.index];
         mark_root_dirty(pair_index(t.i, t.j));
       }
     }
     return logged;
+  }
+
+  /// Fast-path HLV a-square: one semi-naive tile per root block not
+  /// skipped by the containment test, written back in place (see the
+  /// file comment). Every square, the first included, skips: before any
+  /// square, a root with no moved cell inside it holds only `kInfinity`.
+  std::uint64_t run_square_tiled() {
+    build_root_contained();
+    EdgeScratch& snapshot = edge_scratch();
+    {
+      const PhaseTimer timer = phase_timer(&StepProfile::gather_ns);
+      gather_edges(snapshot);
+    }
+    const bool prof = prof_ != nullptr;
+    if (prof) prof_->square_quads_total = pw_.entries().size();
+    const PhaseTimer timer = phase_timer(&StepProfile::square_ns);
+    const std::size_t roots = root_blocks_.size();
+    std::atomic<std::uint64_t> changed{0};
+    machine_.run_blocks(
+        static_cast<std::int64_t>(roots),
+        [&](std::int64_t lo, std::int64_t hi) {
+          TileScratch& tile = tile_scratch();
+          TileCounts counts;
+          std::uint64_t block_changed = 0;
+          std::uint64_t blocks_scanned = 0, blocks_skipped = 0;
+          std::uint64_t quads_block_skipped = 0, candidates_total = 0;
+          for (std::size_t k = static_cast<std::size_t>(lo);
+               k < static_cast<std::size_t>(hi); ++k) {
+            const RootBlock& rb = root_blocks_[k];
+            if (prof) candidates_total += block_candidates(root_slacks(k));
+            if (!root_block_moved(pairs_[k])) {
+              if (prof) {
+                ++blocks_skipped;
+                quads_block_skipped += rb.end - rb.begin;
+              }
+              continue;
+            }
+            if (prof) {
+              ++blocks_scanned;
+              block_changed += square_tile<true>(k, snapshot, tile, counts);
+            } else {
+              block_changed += square_tile<false>(k, snapshot, tile, counts);
+            }
+          }
+          if (block_changed > 0) {
+            changed.fetch_add(block_changed, std::memory_order_relaxed);
+          }
+          if (prof) {
+            prof_blocks_scanned_.fetch_add(blocks_scanned,
+                                           std::memory_order_relaxed);
+            prof_blocks_skipped_.fetch_add(blocks_skipped,
+                                           std::memory_order_relaxed);
+            prof_quads_scanned_.fetch_add(counts.quads_scanned,
+                                          std::memory_order_relaxed);
+            prof_quads_skipped_.fetch_add(counts.quads_skipped,
+                                          std::memory_order_relaxed);
+            prof_quads_block_skipped_.fetch_add(quads_block_skipped,
+                                                std::memory_order_relaxed);
+            prof_candidates_evaluated_.fetch_add(counts.candidates,
+                                                 std::memory_order_relaxed);
+            prof_candidates_total_.fetch_add(candidates_total,
+                                             std::memory_order_relaxed);
+          }
+        });
+    return changed.load(std::memory_order_relaxed);
   }
 
   std::uint64_t run_pebble() {
@@ -1160,21 +1278,29 @@ class Engine {
     prof_quads_scanned_.store(0, std::memory_order_relaxed);
     prof_quads_skipped_.store(0, std::memory_order_relaxed);
     prof_quads_block_skipped_.store(0, std::memory_order_relaxed);
+    prof_candidates_evaluated_.store(0, std::memory_order_relaxed);
+    prof_candidates_total_.store(0, std::memory_order_relaxed);
     prof_pairs_scanned_.store(0, std::memory_order_relaxed);
     prof_pairs_skipped_.store(0, std::memory_order_relaxed);
   }
 
   void end_profile() {
-    prof_->square_blocks_scanned =
-        prof_blocks_scanned_.load(std::memory_order_relaxed);
-    prof_->square_blocks_skipped =
-        prof_blocks_skipped_.load(std::memory_order_relaxed);
-    prof_->square_quads_scanned =
-        prof_quads_scanned_.load(std::memory_order_relaxed);
-    prof_->square_quads_skipped =
-        prof_quads_skipped_.load(std::memory_order_relaxed);
-    prof_->square_quads_block_skipped =
-        prof_quads_block_skipped_.load(std::memory_order_relaxed);
+    if (tiled_) {
+      prof_->square_blocks_scanned =
+          prof_blocks_scanned_.load(std::memory_order_relaxed);
+      prof_->square_blocks_skipped =
+          prof_blocks_skipped_.load(std::memory_order_relaxed);
+      prof_->square_quads_scanned =
+          prof_quads_scanned_.load(std::memory_order_relaxed);
+      prof_->square_quads_skipped =
+          prof_quads_skipped_.load(std::memory_order_relaxed);
+      prof_->square_quads_block_skipped =
+          prof_quads_block_skipped_.load(std::memory_order_relaxed);
+      prof_->square_candidates_evaluated =
+          prof_candidates_evaluated_.load(std::memory_order_relaxed);
+      prof_->square_candidates_total =
+          prof_candidates_total_.load(std::memory_order_relaxed);
+    }
     prof_->pebble_pairs_scanned =
         prof_pairs_scanned_.load(std::memory_order_relaxed);
     prof_->pebble_pairs_skipped =
@@ -1193,34 +1319,33 @@ class Engine {
   // Shape-owned geometry — immutable aliases into `*shape_`.
   const ShapeArray<Pair>& pairs_;
   const ShapeArray<std::size_t>& pairs_offset_by_length_;
-  const ShapeArray<std::uint32_t>& entry_slots_;  ///< Slot per entry.
-  const ShapeArray<RootBlock>& root_blocks_;      ///< Per-root runs.
+  const ShapeArray<RootBlock>& root_blocks_;  ///< Per-root runs.
   std::uint64_t total_split_sites_ = 0;
 
-  // Gathered a-square operand columns (see gather_operand_columns): slots
-  // per gap side, and the buffer size, 2 * column_width_ per gap.
-  std::size_t column_width_ = 0;
-  std::size_t column_cells_ = 0;
+  // Slots per edge in the a-square edge snapshot: slack 1 .. min(B, n-1)
+  // at its own index (slot 0 unused).
+  std::size_t edge_stride_ = 0;
 
-  // Write logs of the current step (see the file comment).
+  // Write logs of the current step (see the file comment); `pw_log_` is
+  // empty when the square is tiled.
   std::vector<Delta> pw_log_;
   std::vector<Delta> w_log_;
   std::atomic<std::size_t> pw_log_count_{0};
   std::atomic<std::size_t> w_log_count_{0};
 
-  // Frontier state (frontier_enabled_ == true).
+  // Fast-path movement state. The root flags exist on every fast path;
+  // the frontier state needs the per-iteration pebble, the moved bytes
+  // and root containment grid the tiled square.
   bool frontier_enabled_ = false;
-  bool square_frontier_ready_ = false;  ///< First square has no marks yet.
+  bool tiled_ = false;
   std::unique_ptr<std::atomic<std::uint8_t>[]> root_dirty_;
   std::unique_ptr<std::atomic<std::uint8_t>[]> pw_root_moved_;
   std::vector<Pair> frontier_;  ///< w entries moved by the last pebble.
   std::vector<std::uint8_t> w_moved_;
   std::vector<std::uint32_t> contained_;
-  // Root-major square sweep snapshots (see build_square_prefixes).
+  std::vector<std::uint8_t> moved_;  ///< Per in-band cell (see above).
   std::vector<std::uint8_t> root_mark_grid_;
   std::vector<std::uint32_t> root_contained_;
-  std::vector<std::uint32_t> mark_left_pre_;
-  std::vector<std::uint32_t> mark_right_pre_;
 
   // Profiling state (see begin_profile / end_profile above). `prof_` is
   // non-null only inside a profiled iterate(); every hot-path counter
@@ -1234,6 +1359,8 @@ class Engine {
   std::atomic<std::uint64_t> prof_quads_scanned_{0};
   std::atomic<std::uint64_t> prof_quads_skipped_{0};
   std::atomic<std::uint64_t> prof_quads_block_skipped_{0};
+  std::atomic<std::uint64_t> prof_candidates_evaluated_{0};
+  std::atomic<std::uint64_t> prof_candidates_total_{0};
   std::atomic<std::uint64_t> prof_pairs_scanned_{0};
   std::atomic<std::uint64_t> prof_pairs_skipped_{0};
 

@@ -115,7 +115,8 @@ class BandedPwLayout {
   }
 
   /// Square-step targets (in-band quadruples), grouped by root length
-  /// ascending with the quads of one root contiguous.
+  /// ascending with the quads of one root contiguous, in storage order:
+  /// entry `k` lives in slot `k` (`entry_slot(entries()[k]) == k`).
   [[nodiscard]] const ShapeArray<Quad>& entries() const noexcept {
     return entries_;
   }
@@ -137,14 +138,18 @@ class BandedPwLayout {
     return m * (m + 3) / 2;
   }
 
+  /// Offset of slack `s >= 1` inside a root's block:
+  /// `sum_{s'=1..s-1} (s'+1)`; its gap offsets `p - i` follow in order.
+  [[nodiscard]] static constexpr std::size_t slack_offset(std::size_t s) {
+    return (s - 1) * (s + 2) / 2;
+  }
+
   [[nodiscard]] std::size_t flat(std::size_t i, std::size_t j, std::size_t p,
                                  std::size_t s) const {
     const std::size_t len = j - i;
     SUBDP_ASSERT(len >= 2 && s >= 1 && s <= band_ && s <= len - 1);
     SUBDP_ASSERT(p >= i && p - i <= s);
-    // Offset of slack s inside a block: sum_{s'=1..s-1} (s'+1).
-    const std::size_t slack_offset = (s - 1) * (s + 2) / 2;
-    return length_base_[len] + (i * block_size(len)) + slack_offset +
+    return length_base_[len] + (i * block_size(len)) + slack_offset(s) +
            (p - i);
   }
 
@@ -253,9 +258,8 @@ class BandedPwTable {
   }
 
   /// Storage slot of a stored in-band (square-step) entry; an index into
-  /// `raw_cells`. Lets the engine apply a write log without re-deriving
-  /// the banded layout. Child-gap entries are not square targets and have
-  /// no slot here.
+  /// `raw_cells` (the engine's moved bytes share it). Child-gap entries
+  /// are not square targets and have no slot here.
   [[nodiscard]] std::size_t entry_slot(std::size_t i, std::size_t j,
                                        std::size_t p, std::size_t q) const {
     const std::size_t s = (j - i) - (q - p);

@@ -4,7 +4,7 @@
 /// `ShapeArray<T>`: an immutable, shareable array of plan geometry.
 ///
 /// The big instance-independent tables a `SolvePlan` owns — the square
-/// entry list, pair lists, write-log slot maps, root-block runs, offset
+/// entry list, pair lists, root-block runs, offset
 /// tables — were `std::vector`s, which forces every consumer of a plan
 /// snapshot (snapshot/plan_snapshot.hpp) to copy megabytes of geometry
 /// out of the file on load. `ShapeArray` is the seam that removes the

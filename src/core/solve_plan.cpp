@@ -32,16 +32,7 @@ std::shared_ptr<SolvePlan> SolvePlan::make_validated(
   plan->n_ = n;
   plan->options_ = options;
   plan->bound_ = support::two_ceil_sqrt(n);
-  // The dense variant is the Sec. 2 table: every slack in band (B = n).
-  if (options.variant == PwVariant::kDense) {
-    plan->band_ = n;
-  } else if (options.band_width != 0) {
-    plan->band_ = options.band_width;
-  } else {
-    plan->band_ = support::two_ceil_sqrt(n);
-  }
-  if (plan->band_ > n) plan->band_ = n;
-  if (plan->band_ < 1) plan->band_ = 1;
+  plan->band_ = effective_band_for(n, options);
 
   if (options.max_iterations != 0) {
     plan->cap_ = options.max_iterations;
@@ -51,6 +42,19 @@ std::shared_ptr<SolvePlan> SolvePlan::make_validated(
     plan->cap_ = plan->bound_;
   }
   return plan;
+}
+
+std::size_t SolvePlan::effective_band_for(std::size_t n,
+                                         const SublinearOptions& options) {
+  // The dense variant is the Sec. 2 table: every slack in band (B = n).
+  std::size_t band = n;
+  if (options.variant != PwVariant::kDense) {
+    band = options.band_width != 0 ? options.band_width
+                                   : support::two_ceil_sqrt(n);
+  }
+  if (band > n) band = n;
+  if (band < 1) band = 1;
+  return band;
 }
 
 std::shared_ptr<const SolvePlan> SolvePlan::create(

@@ -14,9 +14,8 @@
 ///  * the pw storage layout (`BandedPwLayout`, the one layout both
 ///    variants share): offset tables and the root-major square-entry list;
 ///  * the engine shape (`detail::EngineShape`): length-major pair lists
-///    and their prefix offsets, the write-log slot of every square entry,
-///    the root-block runs of the root-major sweep, and the frontier
-///    density cutoff.
+///    and their prefix offsets, the root-block runs of the tiled square
+///    sweep, and the frontier density cutoff.
 ///
 /// Thread-safety (audited for the concurrent serving subsystem): plans
 /// are immutable and thread-agnostic once `create` returns — every member
@@ -29,7 +28,7 @@
 /// `serve::SolverService` builds one plan per distinct `(n, options)` and
 /// runs every same-shape instance through it; `core::solve` is a thin
 /// facade that builds a throwaway plan per call. Building a plan is the
-/// expensive step — O(n^2 B^2) entry-list and slot construction — which
+/// expensive step — O(n^2 B^2) entry-list construction — which
 /// is exactly what prepare-once/solve-many amortises away.
 
 #include <cstddef>
@@ -88,6 +87,14 @@ class SolvePlan {
   /// Effective band width `B` (clamped to `[1, n]`; `n` for the dense
   /// variant).
   [[nodiscard]] std::size_t effective_band() const noexcept { return band_; }
+
+  /// The effective band a plan for `(n, options)` gets, without building
+  /// it: `n` for the dense variant, else `band_width` (or the default
+  /// `2*ceil(sqrt n)` when 0) clamped to `[1, n]`. Plan caches key on it,
+  /// so requests that differ only in an ignored or clamped `band_width`
+  /// share one plan.
+  [[nodiscard]] static std::size_t effective_band_for(
+      std::size_t n, const SublinearOptions& options);
 
   /// Iterations a `solve` runs at most (the bound, the Rytter log
   /// schedule, or `options.max_iterations` when set).

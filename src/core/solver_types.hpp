@@ -106,7 +106,8 @@ struct SublinearOptions {
 /// cover the fast sweep paths only — instrumented / reference sweeps
 /// leave them zero (trivially consistent). Invariants asserted in tests:
 /// `square_quads_scanned + square_quads_skipped + square_quads_block_skipped
-/// == square_quads_total` and
+/// == square_quads_total`,
+/// `square_candidates_evaluated <= square_candidates_total` and
 /// `pebble_pairs_scanned + pebble_pairs_skipped == pebble_pairs_total`.
 struct StepProfile {
   std::size_t iteration = 0;  ///< 1-based, matching IterationTrace.
@@ -115,14 +116,20 @@ struct StepProfile {
   std::uint64_t frontier_sites = 0;
   std::uint64_t total_split_sites = 0;
   bool activate_used_frontier = false;
-  // a-square root-major sweep: whole root blocks skipped by the
-  // containment count vs scanned, and the quad-level breakdown.
+  // a-square tiled sweep: whole root blocks skipped by the containment
+  // count vs visited, the target-level breakdown (a target is scanned
+  // when at least one of its candidates was evaluated), and the
+  // candidates evaluated against those of a full HLV sweep (identity
+  // candidates excluded). The fast Rytter square scans every target and
+  // leaves the block and candidate counters zero.
   std::uint64_t square_blocks_scanned = 0;
   std::uint64_t square_blocks_skipped = 0;
   std::uint64_t square_quads_total = 0;
   std::uint64_t square_quads_scanned = 0;
-  std::uint64_t square_quads_skipped = 0;        ///< per-quad window test
+  std::uint64_t square_quads_skipped = 0;  ///< visited, no candidate
   std::uint64_t square_quads_block_skipped = 0;  ///< inside a skipped block
+  std::uint64_t square_candidates_evaluated = 0;
+  std::uint64_t square_candidates_total = 0;
   // a-pebble frontier sweep: pairs skipped by the gap-w mark test.
   std::uint64_t pebble_pairs_total = 0;
   std::uint64_t pebble_pairs_scanned = 0;
@@ -135,9 +142,10 @@ struct StepProfile {
   /// definition can retire both.
   std::uint64_t mark_updates_incremental = 0;
   /// Number of grid builds in the iteration — one per skipping sweep
-  /// that ran (root-major a-square, frontier a-pebble).
+  /// that ran (tiled a-square, frontier a-pebble).
   std::uint64_t mark_updates_rebuilt = 0;
   // Delta-buffer write-log sizes (entries applied after the barrier).
+  // The tiled a-square writes in place and logs nothing.
   std::uint64_t pw_log_entries = 0;
   std::uint64_t w_log_entries = 0;
   // Wall time per macro-step phase, in steady-clock nanoseconds. The
@@ -145,11 +153,11 @@ struct StepProfile {
   // time; a phase that did not run reads 0. Unlike the counters above,
   // the timers cover the oracle sweeps too.
   std::uint64_t activate_ns = 0;
-  std::uint64_t gather_ns = 0;     ///< a-square operand-column gather
+  std::uint64_t gather_ns = 0;     ///< a-square edge gather
   std::uint64_t square_ns = 0;     ///< a-square sweep
   std::uint64_t pebble_ns = 0;     ///< a-pebble sweep
   std::uint64_t mark_grid_ns = 0;  ///< both mark-grid builds
-  std::uint64_t log_apply_ns = 0;  ///< both write-log applies
+  std::uint64_t log_apply_ns = 0;  ///< write-log applies
 };
 
 /// Per-iteration progress counters (experiment E5/E8 traces).

@@ -15,7 +15,7 @@ PlanKey PlanKey::make(std::size_t n,
   key.variant = options.variant;
   key.square_mode = options.square_mode;
   key.termination = options.termination;
-  key.band_width = options.band_width;
+  key.band_width = core::SolvePlan::effective_band_for(n, options);
   key.max_iterations = options.max_iterations;
   key.windowed_pebble = options.windowed_pebble;
   key.profile = options.profile;

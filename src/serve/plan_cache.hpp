@@ -2,10 +2,11 @@
 
 /// \file plan_cache.hpp
 /// A thread-safe, bounded-LRU cache of `SolvePlan`s and their session
-/// pools, keyed by `(n, SublinearOptions)`.
+/// pools, keyed by `(n, SublinearOptions)` with the effective band in
+/// place of the requested `band_width`.
 ///
 /// Building a plan is the expensive step of a solve — O(n^2 B^2) entry
-/// lists, offset tables and slot maps — and plans are immutable, so a
+/// lists and offset tables — and plans are immutable, so a
 /// server wants to build each shape once and share it. `PlanCache` does
 /// so within a bound: at most `capacity` shapes stay resident, evicted
 /// least-recently-used, with hit / miss / eviction counters surfaced
@@ -72,6 +73,9 @@ struct PlanKey {
   core::PwVariant variant = core::PwVariant::kBanded;
   core::SquareMode square_mode = core::SquareMode::kHlvOneLevel;
   core::TerminationMode termination = core::TerminationMode::kFixedPoint;
+  /// The plan's effective band (`SolvePlan::effective_band_for`), not the
+  /// requested `band_width`: a dense plan ignores the request and a
+  /// banded one clamps it, so equal effective bands build equal plans.
   std::size_t band_width = 0;
   std::size_t max_iterations = 0;
   bool windowed_pebble = false;

@@ -27,7 +27,7 @@ constexpr std::uint32_t kAbiTag =
 
 /// Sections start 16-byte aligned: the header is 160 bytes and every
 /// section is padded up, so an aligned buffer keeps every element type
-/// (size_t, Quad, Pair, uint32, RootBlock) naturally aligned.
+/// (size_t, Quad, Pair, RootBlock) naturally aligned.
 constexpr std::size_t kSectionAlign = 16;
 
 constexpr std::size_t pad_to_align(std::size_t at) {
@@ -40,7 +40,7 @@ struct SnapshotHeader {
   std::uint32_t abi_tag;
   // The full plan key: n plus every option field that shapes a plan.
   std::uint64_t n;
-  std::uint64_t band_width;
+  std::uint64_t band_width;  ///< The effective band, as in `PlanKey`.
   std::uint64_t max_iterations;
   std::uint8_t variant;
   std::uint8_t square_mode;
@@ -49,7 +49,7 @@ struct SnapshotHeader {
   std::uint8_t backend;
   std::uint8_t check_crew;
   std::uint8_t record_costs;
-  std::uint8_t pad[9];
+  std::uint8_t pad[17];
   // Derived scalars, stored for cross-checking against recomputation.
   std::uint64_t bound;
   std::uint64_t band;
@@ -61,7 +61,6 @@ struct SnapshotHeader {
   std::uint64_t entry_count;
   std::uint64_t pair_count;
   std::uint64_t pair_offset_count;
-  std::uint64_t entry_slot_count;
   std::uint64_t root_block_count;
   std::uint64_t payload_bytes;
   std::uint64_t payload_checksum;  ///< FNV-1a 64 over the payload.
@@ -79,7 +78,7 @@ static_assert(sizeof(SnapshotHeader) % kSectionAlign == 0);
 void fill_key(SnapshotHeader& h, std::size_t n,
               const core::SublinearOptions& o) {
   h.n = n;
-  h.band_width = o.band_width;
+  h.band_width = core::SolvePlan::effective_band_for(n, o);
   h.max_iterations = o.max_iterations;
   h.variant = static_cast<std::uint8_t>(o.variant);
   h.square_mode = static_cast<std::uint8_t>(o.square_mode);
@@ -158,7 +157,6 @@ void append_shape_payload(std::vector<std::uint8_t>& out,
   h.entry_count = layout.entries().size();
   h.pair_count = shape.pairs.size();
   h.pair_offset_count = shape.pairs_offset_by_length.size();
-  h.entry_slot_count = shape.entry_slots.size();
   h.root_block_count = shape.root_blocks.size();
   h.total_split_sites = shape.total_split_sites;
 
@@ -169,7 +167,6 @@ void append_shape_payload(std::vector<std::uint8_t>& out,
   append_section(out, shape.pairs.data(), shape.pairs.size());
   append_section(out, shape.pairs_offset_by_length.data(),
                  shape.pairs_offset_by_length.size());
-  append_section(out, shape.entry_slots.data(), shape.entry_slots.size());
   append_section(out, shape.root_blocks.data(), shape.root_blocks.size());
 }
 
@@ -255,7 +252,6 @@ std::shared_ptr<const core::SolvePlan> decode_plan(
   auto entries = reader.take<core::Quad>(h.entry_count);
   auto pairs = reader.take<core::detail::Pair>(h.pair_count);
   auto pair_offsets = reader.take<std::size_t>(h.pair_offset_count);
-  auto entry_slots = reader.take<std::uint32_t>(h.entry_slot_count);
   auto root_blocks = reader.take<core::detail::RootBlock>(h.root_block_count);
   SUBDP_REQUIRE(reader.consumed() == h.payload_bytes,
                 "plan snapshot payload has trailing bytes");
@@ -273,7 +269,7 @@ std::shared_ptr<const core::SolvePlan> decode_plan(
         std::move(entries));
     auto shape = core::detail::EngineShape::restore(
         std::move(layout), n, band, std::move(pairs), std::move(pair_offsets),
-        std::move(entry_slots), std::move(root_blocks), h.total_split_sites);
+        std::move(root_blocks), h.total_split_sites);
     plan = core::SolvePlan::restore(n, options, std::move(shape));
   }
 

@@ -3,12 +3,13 @@
 // `record_costs = true`): `Machine::step`, full sweeps, operands read
 // through the layout's general `get`, with the PRAM ledger whose values
 // test_golden pins. The fast path (`record_costs = false`) runs
-// frontier-driven sweeps, in-band cursors, `PwGapRun` pebble scans and
-// the mark grids behind its skip tests. Every fast configuration — serial
-// or thread pool, profiled or not — and the counted engine on the thread
-// pool must produce output identical to the serial oracle: the same w
-// table, cost, iteration count, and per-iteration change counts, across
-// every instance family in bench/common.hpp and both pw-table layouts.
+// frontier-driven sweeps, the semi-naive tiled square, `PwGapRun` pebble
+// scans and the mark grids behind its skip tests. Every fast
+// configuration — serial or thread pool, profiled or not — and the
+// counted engine on the thread pool must produce output identical to the
+// serial oracle: the same w table, cost, iteration count, and
+// per-iteration change counts, across every instance family in
+// bench/common.hpp and both pw-table layouts.
 
 #include <gtest/gtest.h>
 
@@ -239,18 +240,38 @@ TEST(FastPath, WindowedPebbleMatchesReferenceEngine) {
   expect_identical(a, b, "windowed");
 }
 
-// ---- Narrow bands and the operand-column scratch ---------------------------
-// The fast HLV square reads its second operands from per-gap columns it
+TEST(FastPath, RytterSquareMatchesTheOraclePerIteration) {
+  // The Rytter square keeps its write log on the fast path (only the HLV
+  // square is tiled); its slot-free apply must still match the oracle.
+  support::Rng rng(2020);
+  const std::size_t n = 12;
+  const auto problem = bench::make_instance("optimal-bst", n, rng);
+  for (const pram::Backend backend :
+       {pram::Backend::kSerial, pram::Backend::kThreadPool}) {
+    SublinearOptions options = fast_options(PwVariant::kDense, backend);
+    options.square_mode = SquareMode::kRytterFull;
+    const auto ref = oracle_steps(*problem, options);
+    SolveSession session(SolvePlan::create(n, options));
+    session.reset(*problem);
+    for (std::size_t t = 0; t < ref.size(); ++t) {
+      expect_step_matches(ref[t], step_and_capture(session),
+                          std::string(pram::to_string(backend)) +
+                              " iteration " + std::to_string(t + 1));
+    }
+  }
+}
+
+// ---- Narrow bands and the edge snapshot ------------------------------------
+// The tiled HLV square reads its second operands from the root edges it
 // gathers into a per-thread scratch buffer before each sweep. These tests
-// pin the column ends (B = 1, gaps near the table edges, where the columns
-// are clipped) and the buffer's lifetime (regathered every sweep, never
-// stale across sessions, shapes or threads), per iteration against the
-// oracle.
+// pin the short edges (B = 1-3, and roots near the table ends, whose
+// edges stop at slack j - i - 1) and the buffer's lifetime (regathered
+// every sweep, never stale across sessions, shapes or threads), per
+// iteration against the oracle.
 
 TEST(FastPath, NarrowBandsMatchTheOraclePerIteration) {
-  // B = 1 leaves one operand per column side; B = 2, 3 exercise short
-  // windows. At every B the columns of gaps with p < B or q + B > n are
-  // clipped at the table edge. Bands this narrow need not reach the
+  // B = 1 leaves only identity candidates; B = 2, 3 exercise one- and
+  // two-cell edges and tiles. Bands this narrow need not reach the
   // optimum within the iteration bound, so the check is bit-identity to
   // the oracle, not to sequential DP.
   const std::size_t n = 19;
@@ -281,7 +302,7 @@ TEST(FastPath, NarrowBandsMatchTheOraclePerIteration) {
 
 TEST(FastPath, OperandScratchIsRegatheredAcrossSessionsOfTwoShapes) {
   // One thread steps a banded and a dense session of different n in
-  // turn, so its column buffer alternates between two shapes (the larger
+  // turn, so its edge buffer alternates between two shapes (the larger
   // leaves stale slots past the smaller's extent) and each sweep must
   // regather before reading.
   support::Rng rng(31);
@@ -476,7 +497,8 @@ TEST(CrossLayout, PlanEnforcesTheNewDenseLimit) {
 // `SublinearOptions::profile` records one StepProfile per iteration. The
 // bit-identical guarantee is covered by the profiled configs above; here
 // the counters themselves must reconcile: every quad and pair the sweep
-// owns is either scanned or accounted to a skip, exactly once.
+// owns is either scanned or accounted to a skip, exactly once, and the
+// semi-naive square evaluates fewer candidates than a full sweep.
 
 TEST(StepProfiles, CountersReconcilePerStepOnEveryFamily) {
   for (const std::string& family : bench::instance_families()) {
@@ -502,6 +524,14 @@ TEST(StepProfiles, CountersReconcilePerStepOnEveryFamily) {
                       p.square_quads_block_skipped,
                   p.square_quads_total)
             << label;
+        EXPECT_LE(p.square_candidates_evaluated, p.square_candidates_total)
+            << label;
+        if (t > 0) {
+          // From the second square on, only candidates with an operand
+          // that moved since the last one are evaluated.
+          EXPECT_LT(p.square_candidates_evaluated, p.square_candidates_total)
+              << label;
+        }
         EXPECT_EQ(p.pebble_pairs_scanned + p.pebble_pairs_skipped,
                   p.pebble_pairs_total)
             << label;
@@ -511,21 +541,23 @@ TEST(StepProfiles, CountersReconcilePerStepOnEveryFamily) {
         }
         // Frontier density accounting is a subset relation.
         EXPECT_LE(p.frontier_sites, p.total_split_sites) << label;
-        // One from-scratch grid build per skipping sweep: the frontier
-        // pebble skips from iteration 1, the root-major square (HLV,
-        // non-windowed) from iteration 2 on, once movement marks exist.
+        // One from-scratch grid build per skipping sweep: the tiled
+        // square and the frontier pebble both skip from iteration 1.
         EXPECT_EQ(p.mark_updates_incremental, 0u) << label;
-        EXPECT_EQ(p.mark_updates_rebuilt, t == 0 ? 1u : 2u) << label;
+        EXPECT_EQ(p.mark_updates_rebuilt, 2u) << label;
       }
       // The sweeps genuinely ran: some work is attributed somewhere.
       std::uint64_t total_quads = 0;
       std::uint64_t total_pairs = 0;
+      std::uint64_t evaluated = 0;
       for (const StepProfile& p : profiles) {
         total_quads += p.square_quads_total;
         total_pairs += p.pebble_pairs_total;
+        evaluated += p.square_candidates_evaluated;
       }
       EXPECT_GT(total_quads, 0u) << family;
       EXPECT_GT(total_pairs, 0u) << family;
+      EXPECT_GT(evaluated, 0u) << family;
     }
   }
 }
@@ -533,7 +565,7 @@ TEST(StepProfiles, CountersReconcilePerStepOnEveryFamily) {
 TEST(StepProfiles, PhaseTimersCoverTheStepsThatRanAndFitInsideIt) {
   // Each phase timer is positive whenever its phase ran, and the phases
   // are disjoint slices of the step, so they sum to at most the step's
-  // externally timed wall time. The oracle sweeps gather no columns.
+  // externally timed wall time. The oracle sweeps gather no edges.
   using Clock = std::chrono::steady_clock;
   for (const std::string& family : bench::instance_families()) {
     for (const PwVariant variant : {PwVariant::kBanded, PwVariant::kDense}) {

@@ -396,6 +396,23 @@ TEST(BandedPwTable, FullBandCellCountIsTheEntryCount) {
   EXPECT_GT(BandedPwLayout(9, 7).child_cell_count(), 0u);  // band = n - 2
 }
 
+TEST(BandedPwLayout, EntriesAreEmittedInStorageOrder) {
+  // The tiled a-square walks a root's entries and its cells as one run,
+  // so entry k must live in slot k at every band, full band included.
+  for (const auto& [n, band] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {2, 1}, {9, 3}, {17, 17}, {64, 16}}) {
+    const BandedPwLayout layout(n, band);
+    const auto& entries = layout.entries();
+    for (std::size_t k = 0; k < entries.size(); ++k) {
+      const Quad& e = entries[k];
+      ASSERT_EQ(layout.entry_slot(e.i, e.j, e.p, e.q), k)
+          << "n=" << n << " band=" << band;
+    }
+    EXPECT_EQ(entries.size(), layout.band_cell_count());
+  }
+}
+
 TEST(BandedPwTable, RejectsZeroBand) {
   EXPECT_THROW(BandedPwTable(5, 0), std::invalid_argument);
 }

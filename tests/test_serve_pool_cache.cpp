@@ -154,6 +154,37 @@ TEST(PlanCache, KeysOnOptionsNotJustN) {
   EXPECT_EQ(b->plan().effective_band(), 3u);
 }
 
+TEST(PlanCache, KeysOnTheEffectiveBandNotTheRequestedWidth) {
+  // A dense plan ignores band_width and a banded one clamps it to [1, n]:
+  // requests that build the same plan must share one entry.
+  PlanCache cache(8, 1);
+  core::SublinearOptions dense;
+  dense.variant = core::PwVariant::kDense;
+  core::SublinearOptions dense_four = dense;
+  dense_four.band_width = 4;
+  bool built = false;
+  const auto a = cache.acquire(18, dense, &built);
+  EXPECT_TRUE(built);
+  const auto b = cache.acquire(18, dense_four, &built);
+  EXPECT_FALSE(built);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().size, 1u);
+  EXPECT_EQ(a->plan().effective_band(), 18u);
+
+  core::SublinearOptions wide;
+  wide.band_width = 18;
+  core::SublinearOptions wider = wide;
+  wider.band_width = 40;  // clamps to n = 18
+  const auto c = cache.acquire(18, wide);
+  const auto d = cache.acquire(18, wider, &built);
+  EXPECT_FALSE(built);
+  EXPECT_EQ(c, d);
+  EXPECT_NE(a, c) << "the variants still key apart";
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().size, 2u);
+}
+
 TEST(PlanCache, EvictedPoolStaysAliveWhileLeased) {
   PlanCache cache(1, 1);
   core::SublinearOptions options;

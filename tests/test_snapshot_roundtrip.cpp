@@ -111,7 +111,7 @@ fs::path only_snapshot_file(const fs::path& dir) {
   return found;
 }
 
-// Format-v3 byte offsets (documented in plan_snapshot.cpp's header
+// Format-v4 byte offsets (documented in plan_snapshot.cpp's header
 // struct); the tamper tests below flip bytes at these positions.
 constexpr std::size_t kHeaderBytes = 160;
 constexpr std::size_t kVersionOffset = 8;     // format_version u32
@@ -325,9 +325,10 @@ TEST(SnapshotRejection, StaleFormatVersion) {
 
 TEST(SnapshotRejection, RetiredFormatV1) {
   // Version 1 carried four engine-toggle key bytes that version 2 drops,
-  // and version 2 dense images carried a layout version 3 no longer has;
-  // a leftover file of either must be rejected and rebuilt, never misread.
-  for (const std::uint32_t retired : {1u, 2u}) {
+  // version 2 dense images carried a layout version 3 no longer has, and
+  // version 3 carried an entry-slot section version 4 drops; a leftover
+  // file of any of them must be rejected and rebuilt, never misread.
+  for (const std::uint32_t retired : {1u, 2u, 3u}) {
     expect_rejected_then_rebuilt(
         "format-v" + std::to_string(retired), [retired](auto& bytes) {
           std::memcpy(bytes.data() + kVersionOffset, &retired,
@@ -361,6 +362,27 @@ TEST(SnapshotRejection, KeyFilenameMismatch) {
   EXPECT_EQ(store.stats().rejected, 1u);
   EXPECT_NE(store.load(24, options_a), nullptr);  // A is untouched
   EXPECT_EQ(store.stats().hits, 1u);
+}
+
+TEST(SnapshotRejection, RootBlockRunsMustMatchTheLayout) {
+  // The tiled square addresses a root's cells from its run's start, so a
+  // run that disagrees with the layout is rejected even when the payload
+  // checksum is valid.
+  const auto plan = core::SolvePlan::create(12);
+  auto bytes =
+      std::make_shared<std::vector<std::uint8_t>>(encode_plan(*plan));
+  // The runs are the last payload section: 66 roots, two u32s each.
+  const std::size_t first_end = bytes->size() - 66 * 8 + 4;
+  std::uint32_t end = 0;
+  std::memcpy(&end, bytes->data() + first_end, sizeof(end));
+  ++end;  // root 0's run now overlaps root 1's
+  std::memcpy(bytes->data() + first_end, &end, sizeof(end));
+  const std::uint64_t checksum =
+      fnv1a64(bytes->data() + kHeaderBytes, bytes->size() - kHeaderBytes);
+  std::memcpy(bytes->data() + kChecksumOffset, &checksum, sizeof(checksum));
+  EXPECT_THROW(
+      (void)decode_plan(bytes->data(), bytes->size(), bytes, 12, {}),
+      std::invalid_argument);
 }
 
 TEST(SnapshotRejection, DecodeThrowsInsteadOfMisSolving) {
