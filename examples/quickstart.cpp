@@ -207,8 +207,8 @@ int main() {
                                           bounded_stats.jobs_rejected +
                                           bounded_stats.jobs_expired;
 
-  // Persistence shape: `snapshot_dir` turns the expensive plan build
-  // into a one-time cost. Generation 1 builds the n=24 plan (a snapshot
+  // Persistence shape: `snapshot_dir` turns the plan build into a
+  // one-time cost. Generation 1 builds the n=24 plan (a snapshot
   // miss), writes it back to the store, and names the shape in the
   // prewarm manifest. The "restarted replica" — generation 2 over the
   // same directory — rehydrates it from disk in its constructor, so its

@@ -214,23 +214,25 @@ inline TileScratch& tile_scratch() {
 struct Pair {
   std::uint32_t i = 0;
   std::uint32_t j = 0;
+  friend bool operator==(const Pair&, const Pair&) = default;
 };
 
-/// One root's contiguous run `[begin, end)` of the square-entry list (the
+/// One root's contiguous block `[begin, end)` of in-band cell slots (the
 /// tiled square's sweep unit). Blocks follow the pair list: block `k`
 /// belongs to pair `k`.
 struct RootBlock {
   std::uint32_t begin = 0;
   std::uint32_t end = 0;
+  friend bool operator==(const RootBlock&, const RootBlock&) = default;
 };
 
 /// Everything the engine precomputes that depends only on the *shape*
 /// `(n, band)` — never on a concrete instance's costs: the shared
-/// storage layout, the length-major pair list and its offsets, the root-
-/// block runs of the tiled square sweep, and the activate-site total the
-/// frontier density test compares against. A `SolvePlan` builds one `EngineShape` and every engine
-/// (session) of that shape shares it, so per-instance preparation is a
-/// table fill instead of an O(n^2 B^2) rebuild.
+/// storage layout, the length-major pair list and its offsets, the root
+/// blocks of the tiled square sweep, and the activate-site total the
+/// frontier density test compares against. All of it is O(n^2). A
+/// `SolvePlan` builds one `EngineShape` and every engine (session) of
+/// that shape shares it, so per-instance preparation is a table fill.
 struct EngineShape {
   std::shared_ptr<const BandedPwLayout> layout;
   std::size_t n = 0;
@@ -239,9 +241,7 @@ struct EngineShape {
   ShapeArray<Pair> pairs;
   /// Prefix offsets addressing a window of lengths in `pairs`.
   ShapeArray<std::size_t> pairs_offset_by_length;
-  /// Per-root runs of the entry list (tiled square sweep). The layout
-  /// emits entries in storage order, so entry `k` lives in slot `k` and a
-  /// run is also its root's block of cells.
+  /// Per-root blocks of in-band cells (tiled square sweep), one per pair.
   ShapeArray<RootBlock> root_blocks;
   /// Total (pair, split) activate sites — the frontier density cutoff.
   std::uint64_t total_split_sites = 0;
@@ -276,26 +276,18 @@ struct EngineShape {
       shape->total_split_sites += pr.j - pr.i - 1;
     }
 
-    const auto& quads = shape->layout->entries();
-    SUBDP_REQUIRE(shape->layout->cell_count() <= UINT32_MAX,
-                  "pw table too large for 32-bit entry indices");
-    // Per-root runs of the entry list (the layout emits the quads of a
-    // root contiguously, length-major like the pairs) — the unit of the
-    // tiled square sweep.
+    // Root `(i, i+len)` owns the `block_size(len)` slots from
+    // `flat(i, i+len, i, 1)`, in pair order.
+    const BandedPwLayout& layout = *shape->layout;
+    SUBDP_REQUIRE(layout.cell_count() <= UINT32_MAX,
+                  "pw table too large for 32-bit slot indices");
     std::vector<RootBlock> blocks;
-    for (std::size_t idx = 0; idx < quads.size(); ++idx) {
-      const Quad& t = quads[idx];
-      if (idx == 0 || quads[idx - 1].i != t.i || quads[idx - 1].j != t.j) {
-        if (!blocks.empty()) {
-          blocks.back().end = static_cast<std::uint32_t>(idx);
-        }
-        SUBDP_ASSERT(pairs_offset_by_length[t.j - t.i] + t.i ==
-                     blocks.size());
-        blocks.push_back(RootBlock{static_cast<std::uint32_t>(idx), 0});
-      }
-    }
-    if (!blocks.empty()) {
-      blocks.back().end = static_cast<std::uint32_t>(quads.size());
+    blocks.reserve(pairs.size());
+    for (const Pair pr : pairs) {
+      const std::size_t begin = layout.flat(pr.i, pr.j, pr.i, 1);
+      blocks.push_back(RootBlock{
+          static_cast<std::uint32_t>(begin),
+          static_cast<std::uint32_t>(begin + layout.block_size(pr.j - pr.i))});
     }
     shape->pairs = std::move(pairs);
     shape->pairs_offset_by_length = std::move(pairs_offset_by_length);
@@ -304,63 +296,33 @@ struct EngineShape {
   }
 
   /// Rehydrates a shape around snapshot-backed arrays (the mmap load path;
-  /// see snapshot/plan_snapshot.hpp). Array *contents* are vouched for by
-  /// the snapshot checksum; this factory re-derives everything cheap — the
-  /// O(n) pair offsets, the split-site total and the O(n^2) root-block
-  /// runs — verifies it against the stored copy, and checks every array
-  /// count against what `build` would produce, throwing on any
-  /// disagreement so a corrupt file can never yield a structurally
-  /// inconsistent shape.
+  /// see snapshot/plan_snapshot.hpp). The arrays are O(n^2) closed-form
+  /// geometry, so they are checked element by element against a fresh
+  /// `build`, and any disagreement throws: a corrupt file can never yield
+  /// an inconsistent shape (the tiled square addresses a root's cells from
+  /// its block's start).
   [[nodiscard]] static std::shared_ptr<const EngineShape> restore(
       std::shared_ptr<const BandedPwLayout> layout, std::size_t n,
       std::size_t band, ShapeArray<Pair> pairs,
       ShapeArray<std::size_t> pairs_offset_by_length,
       ShapeArray<RootBlock> root_blocks, std::uint64_t total_split_sites) {
+    const auto same = [](const auto& got, const auto& want) {
+      return std::equal(got.begin(), got.end(), want.begin(), want.end());
+    };
+    const std::shared_ptr<const EngineShape> want = build(n, band);
+    SUBDP_REQUIRE(same(pairs, want->pairs),
+                  "snapshot pair list disagrees with n");
+    SUBDP_REQUIRE(same(pairs_offset_by_length, want->pairs_offset_by_length),
+                  "snapshot pair offsets disagree with n");
+    SUBDP_REQUIRE(total_split_sites == want->total_split_sites,
+                  "snapshot split-site total disagrees with n");
+    SUBDP_REQUIRE(same(root_blocks, want->root_blocks),
+                  "snapshot root blocks disagree with the layout");
+
     auto shape = std::make_shared<EngineShape>();
     shape->layout = std::move(layout);
     shape->n = n;
     shape->band = band;
-
-    SUBDP_REQUIRE(pairs.size() == (n >= 2 ? n * (n - 1) / 2 : 0),
-                  "snapshot pair count disagrees with n");
-    SUBDP_REQUIRE(pairs_offset_by_length.size() == n + 2,
-                  "snapshot pair-offset count disagrees with n");
-    std::size_t at = 0;
-    std::uint64_t split_sites = 0;
-    for (std::size_t len = 2; len <= n; ++len) {
-      SUBDP_REQUIRE(pairs_offset_by_length[len] == at,
-                    "snapshot pair offsets disagree with n");
-      at += n - len + 1;
-      split_sites += static_cast<std::uint64_t>(n - len + 1) * (len - 1);
-    }
-    SUBDP_REQUIRE(pairs_offset_by_length[n + 1] == at &&
-                      pairs_offset_by_length[0] == 0 &&
-                      pairs_offset_by_length[1] == 0,
-                  "snapshot pair offsets disagree with n");
-    SUBDP_REQUIRE(total_split_sites == split_sites,
-                  "snapshot split-site total disagrees with n");
-
-    const std::size_t quad_count = shape->layout->entries().size();
-    SUBDP_REQUIRE(shape->layout->cell_count() <= UINT32_MAX,
-                  "pw table too large for 32-bit entry indices");
-    // The layout gives every root of length >= 2 at least one quad, so
-    // the per-root runs must be one block per pair and end at the list.
-    SUBDP_REQUIRE(root_blocks.size() == (quad_count > 0 ? pairs.size() : 0),
-                  "snapshot root-block count disagrees with the pair list");
-    // The tiled square addresses a root's cells from its run's start, so
-    // every run must be exactly its root's block of the layout (O(n^2)).
-    const BandedPwLayout& geometry = *shape->layout;
-    std::size_t k = 0;
-    for (std::size_t len = 2; len <= n && !root_blocks.empty(); ++len) {
-      for (std::size_t i = 0; i + len <= n; ++i, ++k) {
-        const std::size_t begin = geometry.flat(i, i + len, i, 1);
-        SUBDP_REQUIRE(
-            root_blocks[k].begin == begin &&
-                root_blocks[k].end == begin + geometry.block_size(len),
-            "snapshot root-block runs disagree with the layout");
-      }
-    }
-
     shape->pairs = std::move(pairs);
     shape->pairs_offset_by_length = std::move(pairs_offset_by_length);
     shape->root_blocks = std::move(root_blocks);
@@ -393,7 +355,7 @@ class Engine {
     frontier_enabled_ = fast && !options_.windowed_pebble;
     tiled_ = fast && options_.square_mode == SquareMode::kHlvOneLevel;
     // The tiled square writes in place; only the other squares log.
-    if (!tiled_) pw_log_.resize(pw_.entries().size());
+    if (!tiled_) pw_log_.resize(pw_.layout().band_cell_count());
     w_log_.resize(pairs_.size());
     profile_ = options_.profile;
     const std::size_t grid = (n_ + 1) * (n_ + 1);
@@ -405,7 +367,7 @@ class Engine {
           std::make_unique<std::atomic<std::uint8_t>[]>(pairs_.size());
     }
     if (tiled_) {
-      moved_.assign(pw_.entries().size(), 0);
+      moved_.assign(pw_.layout().band_cell_count(), 0);
       root_mark_grid_.assign(grid, 0);
       root_contained_.assign(grid, 0);
     }
@@ -478,9 +440,9 @@ class Engine {
   }
 
  private:
-  /// One deferred write of a step's log: for a-square, `index` is into
-  /// `entries()` (which is also the cell's storage slot); for a-pebble,
-  /// into `pairs_`.
+  /// One deferred write of a step's log: for a-square, `index` is the
+  /// cell's storage slot (`BandedPwLayout::quad_at` names its quadruple);
+  /// for a-pebble, an index into `pairs_`.
   struct Delta {
     std::uint32_t index = 0;
     Cost value = 0;
@@ -641,6 +603,24 @@ class Engine {
       }
     }
     return best;
+  }
+
+  /// The target of oracle square processor `slot`. `Machine::step` runs
+  /// each worker's processors in ascending order, so a target usually
+  /// follows the thread's previous one (`next_quad`, O(1)); any other
+  /// slot is inverted by `quad_at`. `(n, band)` fixes the geometry, so
+  /// the memo keyed on it holds across engines.
+  [[nodiscard]] static Quad square_target(const BandedPwLayout& geometry,
+                                          std::size_t slot) {
+    thread_local std::size_t last_n = 0, last_band = 0, last_slot = 0;
+    thread_local Quad last;
+    const bool follows = last_n == geometry.n() &&
+                         last_band == geometry.band() && last_slot + 1 == slot;
+    last = follows ? geometry.next_quad(last) : geometry.quad_at(slot);
+    last_n = geometry.n();
+    last_band = geometry.band();
+    last_slot = slot;
+    return last;
   }
 
   /// Slacks stored in root `k`'s block: `min(B, j - i - 1)`.
@@ -1043,7 +1023,9 @@ class Engine {
 
   std::uint64_t run_square() {
     if (tiled_) return run_square_tiled();
-    const auto& quads = pw_.entries();
+    // One logical processor per in-band slot, targeting its quadruple.
+    const BandedPwLayout& geometry = pw_.layout();
+    const std::size_t slots = geometry.band_cell_count();
     // Reads see pre-step state because all writes are deferred to the
     // post-barrier apply below.
     pw_log_count_.store(0, std::memory_order_relaxed);
@@ -1052,9 +1034,10 @@ class Engine {
       const PhaseTimer timer = phase_timer(&StepProfile::square_ns);
       if (!fast) {
         machine_.step(
-            "a-square", static_cast<std::int64_t>(quads.size()),
+            "a-square", static_cast<std::int64_t>(slots),
             [&](std::int64_t idx) -> std::uint64_t {
-              const Quad t = quads[static_cast<std::size_t>(idx)];
+              const Quad t =
+                  square_target(geometry, static_cast<std::size_t>(idx));
               const Cost old_value = pw_.get(t.i, t.j, t.p, t.q);
               std::uint64_t ops = 0;
               const Cost best = square_scan<true>(t, old_value, ops);
@@ -1067,24 +1050,27 @@ class Engine {
               return ops;
             });
       } else {
-        // Fast Rytter square: a full sweep of the unchecked kernel.
+        // Fast Rytter square: a full sweep of the unchecked kernel. Each
+        // block inverts its first slot and steps from there.
         if (prof_ != nullptr) {
-          prof_->square_quads_total = quads.size();
-          prof_->square_quads_scanned = quads.size();
+          prof_->square_quads_total = slots;
+          prof_->square_quads_scanned = slots;
         }
         const Cost* raw_read = pw_.raw_cells();
         machine_.run_blocks(
-            static_cast<std::int64_t>(quads.size()),
+            static_cast<std::int64_t>(slots),
             [&](std::int64_t lo, std::int64_t hi) {
               std::uint64_t ops = 0;
+              Quad t = geometry.quad_at(static_cast<std::size_t>(lo));
               for (std::int64_t idx = lo; idx < hi; ++idx) {
-                const Quad t = quads[static_cast<std::size_t>(idx)];
+                if (idx > lo) t = geometry.next_quad(t);
                 const Cost old_value = raw_read[idx];
                 const Cost best = square_scan<false>(t, old_value, ops);
                 if (best < old_value) {
                   pw_log_[pw_log_count_.fetch_add(
                       1, std::memory_order_relaxed)] =
                       Delta{static_cast<std::uint32_t>(idx), best};
+                  mark_root_dirty(pair_index(t.i, t.j));
                 }
               }
             });
@@ -1096,12 +1082,7 @@ class Engine {
     if (prof_ != nullptr) prof_->pw_log_entries = logged;
     Cost* raw = pw_.raw_cells();
     for (std::size_t k = 0; k < logged; ++k) {
-      const Delta rec = pw_log_[k];
-      raw[rec.index] = rec.value;
-      if (fast) {
-        const Quad t = quads[rec.index];
-        mark_root_dirty(pair_index(t.i, t.j));
-      }
+      raw[pw_log_[k].index] = pw_log_[k].value;
     }
     return logged;
   }
@@ -1118,7 +1099,7 @@ class Engine {
       gather_edges(snapshot);
     }
     const bool prof = prof_ != nullptr;
-    if (prof) prof_->square_quads_total = pw_.entries().size();
+    if (prof) prof_->square_quads_total = pw_.layout().band_cell_count();
     const PhaseTimer timer = phase_timer(&StepProfile::square_ns);
     const std::size_t roots = root_blocks_.size();
     std::atomic<std::uint64_t> changed{0};

@@ -1,6 +1,7 @@
 #include "core/pw_banded.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "support/assert.hpp"
@@ -48,33 +49,11 @@ BandedPwLayout::BandedPwLayout(std::size_t n, std::size_t band)
   init_geometry(length_base, tetra_base);
   length_base_ = std::move(length_base);
   tetra_base_ = std::move(tetra_base);
-
-  std::vector<Quad> entries;
-  entries.reserve(band_cell_count_);
-  for (std::size_t len = 2; len <= n; ++len) {
-    for (std::size_t i = 0; i + len <= n; ++i) {
-      const std::size_t j = i + len;
-      const std::size_t max_s = len - 1 < band_ ? len - 1 : band_;
-      for (std::size_t s = 1; s <= max_s; ++s) {
-        const std::size_t gap_len = len - s;
-        for (std::size_t o = 0; o <= s; ++o) {
-          entries.push_back(Quad{static_cast<std::uint16_t>(i),
-                                 static_cast<std::uint16_t>(j),
-                                 static_cast<std::uint16_t>(i + o),
-                                 static_cast<std::uint16_t>(i + o +
-                                                            gap_len)});
-        }
-      }
-    }
-  }
-  SUBDP_ASSERT(entries.size() == band_cell_count_);
-  entries_ = std::move(entries);
 }
 
 BandedPwLayout::BandedPwLayout(std::size_t n, std::size_t band,
                                ShapeArray<std::size_t> length_base,
-                               ShapeArray<std::size_t> tetra_base,
-                               ShapeArray<Quad> entries)
+                               ShapeArray<std::size_t> tetra_base)
     : n_(n), band_(band) {
   std::vector<std::size_t> expected_length_base;
   std::vector<std::size_t> expected_tetra_base;
@@ -87,11 +66,40 @@ BandedPwLayout::BandedPwLayout(std::size_t n, std::size_t band,
                     std::equal(tetra_base.begin(), tetra_base.end(),
                                expected_tetra_base.begin()),
                 "banded snapshot child-store offsets disagree with (n, band)");
-  SUBDP_REQUIRE(entries.size() == band_cell_count_,
-                "banded snapshot entry count disagrees with (n, band)");
   length_base_ = std::move(length_base);
   tetra_base_ = std::move(tetra_base);
-  entries_ = std::move(entries);
+}
+
+Quad BandedPwLayout::quad_at(std::size_t slot) const {
+  SUBDP_ASSERT(slot < band_cell_count_);
+  // Every length 2..n owns a nonempty run, so `length_base_[2..n+1]` is
+  // strictly increasing: the last base <= slot names the length. The
+  // search is branch-free (the oracle calls this once per processor, and
+  // a mispredicted probe costs more than the rest of the inversion).
+  const std::size_t* base = length_base_.data() + 2;
+  std::size_t lo = 0;
+  for (std::size_t count = n_ - 1; count > 1;) {
+    const std::size_t half = count / 2;
+    lo = base[lo + half] <= slot ? lo + half : lo;
+    count -= half;
+  }
+  const std::size_t len = lo + 2;
+  const std::size_t block = block_size(len);
+  const std::size_t rest = slot - length_base_[len];
+  const std::size_t i = rest / block;
+  const std::size_t in_block = rest % block;
+  // slack_offset(s) = (s^2 + s - 2) / 2 <= in_block solves to
+  // s = floor((sqrt(8 in_block + 9) - 1) / 2); the floating-point root
+  // can be off by one either way, which one step per side corrects.
+  std::size_t s = static_cast<std::size_t>(
+      (std::sqrt(static_cast<double>(8 * in_block + 9)) - 1.0) / 2.0);
+  if (slack_offset(s + 1) <= in_block) ++s;
+  if (slack_offset(s) > in_block) --s;
+  const std::size_t p = i + (in_block - slack_offset(s));
+  return Quad{static_cast<std::uint16_t>(i),
+              static_cast<std::uint16_t>(i + len),
+              static_cast<std::uint16_t>(p),
+              static_cast<std::uint16_t>(p + len - s)};
 }
 
 BandedPwTable::BandedPwTable(std::shared_ptr<const BandedPwLayout> layout)

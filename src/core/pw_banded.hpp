@@ -43,14 +43,15 @@
 /// the band.
 ///
 /// Plan/instance split: everything above is a function of `(n, B)` only,
-/// so it lives in an immutable `BandedPwLayout` — offset tables, entry
-/// list, cell counts. A `BandedPwTable` binds a (shared) layout to its own
+/// so it lives in an immutable `BandedPwLayout` — two O(n) offset tables
+/// and the cell counts. Nothing is tabulated per cell: a slot's
+/// quadruple is recovered in closed form (`quad_at`), so a layout builds
+/// in O(n). A `BandedPwTable` binds a (shared) layout to its own
 /// mutable cell vectors; `SolvePlan` builds the layout once per shape and
 /// every `SolveSession` table of that shape shares it, so per-instance
-/// setup is a fill, not a rebuild. The layout's bulk arrays are
-/// `ShapeArray`s (shape_array.hpp), so a layout rehydrated from a plan
-/// snapshot can alias the file mapping instead of copying the entry list
-/// (snapshot/plan_snapshot.hpp).
+/// setup is a fill, not a rebuild. The offset tables are `ShapeArray`s
+/// (shape_array.hpp), so a layout rehydrated from a plan snapshot can
+/// alias the file mapping (snapshot/plan_snapshot.hpp).
 
 #include <cstdint>
 #include <memory>
@@ -64,8 +65,8 @@
 namespace subdp::core {
 
 /// Immutable banded-layout geometry for one `(n, band)` shape: offset
-/// tables, the square-entry list, and cell counts. Instances share one
-/// layout via `shared_ptr`; only cell values are per-instance.
+/// tables and cell counts. Instances share one layout via `shared_ptr`;
+/// only cell values are per-instance.
 class BandedPwLayout {
  public:
   BandedPwLayout(std::size_t n, std::size_t band);
@@ -75,17 +76,15 @@ class BandedPwLayout {
   /// counts are recomputed from `(n, band)` and *verified* against the
   /// provided arrays — any size or content mismatch throws, so a decoder
   /// can adopt the arrays only when they are exactly what a fresh build
-  /// would produce. Entry *contents* are vouched for by the snapshot
-  /// checksum; only their count is checked here.
+  /// would produce.
   BandedPwLayout(std::size_t n, std::size_t band,
                  ShapeArray<std::size_t> length_base,
-                 ShapeArray<std::size_t> tetra_base,
-                 ShapeArray<Quad> entries);
+                 ShapeArray<std::size_t> tetra_base);
 
   [[nodiscard]] std::size_t n() const noexcept { return n_; }
   [[nodiscard]] std::size_t band() const noexcept { return band_; }
 
-  /// Banded (square-target) cells; equals `entries().size()`.
+  /// Banded (square-target) cells: the slots `quad_at` accepts.
   [[nodiscard]] std::size_t band_cell_count() const noexcept {
     return band_cell_count_;
   }
@@ -107,18 +106,40 @@ class BandedPwLayout {
   }
 
   /// Storage slot of an in-band square-step entry (index into a table's
-  /// `raw_cells`); the layout-level form of `BandedPwTable::entry_slot`,
-  /// usable before any table exists (engine-shape precomputation).
+  /// `raw_cells`); the inverse of `quad_at`.
   [[nodiscard]] std::size_t entry_slot(std::size_t i, std::size_t j,
                                        std::size_t p, std::size_t q) const {
     return flat(i, j, p, (j - i) - (q - p));
   }
 
-  /// Square-step targets (in-band quadruples), grouped by root length
-  /// ascending with the quads of one root contiguous, in storage order:
-  /// entry `k` lives in slot `k` (`entry_slot(entries()[k]) == k`).
-  [[nodiscard]] const ShapeArray<Quad>& entries() const noexcept {
-    return entries_;
+  /// The square-step target (in-band quadruple) stored in `slot <
+  /// band_cell_count()`, the inverse of `entry_slot`. Slots run by root
+  /// length ascending, then `i`, then slack, then gap offset, so the
+  /// length is a binary search over `length_base`, `i` a division by
+  /// `block_size`, and the slack an inverted `slack_offset`: O(log n).
+  [[nodiscard]] Quad quad_at(std::size_t slot) const;
+
+  /// The quadruple of the slot after `t`'s (`t` must not be the last):
+  /// `quad_at(k + 1)` from `quad_at(k)` in O(1), for sweeps over slots.
+  [[nodiscard]] Quad next_quad(Quad t) const {
+    const std::size_t len = t.j - t.i;
+    const std::size_t s = len - (t.q - t.p);
+    if (static_cast<std::size_t>(t.p - t.i) < s) {  // next gap offset
+      ++t.p;
+      ++t.q;
+    } else if (s < band_ && s + 1 < len) {  // next slack
+      t.p = t.i;
+      t.q = static_cast<std::uint16_t>(t.j - s - 1);
+    } else if (t.j < n_) {  // next root of this length
+      ++t.i;
+      ++t.j;
+      t.p = t.i;
+      t.q = static_cast<std::uint16_t>(t.j - 1);
+    } else {  // first root of the next length
+      t = Quad{0, static_cast<std::uint16_t>(len + 1), 0,
+               static_cast<std::uint16_t>(len)};
+    }
+    return t;
   }
 
   /// Cumulative block offsets per length (snapshot serialisation).
@@ -181,7 +202,6 @@ class BandedPwLayout {
   std::size_t out_of_band_child_count_ = 0;
   ShapeArray<std::size_t> length_base_;  ///< Cumulative block offsets.
   ShapeArray<std::size_t> tetra_base_;   ///< Child-store offsets per `i`.
-  ShapeArray<Quad> entries_;
 };
 
 /// Banded `pw'` storage; in-band entries plus child-gap entries of any
@@ -259,12 +279,12 @@ class BandedPwTable {
 
   /// Storage slot of a stored in-band (square-step) entry; an index into
   /// `raw_cells` (the engine's moved bytes share it). Child-gap entries
-  /// are not square targets and have no slot here.
+  /// are not square targets and have no slot here: their activate value
+  /// `f + w(child)` is exact once the children have converged, and keeping
+  /// them out preserves the O(n^3 * B) square work bound.
   [[nodiscard]] std::size_t entry_slot(std::size_t i, std::size_t j,
                                        std::size_t p, std::size_t q) const {
-    const std::size_t s = (j - i) - (q - p);
-    SUBDP_ASSERT(s <= band_);
-    return layout_->flat(i, j, p, s);
+    return layout_->entry_slot(i, j, p, q);
   }
 
   /// Incremental reader over `pw'(i,j,r,q)` for ascending `r` starting at
@@ -303,15 +323,7 @@ class BandedPwTable {
 
   /// Meaningful stored entries: banded cells plus out-of-band child gaps.
   [[nodiscard]] std::size_t entry_count() const noexcept {
-    return entries().size() + layout_->out_of_band_child_count();
-  }
-
-  /// Square-step targets (in-band quadruples), grouped by root length
-  /// ascending. Child-gap entries are not square targets: their activate
-  /// value `f + w(child)` is exact once the children have converged, and
-  /// keeping them out preserves the O(n^3 * B) square work bound.
-  [[nodiscard]] const ShapeArray<Quad>& entries() const noexcept {
-    return layout_->entries();
+    return cells_.size() + layout_->out_of_band_child_count();
   }
 
   /// Enumerates the stored gaps `(p,q)` of root `(i,j)` (pebble step):

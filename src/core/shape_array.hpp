@@ -3,11 +3,10 @@
 /// \file shape_array.hpp
 /// `ShapeArray<T>`: an immutable, shareable array of plan geometry.
 ///
-/// The big instance-independent tables a `SolvePlan` owns — the square
-/// entry list, pair lists, root-block runs, offset
-/// tables — were `std::vector`s, which forces every consumer of a plan
-/// snapshot (snapshot/plan_snapshot.hpp) to copy megabytes of geometry
-/// out of the file on load. `ShapeArray` is the seam that removes the
+/// The instance-independent tables a `SolvePlan` owns — pair lists,
+/// root blocks, offset tables — were `std::vector`s, which forces every
+/// consumer of a plan snapshot (snapshot/plan_snapshot.hpp) to copy its
+/// geometry out of the file on load. `ShapeArray` is the seam that removes the
 /// copy: it is a read-only `(data, size)` view plus a type-erased
 /// keep-alive handle, so the same array type can be backed by
 ///  * an owned `std::vector<T>` (the build-from-scratch path — the

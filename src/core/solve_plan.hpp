@@ -12,9 +12,10 @@
 ///    band `B` (`n` for `PwVariant::kDense`, the Sec. 2 every-slack
 ///    table), and the iteration cap;
 ///  * the pw storage layout (`BandedPwLayout`, the one layout both
-///    variants share): offset tables and the root-major square-entry list;
+///    variants share): two O(n) offset tables and the cell counts, with
+///    every cell's quadruple recovered in closed form (`quad_at`);
 ///  * the engine shape (`detail::EngineShape`): length-major pair lists
-///    and their prefix offsets, the root-block runs of the tiled square
+///    and their prefix offsets, the root blocks of the tiled square
 ///    sweep, and the frontier density cutoff.
 ///
 /// Thread-safety (audited for the concurrent serving subsystem): plans
@@ -27,9 +28,10 @@
 /// with no synchronisation; `serve::SessionPool` relies on exactly this.
 /// `serve::SolverService` builds one plan per distinct `(n, options)` and
 /// runs every same-shape instance through it; `core::solve` is a thin
-/// facade that builds a throwaway plan per call. Building a plan is the
-/// expensive step — O(n^2 B^2) entry-list construction — which
-/// is exactly what prepare-once/solve-many amortises away.
+/// facade that builds a throwaway plan per call. Building a plan is
+/// O(n^2) closed-form geometry (under a millisecond at banded n = 192);
+/// what prepare-once/solve-many amortises is mostly the per-session
+/// table allocation, which a `SessionPool` reuses across solves.
 
 #include <cstddef>
 #include <memory>

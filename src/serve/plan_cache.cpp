@@ -111,7 +111,7 @@ void PlanCache::set_build_observer(
 std::shared_ptr<SessionPool> PlanCache::finish_build(
     const PlanKey& key, const std::shared_ptr<Slot>& slot, std::size_t n,
     const core::SublinearOptions& options, BuildSource* source) {
-  // The expensive O(n^2 B^2) build happens here, with the cache-wide
+  // The build (or snapshot load) happens here, with the cache-wide
   // lock released: only same-key requesters block (on build_mutex) and
   // then share the finished pool.
   const std::lock_guard<std::mutex> build_lock(slot->build_mutex);
@@ -132,7 +132,7 @@ std::shared_ptr<SessionPool> PlanCache::finish_build(
   BuildReport report;
   std::shared_ptr<SessionPool> pool;
   try {
-    // Persistence tier first: a verified snapshot replaces the O(n^2 B^2)
+    // Persistence tier first: a verified snapshot replaces the O(n^2)
     // geometry build outright; a fresh build is queued for write-back so
     // the *next* process (or a post-eviction re-request) loads instead.
     const obs::Clock::time_point t0 =

@@ -5,10 +5,10 @@
 /// pools, keyed by `(n, SublinearOptions)` with the effective band in
 /// place of the requested `band_width`.
 ///
-/// Building a plan is the expensive step of a solve — O(n^2 B^2) entry
-/// lists and offset tables — and plans are immutable, so a
-/// server wants to build each shape once and share it. `PlanCache` does
-/// so within a bound: at most `capacity` shapes stay resident, evicted
+/// Plans are immutable O(n^2) closed-form geometry, and each one carries
+/// the session pool whose allocated tables are the costly part of a cold
+/// shape, so a server wants to build each shape once and share it.
+/// `PlanCache` does so within a bound: at most `capacity` shapes stay resident, evicted
 /// least-recently-used, with hit / miss / eviction counters surfaced
 /// through `ServiceStats`.
 ///

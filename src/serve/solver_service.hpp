@@ -94,10 +94,11 @@
 ///
 /// ## The background builder pool
 ///
-/// Building a plan is the expensive cold-start step (O(n^2 B^2) entry
-/// lists and offset tables). Workers never build: on dequeueing a job
-/// whose `(n, options)` shape is cold (or still mid-build), the worker
-/// parks the job with the service's **builder pool**
+/// A cold shape costs a plan build (O(n^2) closed-form geometry) or a
+/// snapshot load, plus its first sessions' table allocation on lease.
+/// Workers never build: on dequeueing a job whose `(n, options)` shape
+/// is cold (or still mid-build), the worker parks the job with the
+/// service's **builder pool**
 /// (`ServiceOptions::builders` threads; `ServiceStats::
 /// jobs_cold_deferred` counts each parked job) and immediately goes
 /// back to draining warm work — one giant cold shape can no longer

@@ -9,7 +9,6 @@
 
 #include "core/engine.hpp"
 #include "core/pw_banded.hpp"
-#include "core/quad.hpp"
 #include "support/assert.hpp"
 
 namespace subdp::snapshot {
@@ -20,14 +19,13 @@ namespace {
 /// byte order (host format, not interchange; see the header comment).
 constexpr std::uint32_t kAbiTag =
     (static_cast<std::uint32_t>(sizeof(std::size_t)) << 0) |
-    (static_cast<std::uint32_t>(sizeof(core::Quad)) << 8) |
     (static_cast<std::uint32_t>(sizeof(core::detail::Pair)) << 16) |
     (static_cast<std::uint32_t>(sizeof(core::detail::RootBlock)) << 24) |
     ((std::endian::native == std::endian::little ? 1u : 2u) << 28);
 
 /// Sections start 16-byte aligned: the header is 160 bytes and every
 /// section is padded up, so an aligned buffer keeps every element type
-/// (size_t, Quad, Pair, RootBlock) naturally aligned.
+/// (size_t, Pair, RootBlock) naturally aligned.
 constexpr std::size_t kSectionAlign = 16;
 
 constexpr std::size_t pad_to_align(std::size_t at) {
@@ -58,7 +56,7 @@ struct SnapshotHeader {
   // Payload section counts (elements, not bytes), in payload order.
   std::uint64_t length_base_count;
   std::uint64_t tetra_base_count;
-  std::uint64_t entry_count;
+  std::uint64_t reserved;  ///< Zero; keeps the header at 160 bytes.
   std::uint64_t pair_count;
   std::uint64_t pair_offset_count;
   std::uint64_t root_block_count;
@@ -154,7 +152,6 @@ void append_shape_payload(std::vector<std::uint8_t>& out,
   const core::BandedPwLayout& layout = *shape.layout;
   h.length_base_count = layout.length_base().size();
   h.tetra_base_count = layout.tetra_base().size();
-  h.entry_count = layout.entries().size();
   h.pair_count = shape.pairs.size();
   h.pair_offset_count = shape.pairs_offset_by_length.size();
   h.root_block_count = shape.root_blocks.size();
@@ -163,7 +160,6 @@ void append_shape_payload(std::vector<std::uint8_t>& out,
   append_section(out, layout.length_base().data(),
                  layout.length_base().size());
   append_section(out, layout.tetra_base().data(), layout.tetra_base().size());
-  append_section(out, layout.entries().data(), layout.entries().size());
   append_section(out, shape.pairs.data(), shape.pairs.size());
   append_section(out, shape.pairs_offset_by_length.data(),
                  shape.pairs_offset_by_length.size());
@@ -249,7 +245,6 @@ std::shared_ptr<const core::SolvePlan> decode_plan(
                        std::move(owner));
   auto length_base = reader.take<std::size_t>(h.length_base_count);
   auto tetra_base = reader.take<std::size_t>(h.tetra_base_count);
-  auto entries = reader.take<core::Quad>(h.entry_count);
   auto pairs = reader.take<core::detail::Pair>(h.pair_count);
   auto pair_offsets = reader.take<std::size_t>(h.pair_offset_count);
   auto root_blocks = reader.take<core::detail::RootBlock>(h.root_block_count);
@@ -259,14 +254,12 @@ std::shared_ptr<const core::SolvePlan> decode_plan(
   const auto band = static_cast<std::size_t>(h.band);
   std::shared_ptr<const core::SolvePlan> plan;
   if (n < 2) {
-    SUBDP_REQUIRE(h.length_base_count == 0 && h.entry_count == 0 &&
-                      h.pair_count == 0,
+    SUBDP_REQUIRE(h.length_base_count == 0 && h.pair_count == 0,
                   "trivial plan snapshot carries geometry");
     plan = core::SolvePlan::restore(n, options, nullptr);
   } else {
     auto layout = std::make_shared<const core::BandedPwLayout>(
-        n, band, std::move(length_base), std::move(tetra_base),
-        std::move(entries));
+        n, band, std::move(length_base), std::move(tetra_base));
     auto shape = core::detail::EngineShape::restore(
         std::move(layout), n, band, std::move(pairs), std::move(pair_offsets),
         std::move(root_blocks), h.total_split_sites);

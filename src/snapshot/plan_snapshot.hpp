@@ -3,35 +3,35 @@
 /// \file plan_snapshot.hpp
 /// Versioned on-disk encoding of a `core::SolvePlan`'s shape geometry.
 ///
-/// A plan is a deterministic function of `(n, SublinearOptions)`, and
-/// building one is the expensive cold-start step — O(n^2 B^2) entry lists
-/// and offset tables. A *snapshot* persists exactly that
-/// instance-independent state so a restarted service rehydrates the plan
-/// from disk instead of recomputing it:
+/// A plan is a deterministic function of `(n, SublinearOptions)`: O(n^2)
+/// closed-form geometry (offset tables, the pair list, root blocks), so
+/// a build costs about what a decode does. A *snapshot* persists exactly
+/// that instance-independent state so a restarted service can rehydrate
+/// the plan from disk instead of recomputing it:
 ///
 ///   [ SnapshotHeader : 160 bytes, trivially copyable ]
-///   [ payload: 6 sections, each 16-byte aligned, zero-padded ]
+///   [ payload: 5 sections, each 16-byte aligned, zero-padded ]
 ///     1. layout length_base     (std::size_t per element)
 ///     2. layout tetra_base      (empty when band + 1 >= n: no side stores)
-///     3. layout entries         (core::Quad)
-///     4. shape pairs            (core::detail::Pair)
-///     5. shape pair offsets     (std::size_t)
-///     6. shape root blocks      (core::detail::RootBlock)
+///     3. shape pairs            (core::detail::Pair)
+///     4. shape pair offsets     (std::size_t)
+///     5. shape root blocks      (core::detail::RootBlock)
 ///
 /// The header carries a magic, the format version, an ABI tag (field
 /// sizes + endianness — this is a *host* format, not an interchange
 /// format), the full plan key (`n` plus every option field that shapes a
 /// plan, with the effective band in place of the requested `band_width`,
 /// as `serve::PlanKey` has it), the derived scalars (`2*ceil(sqrt n)`
-/// bound, effective band, iteration cap, split-site total), the six
+/// bound, effective band, iteration cap, split-site total), the five
 /// section counts, and an FNV-1a-64 checksum over the payload.
 ///
 /// `decode_plan` trusts nothing: magic, version, ABI tag, embedded key ==
 /// requested key, section counts x element sizes == payload size == what
 /// the caller handed in, checksum — and then the structural layers verify
 /// again (layout offset tables are recomputed from `(n, band)` and
-/// compared; `EngineShape::restore` re-derives pair offsets, the
-/// split-site total and the root-block runs; `SolvePlan::restore` re-runs
+/// compared; `EngineShape::restore` compares the pair list, pair
+/// offsets, split-site total and root blocks with a fresh build;
+/// `SolvePlan::restore` re-runs
 /// option validation and cross-checks the derived scalars). Any
 /// disagreement throws, which callers (`SnapshotStore`) treat as "no
 /// snapshot — rebuild". A decoded plan aliases the caller's buffer via
@@ -60,7 +60,7 @@ namespace subdp::snapshot {
 
 /// Bumped on any incompatible change to the header or payload layout;
 /// decoders reject other versions (the caller rebuilds and overwrites).
-inline constexpr std::uint32_t kFormatVersion = 4;
+inline constexpr std::uint32_t kFormatVersion = 5;
 
 /// "SUBDPSNP" — identifies a plan snapshot regardless of version.
 inline constexpr char kMagic[8] = {'S', 'U', 'B', 'D', 'P', 'S', 'N', 'P'};

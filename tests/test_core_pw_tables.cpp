@@ -29,6 +29,32 @@ std::size_t full_table_entries(std::size_t n) {
   return total;
 }
 
+/// The in-band quadruples in plain length-major order (length, then `i`,
+/// then slack, then gap offset), written out independently of the
+/// layout's closed forms: slot `k` must hold element `k`.
+std::vector<Quad> length_major_quads(std::size_t n, std::size_t band) {
+  std::vector<Quad> quads;
+  for (std::size_t len = 2; len <= n; ++len) {
+    for (std::size_t i = 0; i + len <= n; ++i) {
+      for (std::size_t s = 1; s <= std::min(band, len - 1); ++s) {
+        for (std::size_t o = 0; o <= s; ++o) {
+          quads.push_back(Quad{static_cast<std::uint16_t>(i),
+                               static_cast<std::uint16_t>(i + len),
+                               static_cast<std::uint16_t>(i + o),
+                               static_cast<std::uint16_t>(i + o + len - s)});
+        }
+      }
+    }
+  }
+  return quads;
+}
+
+/// The shapes the closed-form geometry is checked at: the smallest band,
+/// narrow and full bands (`band == n` is the dense variant), and a
+/// serving-sized banded shape.
+const std::vector<std::pair<std::size_t, std::size_t>> kGeometryShapes = {
+    {2, 1}, {7, 7}, {9, 3}, {12, 5}, {17, 17}, {64, 16}};
+
 TEST(PwLayout, CheckedSizeArithmeticThrowsInsteadOfWrapping) {
   constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
   EXPECT_EQ(checked_size_mul(3, 7), 21u);
@@ -59,7 +85,8 @@ void expect_cursors_match_get(BandedPwTable& t) {
       }
     }
   }
-  for (const Quad& e : t.entries()) {
+  for (std::size_t k = 0; k < t.layout().band_cell_count(); ++k) {
+    const Quad e = t.layout().quad_at(k);
     const std::size_t i = e.i, j = e.j, p = e.p, q = e.q;
     const std::size_t r_lo = p > maxs && p - maxs > i ? p - maxs : i;
     const std::size_t s_hi = q + maxs < j ? q + maxs : j;
@@ -369,11 +396,11 @@ TEST(BandedPwTable, CellCountIsQuadraticallySmallerThanDense) {
 }
 
 TEST(BandedPwTable, EntriesAreUniqueAndValid) {
-  for (const auto& [n, band] :
-       std::vector<std::pair<std::size_t, std::size_t>>{{7, 7}, {12, 5}}) {
+  for (const auto& [n, band] : kGeometryShapes) {
     BandedPwTable t(n, band);
     std::set<std::uint64_t> seen;
-    for (const Quad& e : t.entries()) {
+    for (std::size_t k = 0; k < t.layout().band_cell_count(); ++k) {
+      const Quad e = t.layout().quad_at(k);
       EXPECT_LE(e.i, e.p);
       EXPECT_LT(e.p, e.q);
       EXPECT_LE(e.q, e.j);
@@ -397,19 +424,29 @@ TEST(BandedPwTable, FullBandCellCountIsTheEntryCount) {
 }
 
 TEST(BandedPwLayout, EntriesAreEmittedInStorageOrder) {
-  // The tiled a-square walks a root's entries and its cells as one run,
-  // so entry k must live in slot k at every band, full band included.
-  for (const auto& [n, band] :
-       std::vector<std::pair<std::size_t, std::size_t>>{
-           {2, 1}, {9, 3}, {17, 17}, {64, 16}}) {
+  // The oracle and the Rytter square name a processor's target by its
+  // slot, so `quad_at` must be the plain length-major enumeration and
+  // invert `entry_slot`, and `next_quad` must step it by one slot, at
+  // every band, full band included.
+  const auto same = [](Quad a, Quad b) {
+    return a.i == b.i && a.j == b.j && a.p == b.p && a.q == b.q;
+  };
+  for (const auto& [n, band] : kGeometryShapes) {
     const BandedPwLayout layout(n, band);
-    const auto& entries = layout.entries();
-    for (std::size_t k = 0; k < entries.size(); ++k) {
-      const Quad& e = entries[k];
+    const std::vector<Quad> expected = length_major_quads(n, band);
+    ASSERT_EQ(expected.size(), layout.band_cell_count())
+        << "n=" << n << " band=" << band;
+    for (std::size_t k = 0; k < expected.size(); ++k) {
+      const Quad e = layout.quad_at(k);
+      ASSERT_TRUE(same(e, expected[k]))
+          << "n=" << n << " band=" << band << " slot " << k;
       ASSERT_EQ(layout.entry_slot(e.i, e.j, e.p, e.q), k)
           << "n=" << n << " band=" << band;
+      if (k + 1 < expected.size()) {
+        ASSERT_TRUE(same(layout.next_quad(e), expected[k + 1]))
+            << "n=" << n << " band=" << band << " after slot " << k;
+      }
     }
-    EXPECT_EQ(entries.size(), layout.band_cell_count());
   }
 }
 

@@ -111,7 +111,7 @@ fs::path only_snapshot_file(const fs::path& dir) {
   return found;
 }
 
-// Format-v4 byte offsets (documented in plan_snapshot.cpp's header
+// Format-v5 byte offsets (documented in plan_snapshot.cpp's header
 // struct); the tamper tests below flip bytes at these positions.
 constexpr std::size_t kHeaderBytes = 160;
 constexpr std::size_t kVersionOffset = 8;     // format_version u32
@@ -200,6 +200,15 @@ TEST(SnapshotRoundTrip, SmallShapesIncludingTrivial) {
                      solve_with(loaded, *problem),
                      "n=" + std::to_string(n));
   }
+}
+
+TEST(SnapshotRoundTrip, ImageHoldsNoPerCellGeometry) {
+  // The geometry is closed-form, so an image is O(n^2): a banded n = 64
+  // plan fits in 64 KB. A per-cell list (8 bytes per in-band cell, 1.8 MB
+  // here) would not.
+  const auto plan = core::SolvePlan::create(64);
+  const std::vector<std::uint8_t> bytes = encode_plan(*plan);
+  EXPECT_LT(bytes.size(), std::size_t{64} * 1024);
 }
 
 // ---- Store save / load -----------------------------------------------------
@@ -325,10 +334,11 @@ TEST(SnapshotRejection, StaleFormatVersion) {
 
 TEST(SnapshotRejection, RetiredFormatV1) {
   // Version 1 carried four engine-toggle key bytes that version 2 drops,
-  // version 2 dense images carried a layout version 3 no longer has, and
-  // version 3 carried an entry-slot section version 4 drops; a leftover
-  // file of any of them must be rejected and rebuilt, never misread.
-  for (const std::uint32_t retired : {1u, 2u, 3u}) {
+  // version 2 dense images carried a layout version 3 no longer has,
+  // version 3 carried an entry-slot section version 4 drops, and version
+  // 4 carried the quad-list section version 5 drops; a leftover file of
+  // any of them must be rejected and rebuilt, never misread.
+  for (const std::uint32_t retired : {1u, 2u, 3u, 4u}) {
     expect_rejected_then_rebuilt(
         "format-v" + std::to_string(retired), [retired](auto& bytes) {
           std::memcpy(bytes.data() + kVersionOffset, &retired,
