@@ -50,16 +50,16 @@
 ///     - a-activate re-evaluates only the sites reading a `w(i,j)` the
 ///       last pebble moved (falling back to the full sweep when that
 ///       frontier is dense);
-///     - a-square (HLV mode) runs one tile per root: a 2-D containment
-///       count over the moved roots answers "did any pw entry inside
-///       `(i,j)` move?" in O(1) and skips the whole root when not, and a
-///       visited root evaluates only the candidates with a moved operand
-///       (semi-naive evaluation, below);
+///     - a-square (HLV mode) runs one tile per root, and visits a root
+///       only when a candidate of its tile has a moved operand; a visited
+///       root evaluates only those candidates (semi-naive evaluation,
+///       below);
 ///     - a-pebble skips pairs with no root `pw` movement since their last
 ///       rescan and no moved `w` among their gaps;
-///     - the containment grids behind both skip tests are built from
-///       scratch, serially, right before each skipping sweep: O(n^2)
-///       plain loops, a small share of the sweeps they prune.
+///     - the tests behind both skips (the square's visit bytes, the
+///       pebble's moved-`w` containment grid) are built from scratch,
+///       serially, right before each skipping sweep: O(n^2) plain loops,
+///       a small share of the sweeps they prune.
 ///    The activate and pebble skips follow the moved-`w` frontier, so
 ///    they are off under the windowed pebble schedule, which pebbles a
 ///    different pair window each iteration; the square's are not.
@@ -87,12 +87,15 @@
 ///    copies every root's two edges into the calling thread's
 ///    `edge_scratch`, never session state: it is rebuilt at the start of
 ///    every sweep and read only within it.
-///  - *Tiles.* Each visited root copies its triangle into one square
-///    accumulator tile in the worker's `tile_scratch`, folds the row pass
-///    over the `E` snapshot (contiguous runs) and the column pass over
-///    the `F` snapshot (strided runs) into it, reading the first operands
-///    straight from its own block, and writes the improved cells back
-///    into that block.
+///  - *Tiles.* Each visited root folds its candidates into one square
+///    accumulator tile in the worker's `tile_scratch`, which starts at
+///    `kInfinity`. One pass walks the block in storage order: cell
+///    `V[r][l]`, at slack `o = r + l`, is the first operand of a row
+///    segment over the `E` edge and a column segment over the `F` edge of
+///    the same sub-root `(i+l, j-r)`, whose targets are the `m - o` cells
+///    to its right (contiguous) and below it (stride `m + 1`). The
+///    write-back stores the accumulator cells that beat the block's and
+///    resets the tile to `kInfinity` for the next root.
 ///  - *Moved bytes.* One byte per in-band cell says "changed since the
 ///    last square's pre-step state": a-activate sets it on its in-band
 ///    writes, and the write-back sets it on improvements and clears the
@@ -104,12 +107,22 @@
 ///    unmoved operands, so the previous square (or, before any square,
 ///    the all-infinite reset state) already applied it: results are the
 ///    oracle's, bit for bit.
+///  - *Visits.* A root's tile evaluates something only if a cell of its
+///    own block moved (`pw_root_moved_`, set by in-band writes alone) or
+///    a proper sub-root at offset `o` has a moved edge cell at a slack
+///    `d` with `o + d <= m`. One length-major pass after the gather
+///    (`build_root_visits`) computes `reach(i,j)`, the least `o + d` over
+///    the sub-roots of `(i,j)` itself included, from its two children's,
+///    and visits exactly the roots that pass: a skipped root would have
+///    evaluated no candidate. A root whose own flag is set is visited
+///    even if it evaluates nothing, so that its write-back clears its
+///    moved bytes.
 ///  - *CREW without a log.* A tile reads other roots only through the
 ///    pre-sweep edge snapshot and writes only its own block, its own moved
 ///    bytes and its own root flags, so in-place write-back races with no
 ///    read: every read of the sweep sees pre-step state, and each cell
-///    has one writer. The edge ranges come from the serial gather, never
-///    from a-activate's concurrent writers.
+///    has one writer. The edge ranges and visit bytes come from the
+///    serial passes, never from a-activate's concurrent writers.
 /// Both operands lie in `[0, kInfinity]`, so the fold is a plain
 /// `min(acc, a + b)`, with no `is_finite` branch or `sat_add` (cost.hpp
 /// asserts the sum cannot overflow). The a-pebble gap scan streams too,
@@ -196,8 +209,9 @@ inline EdgeScratch& edge_scratch() {
 
 /// One worker's a-square tile buffers: the candidate accumulator `V[r][l]`
 /// at `r * (m+1) + l`, and the targets that had a candidate evaluated
-/// (profiling only). Loaded and consumed within one root, so any tile of
-/// any session may reuse them.
+/// (profiling only). Between tiles they hold only `kInfinity` and `0`:
+/// a tile writes nothing but its triangle, and its write-back resets
+/// every triangle cell. So any tile of any session may reuse them.
 struct TileScratch {
   std::vector<Cost> best;
   std::vector<std::uint8_t> touched;
@@ -358,7 +372,6 @@ class Engine {
     if (!tiled_) pw_log_.resize(pw_.layout().band_cell_count());
     w_log_.resize(pairs_.size());
     profile_ = options_.profile;
-    const std::size_t grid = (n_ + 1) * (n_ + 1);
     if (fast) {
       // Value-initialised (zeroed) atomic flag arrays.
       root_dirty_ =
@@ -368,12 +381,12 @@ class Engine {
     }
     if (tiled_) {
       moved_.assign(pw_.layout().band_cell_count(), 0);
-      root_mark_grid_.assign(grid, 0);
-      root_contained_.assign(grid, 0);
+      reach_.assign(pairs_.size(), kNoReach);
+      visit_.assign(pairs_.size(), 0);
     }
     if (frontier_enabled_) {
-      w_moved_.assign(grid, 0);
-      contained_.assign(grid, 0);
+      w_moved_.assign((n_ + 1) * (n_ + 1), 0);
+      contained_.assign((n_ + 1) * (n_ + 1), 0);
       frontier_.reserve(n_);
     }
     bind_instance(problem, /*fresh_tables=*/true);
@@ -490,6 +503,9 @@ class Engine {
     }
   }
 
+  /// `reach_` of a root with no moved edge cell at or inside it.
+  static constexpr std::uint16_t kNoReach = UINT16_MAX;
+
   /// Index of pair `(i,j)` in `pairs_` (groups are length-major, then `i`).
   [[nodiscard]] std::size_t pair_index(std::size_t i, std::size_t j) const {
     return pairs_offset_by_length_[j - i] + i;
@@ -518,12 +534,12 @@ class Engine {
   // path pebbles through `pebble_scan_fast` and squares through
   // `square_tile` (HLV) or `square_scan<false>` (Rytter).
 
-  /// Full a-activate scan of one pair: both eq. 1a/1b targets for every
-  /// split `k`. In-place writes (activate targets are read by nobody
+  /// Full a-activate scan of root `root`: both eq. 1a/1b targets for
+  /// every split `k`. In-place writes (activate targets are read by nobody
   /// within the step). Returns the number of cells improved.
   template <bool Instr>
-  std::uint64_t activate_pair(std::size_t i, std::size_t j,
-                              std::uint64_t& ops) {
+  std::uint64_t activate_pair(std::size_t root, std::uint64_t& ops) {
+    const std::size_t i = pairs_[root].i, j = pairs_[root].j;
     std::uint64_t local_changed = 0;
     // The table stores every child gap (eq. 1a/1b write targets): the
     // layout keeps out-of-band child gaps in a dedicated side store
@@ -540,7 +556,7 @@ class Engine {
           if constexpr (Instr) {
             machine_.note_write(pw_.address(i, j, i, k));
           } else {
-            mark_cell_moved(i, j, i, k);
+            mark_write(root, i, j, i, k);
           }
           ++local_changed;
         }
@@ -553,7 +569,7 @@ class Engine {
           if constexpr (Instr) {
             machine_.note_write(pw_.address(i, j, k, j));
           } else {
-            mark_cell_moved(i, j, k, j);
+            mark_write(root, i, j, k, j);
           }
           ++local_changed;
         }
@@ -675,91 +691,70 @@ class Engine {
   };
 
   /// Semi-naive tiled a-square of root block `k` (see the file comment):
-  /// folds the row candidates over the `E` and the column candidates over
-  /// the `F` edge snapshot into one accumulator tile, then writes the
-  /// improved cells back in place. First operands and old values are read
-  /// straight from the root's own block, which nothing else writes during
-  /// the sweep and this tile writes only after its last read. Returns the
-  /// number of cells improved. `Prof` additionally tallies the evaluated
-  /// candidates and the targets that had any.
+  /// one pass over the block's first operands folds each one's row
+  /// candidates over its sub-root's `E` and its column candidates over
+  /// its `F` edge snapshot into the accumulator tile, then the improved
+  /// cells are written back in place. First operands and old values are
+  /// read straight from the root's own block, which nothing else writes
+  /// during the sweep and this tile writes only after its last read.
+  /// Returns the number of cells improved. `Prof` additionally tallies the
+  /// evaluated candidates and the targets that had any.
   template <bool Prof>
   std::uint64_t square_tile(std::size_t k, const EdgeScratch& snapshot,
                             TileScratch& tile, TileCounts& counts) {
-    const std::size_t i = pairs_[k].i, j = pairs_[k].j;
+    const std::size_t i = pairs_[k].i;
+    const std::size_t len = pairs_[k].j - i;
     const std::size_t m = root_slacks(k);
     const std::size_t t = m + 1;  // tile stride: V[r][l] at r * t + l
-    if (tile.best.size() < t * t) tile.best.resize(t * t);
+    if (tile.best.size() < t * t) tile.best.resize(t * t, kInfinity);
     if constexpr (Prof) {
-      if (tile.touched.size() < t * t) tile.touched.resize(t * t);
+      if (tile.touched.size() < t * t) tile.touched.resize(t * t, 0);
     }
     Cost* const best = tile.best.data();
     std::uint8_t* const touched = tile.touched.data();
     // Block-relative: V[r][l] sits at slack_offset(r + l) + l.
     Cost* const cells = pw_.raw_cells() + root_blocks_[k].begin;
     std::uint8_t* const moved = moved_.data() + root_blocks_[k].begin;
-
-    std::size_t at = 0;
-    for (std::size_t s = 1; s <= m; ++s) {
-      for (std::size_t l = 0; l <= s; ++l, ++at) {
-        best[(s - l) * t + l] = cells[at];
-        if constexpr (Prof) touched[(s - l) * t + l] = 0;
-      }
-    }
-
     const Cost* const edges = snapshot.edges.data();
     const EdgeMoves* const moves = snapshot.moves.data();
-    // Row pass: target V[r][l'+d] reads V[r][l'] + E_(i+l', j-r)[d]. The
-    // first operand V[0][0] is the identity, a provable no-op.
-    for (std::size_t r = 0; r < m; ++r) {
-      const std::size_t l_max = m - r;
-      for (std::size_t lq = r == 0 ? 1 : 0; lq < l_max; ++lq) {
-        const std::size_t a_at = BandedPwLayout::slack_offset(r + lq) + lq;
-        const Cost a = cells[a_at];
+
+    // First operand V[o-l][l], at block slot `at`, reads sub-root
+    // (i+l, j-(o-l)): row target V[o-l][l+d] adds E[d], column target
+    // V[o-l+d][l] adds F[d], for d = 1 .. m-o. Slack-m cells have no
+    // targets, and the identity V[0][0] is a provable no-op.
+    std::size_t at = 0;
+    for (std::size_t o = 1; o < m; ++o) {
+      const std::size_t span = m - o;
+      const std::size_t sub0 = pairs_offset_by_length_[len - o] + i;
+      for (std::size_t l = 0; l <= o; ++l, ++at) {
+        const Cost a = cells[at];
         if (!is_finite(a)) continue;
-        const std::size_t sub = pair_index(i + lq, j - r);
-        std::size_t lo = 1;
-        std::size_t hi = l_max - lq;
-        if (moved[a_at] == 0) {
+        const std::size_t sub = sub0 + l;
+        std::size_t e_lo = 1, e_hi = span, f_lo = 1, f_hi = span;
+        if (moved[at] == 0) {
           const EdgeMoves em = moves[sub];
-          lo = em.e_lo;
-          if (em.e_hi < hi) hi = em.e_hi;
-          if (lo > hi) continue;
+          e_lo = em.e_lo;
+          e_hi = std::min<std::size_t>(em.e_hi, span);
+          f_lo = em.f_lo;
+          f_hi = std::min<std::size_t>(em.f_hi, span);
         }
         const Cost* const e = edges + sub * 2 * edge_stride_;
-        Cost* const out = best + r * t + lq;
-        for (std::size_t d = lo; d <= hi; ++d) {
+        const Cost* const f = e + edge_stride_;
+        Cost* const out = best + (o - l) * t + l;
+        for (std::size_t d = e_lo; d <= e_hi; ++d) {
           out[d] = std::min(out[d], a + e[d]);
         }
-        if constexpr (Prof) {
-          counts.candidates += hi - lo + 1;
-          for (std::size_t d = lo; d <= hi; ++d) touched[r * t + lq + d] = 1;
-        }
-      }
-    }
-    // Column pass: target V[r'+d][l] reads V[r'][l] + F_(i+l, j-r')[d].
-    for (std::size_t l = 0; l < m; ++l) {
-      const std::size_t r_max = m - l;
-      for (std::size_t rq = l == 0 ? 1 : 0; rq < r_max; ++rq) {
-        const std::size_t a_at = BandedPwLayout::slack_offset(rq + l) + l;
-        const Cost a = cells[a_at];
-        if (!is_finite(a)) continue;
-        const std::size_t sub = pair_index(i + l, j - rq);
-        std::size_t lo = 1;
-        std::size_t hi = r_max - rq;
-        if (moved[a_at] == 0) {
-          const EdgeMoves em = moves[sub];
-          lo = em.f_lo;
-          if (em.f_hi < hi) hi = em.f_hi;
-          if (lo > hi) continue;
-        }
-        const Cost* const f = edges + (2 * sub + 1) * edge_stride_;
-        Cost* const out = best + rq * t + l;
-        for (std::size_t d = lo; d <= hi; ++d) {
+        for (std::size_t d = f_lo; d <= f_hi; ++d) {
           out[d * t] = std::min(out[d * t], a + f[d]);
         }
         if constexpr (Prof) {
-          counts.candidates += hi - lo + 1;
-          for (std::size_t d = lo; d <= hi; ++d) touched[(rq + d) * t + l] = 1;
+          std::uint8_t* const hit = touched + (o - l) * t + l;
+          for (std::size_t d = e_lo; d <= e_hi; ++d, ++counts.candidates) {
+            hit[d] = 1;
+          }
+          for (std::size_t d = f_lo; d <= f_hi; ++d, ++counts.candidates) {
+            hit[d * t] = 1;
+          }
         }
       }
     }
@@ -776,17 +771,22 @@ class Engine {
           cells[at] = best[tv];
           ++improved;
         }
+        best[tv] = kInfinity;
         moved[at] = better ? 1 : 0;
         if constexpr (Prof) {
           if (touched[tv] != 0) {
             ++counts.quads_scanned;
+            touched[tv] = 0;
           } else {
             ++counts.quads_skipped;
           }
         }
       }
     }
-    if (improved > 0) mark_root_dirty(k);
+    if (improved > 0) {
+      mark_root_dirty(k);
+      pw_root_moved_[k].store(1, std::memory_order_relaxed);
+    }
     return improved;
   }
 
@@ -838,81 +838,85 @@ class Engine {
 
   // ---- Frontier bookkeeping ----------------------------------------------
 
-  /// Records that some `pw` entry of root `pair_idx` moved, for both
-  /// consumers: `root_dirty_` (read by the frontier a-pebble, sticky until
-  /// the pair is rescanned) and `pw_root_moved_` (read by the next tiled
-  /// a-square, cleared when it snapshots them). Fast path only.
+  /// Records that some `pw` entry of root `pair_idx` moved, for the
+  /// frontier a-pebble (`root_dirty_`, sticky until the pair is
+  /// rescanned). Every fast-path write flags it, in band or not. Fast
+  /// path only.
   void mark_root_dirty(std::size_t pair_idx) {
     root_dirty_[pair_idx].store(1, std::memory_order_relaxed);
-    pw_root_moved_[pair_idx].store(1, std::memory_order_relaxed);
   }
 
-  /// Sets the moved byte of an activate write for the next tiled
-  /// a-square. Out-of-band child gaps have none: they are never square
-  /// operands. Each cell has one writer per step, so plain bytes suffice.
-  void mark_cell_moved(std::size_t i, std::size_t j, std::size_t p,
-                       std::size_t q) {
+  /// Records an activate write to `pw'(i,j,p,q)` of root `root`: the root
+  /// is dirty for the pebble, and an in-band cell also sets its moved
+  /// byte and the root's `pw_root_moved_` flag for the next tiled
+  /// a-square. Out-of-band child gaps set neither: they are never square
+  /// operands. Each cell has one writer per step, so plain moved bytes
+  /// suffice; a root's flags are shared by its writers, so they are
+  /// relaxed atomics.
+  void mark_write(std::size_t root, std::size_t i, std::size_t j,
+                  std::size_t p, std::size_t q) {
+    mark_root_dirty(root);
     if (moved_.empty()) return;
     const std::size_t s = (j - i) - (q - p);
-    if (s <= pw_.max_slack()) moved_[pw_.entry_slot(i, j, p, q)] = 1;
-  }
-
-  /// 2-D containment counts over interval marks: `out(i,j)` = #marked
-  /// `(a,b)` with `i <= a < b <= j` (shared by the pebble's moved-w test
-  /// and the square's root-block test). Computed as a row-prefix pass
-  /// then a column-suffix pass — `out(i,j)` becomes the dominance count
-  /// #marked `(a,b)` with `a >= i, b <= j`, which equals the containment
-  /// count at every cell since marks only exist at `a < b`.
-  void accumulate_containment(const std::vector<std::uint8_t>& marks,
-                              std::vector<std::uint32_t>& out) const {
-    const std::size_t stride = n_ + 1;
-    for (std::size_t a = 0; a <= n_; ++a) {
-      std::uint32_t run = 0;
-      for (std::size_t j = 0; j <= n_; ++j) {
-        run += marks[a * stride + j];
-        out[a * stride + j] = run;
-      }
-    }
-    for (std::size_t i = n_; i-- > 0;) {
-      for (std::size_t j = 0; j <= n_; ++j) {
-        out[i * stride + j] += out[(i + 1) * stride + j];
-      }
-    }
+    if (s > pw_.max_slack()) return;
+    moved_[pw_.entry_slot(i, j, p, q)] = 1;
+    pw_root_moved_[root].store(1, std::memory_order_relaxed);
   }
 
   /// Builds the 2-D containment counts of the last pebble's moved
   /// `w` entries: `contained_(i,j)` = #moved `(p,q)` with `i<=p<q<=j`.
+  /// A row-prefix pass then a column-suffix pass make `contained_(i,j)`
+  /// the dominance count #moved `(a,b)` with `a >= i, b <= j`, which is
+  /// the containment count at every cell since marks only exist at
+  /// `a < b`.
   void build_contained_counts() {
     const PhaseTimer timer = phase_timer(&StepProfile::mark_grid_ns);
     if (prof_ != nullptr) ++prof_->mark_updates_rebuilt;
+    const std::size_t stride = n_ + 1;
     std::fill(w_moved_.begin(), w_moved_.end(), std::uint8_t{0});
-    for (const Pair e : frontier_) w_moved_[e.i * (n_ + 1) + e.j] = 1;
-    accumulate_containment(w_moved_, contained_);
+    for (const Pair e : frontier_) w_moved_[e.i * stride + e.j] = 1;
+    for (std::size_t a = 0; a <= n_; ++a) {
+      std::uint32_t run = 0;
+      for (std::size_t j = 0; j <= n_; ++j) {
+        run += w_moved_[a * stride + j];
+        contained_[a * stride + j] = run;
+      }
+    }
+    for (std::size_t i = n_; i-- > 0;) {
+      for (std::size_t j = 0; j <= n_; ++j) {
+        contained_[i * stride + j] += contained_[(i + 1) * stride + j];
+      }
+    }
   }
 
-  /// Snapshots `pw_root_moved_` into `root_contained_` (the tiled sweep's
-  /// whole-root skip test) and clears the flags, which the sweep's own
-  /// write-backs then set afresh for the next square.
-  void build_root_contained() {
+  /// Decides which roots the next tiled sweep visits (see the file
+  /// comment) from the gathered edge ranges, and clears `pw_root_moved_`,
+  /// which the sweep's own write-backs then set afresh for the next
+  /// square. `reach_[k]` is the least `o + d` over the moved edge cells,
+  /// at slack `d`, of root `k`'s sub-roots at offset `o` (itself at
+  /// `o = 0`), saturated at `kNoReach`; length-major order computes each
+  /// root after its two children `(i+1, j)` and `(i, j-1)`.
+  void build_root_visits(const EdgeScratch& snapshot) {
     const PhaseTimer timer = phase_timer(&StepProfile::mark_grid_ns);
     if (prof_ != nullptr) ++prof_->mark_updates_rebuilt;
-    const std::size_t stride = n_ + 1;
-    std::fill(root_mark_grid_.begin(), root_mark_grid_.end(),
-              std::uint8_t{0});
-    for (std::size_t k = 0; k < pairs_.size(); ++k) {
-      if (pw_root_moved_[k].load(std::memory_order_relaxed) != 0) {
-        root_mark_grid_[pairs_[k].i * stride + pairs_[k].j] = 1;
+    for (std::size_t len = 2; len <= n_; ++len) {
+      const std::size_t m = std::min(pw_.max_slack(), len - 1);
+      const std::size_t first = pairs_offset_by_length_[len];
+      const std::size_t children = pairs_offset_by_length_[len - 1];
+      for (std::size_t k = first, i = 0; i + len <= n_; ++k, ++i) {
+        // Sub-roots of length 1 hold no cells.
+        const std::uint32_t inner =
+            len == 2 ? kNoReach
+                     : std::min(reach_[children + i],
+                                reach_[children + i + 1]) + 1u;
+        const EdgeMoves em = snapshot.moves[k];
+        reach_[k] = static_cast<std::uint16_t>(std::min<std::uint32_t>(
+            {inner, em.e_lo, em.f_lo, kNoReach}));
+        visit_[k] = pw_root_moved_[k].load(std::memory_order_relaxed) != 0 ||
+                    inner <= m;
         pw_root_moved_[k].store(0, std::memory_order_relaxed);
       }
     }
-    accumulate_containment(root_mark_grid_, root_contained_);
-  }
-
-  /// Hoisted root-block test: true iff any moved root lies inside `(i,j)`
-  /// — a superset of every operand root of every target of the block, so
-  /// a false answer proves the whole block clean.
-  [[nodiscard]] bool root_block_moved(const Pair root) const {
-    return root_contained_[root.i * (n_ + 1) + root.j] != 0;
   }
 
   /// True iff some moved `w(p,q)` is a proper sub-interval of `(i,j)` —
@@ -945,9 +949,9 @@ class Engine {
       machine_.step(
           "a-activate", static_cast<std::int64_t>(pairs_.size()),
           [&](std::int64_t idx) -> std::uint64_t {
-            const Pair pr = pairs_[static_cast<std::size_t>(idx)];
             std::uint64_t ops = 0;
-            const std::uint64_t local = activate_pair<true>(pr.i, pr.j, ops);
+            const std::uint64_t local =
+                activate_pair<true>(static_cast<std::size_t>(idx), ops);
             if (local > 0) {
               changed.fetch_add(local, std::memory_order_relaxed);
             }
@@ -960,11 +964,8 @@ class Engine {
             std::uint64_t block_changed = 0;
             std::uint64_t ops = 0;
             for (std::int64_t idx = lo; idx < hi; ++idx) {
-              const Pair pr = pairs_[static_cast<std::size_t>(idx)];
-              const std::uint64_t local =
-                  activate_pair<false>(pr.i, pr.j, ops);
-              if (local > 0) mark_root_dirty(static_cast<std::size_t>(idx));
-              block_changed += local;
+              block_changed +=
+                  activate_pair<false>(static_cast<std::size_t>(idx), ops);
             }
             if (block_changed > 0) {
               changed.fetch_add(block_changed, std::memory_order_relaxed);
@@ -997,8 +998,7 @@ class Engine {
                 const Cost cand = sat_add(problem_->f(i, a, b), wv);
                 if (cand < pw_.get(i, b, i, a)) {
                   pw_.set(i, b, i, a, cand);
-                  mark_cell_moved(i, b, i, a);
-                  mark_root_dirty(pair_index(i, b));
+                  mark_write(pair_index(i, b), i, b, i, a);
                   ++block_changed;
                 }
               }
@@ -1007,8 +1007,7 @@ class Engine {
                 const Cost cand = sat_add(problem_->f(a, b, j), wv);
                 if (cand < pw_.get(a, j, b, j)) {
                   pw_.set(a, j, b, j, cand);
-                  mark_cell_moved(a, j, b, j);
-                  mark_root_dirty(pair_index(a, j));
+                  mark_write(pair_index(a, j), a, j, b, j);
                   ++block_changed;
                 }
               }
@@ -1087,17 +1086,17 @@ class Engine {
     return logged;
   }
 
-  /// Fast-path HLV a-square: one semi-naive tile per root block not
-  /// skipped by the containment test, written back in place (see the
-  /// file comment). Every square, the first included, skips: before any
-  /// square, a root with no moved cell inside it holds only `kInfinity`.
+  /// Fast-path HLV a-square: one semi-naive tile per root that
+  /// `build_root_visits` selects, written back in place (see the file
+  /// comment). Every square, the first included, skips: before any
+  /// square, a cell that no write has moved holds `kInfinity`.
   std::uint64_t run_square_tiled() {
-    build_root_contained();
     EdgeScratch& snapshot = edge_scratch();
     {
       const PhaseTimer timer = phase_timer(&StepProfile::gather_ns);
       gather_edges(snapshot);
     }
+    build_root_visits(snapshot);
     const bool prof = prof_ != nullptr;
     if (prof) prof_->square_quads_total = pw_.layout().band_cell_count();
     const PhaseTimer timer = phase_timer(&StepProfile::square_ns);
@@ -1115,7 +1114,7 @@ class Engine {
                k < static_cast<std::size_t>(hi); ++k) {
             const RootBlock& rb = root_blocks_[k];
             if (prof) candidates_total += block_candidates(root_slacks(k));
-            if (!root_block_moved(pairs_[k])) {
+            if (visit_[k] == 0) {
               if (prof) {
                 ++blocks_skipped;
                 quads_block_skipped += rb.end - rb.begin;
@@ -1240,7 +1239,7 @@ class Engine {
   // Parallel sweep lambdas accumulate block-local counters and flush them
   // to these relaxed atomics; `end_profile` loads the totals into the
   // iteration's StepProfile after the last barrier. Serial call sites
-  // (the activate density decision, the mark-grid builds, the
+  // (the activate density decision, the skip-test builds, the
   // post-barrier log totals) write `prof_` directly.
 
   /// Times the enclosing scope into `prof_->*field` when profiling; reads
@@ -1316,7 +1315,7 @@ class Engine {
 
   // Fast-path movement state. The root flags exist on every fast path;
   // the frontier state needs the per-iteration pebble, the moved bytes
-  // and root containment grid the tiled square.
+  // and per-root visit state the tiled square.
   bool frontier_enabled_ = false;
   bool tiled_ = false;
   std::unique_ptr<std::atomic<std::uint8_t>[]> root_dirty_;
@@ -1325,8 +1324,8 @@ class Engine {
   std::vector<std::uint8_t> w_moved_;
   std::vector<std::uint32_t> contained_;
   std::vector<std::uint8_t> moved_;  ///< Per in-band cell (see above).
-  std::vector<std::uint8_t> root_mark_grid_;
-  std::vector<std::uint32_t> root_contained_;
+  std::vector<std::uint16_t> reach_;  ///< Per root (`build_root_visits`).
+  std::vector<std::uint8_t> visit_;   ///< Per root: the sweep visits it.
 
   // Profiling state (see begin_profile / end_profile above). `prof_` is
   // non-null only inside a profiled iterate(); every hot-path counter

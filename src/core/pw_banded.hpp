@@ -287,29 +287,7 @@ class BandedPwTable {
     return layout_->entry_slot(i, j, p, q);
   }
 
-  /// Incremental reader over `pw'(i,j,r,q)` for ascending `r` starting at
-  /// `r0` (the HLV r-window's first operand): the slack grows by one per
-  /// step, so the slot advances by `s+2, s+3, ...`.
-  [[nodiscard]] PwWindowCursor r_window_cursor(std::size_t i, std::size_t j,
-                                               std::size_t r0,
-                                               std::size_t q) const {
-    const std::size_t s = (r0 - i) + (j - q);
-    return {cells_.data() + layout_->flat(i, j, r0, s),
-            static_cast<std::ptrdiff_t>(s + 2), 1};
-  }
-
-  /// Incremental reader over `pw'(i,j,p,s)` for ascending `s` starting at
-  /// `s0` (the HLV s-window's first operand): the slack shrinks by one per
-  /// step, so the slot retreats by `s, s-1, ...`.
-  [[nodiscard]] PwWindowCursor s_window_cursor(std::size_t i, std::size_t j,
-                                               std::size_t p,
-                                               std::size_t s0) const {
-    const std::size_t s = (j - i) - (s0 - p);
-    return {cells_.data() + layout_->flat(i, j, p, s),
-            -static_cast<std::ptrdiff_t>(s), 1};
-  }
-
-  /// Direct in-band cell storage (write-log apply path, cursor reads).
+  /// Direct in-band cell storage (write-log applies, the tiled square).
   [[nodiscard]] Cost* raw_cells() noexcept { return cells_.data(); }
   [[nodiscard]] const Cost* raw_cells() const noexcept {
     return cells_.data();

@@ -1,33 +1,22 @@
 #pragma once
 
 /// \file pw_layout.hpp
-/// The unchecked read machinery the engine's fast kernels stream the
+/// The unchecked read machinery the engine's fast a-pebble streams the
 /// `pw'` table through, and the overflow-checked size arithmetic behind
 /// the table's layout.
 ///
 /// There is one layout, `BandedPwTable` (pw_banded.hpp): slack-banded
 /// cells plus child-gap side stores. The Sec. 2 table, which stores every
-/// slack, is that layout at `B = n`. Two readers walk its cells without
-/// re-deriving addresses:
-///
-///  * `PwWindowCursor` — an incremental reader along an HLV window. The
-///    slot of `pw'(i,j,r,q)` for ascending `r` (and of `pw'(i,j,p,s)` for
-///    ascending `s`) advances by an *arithmetic progression*: slack blocks
-///    stride `s+2, s+3, ...` (resp. `-s, -(s-1), ...`), so one cursor
-///    `{cell, step, dstep}` moves with two adds per element. The square
-///    scan streams its first operands through them, and the operand-column
-///    gather walks each root's `pw'(i,j,i+s,j)` and `pw'(i,j,i,j-s)`,
-///    `s = 1, 2, ...`, with them too;
-///  * `PwGapRun` — the a-pebble analogue: the stored gaps of one root
-///    `(i,j)`, partitioned into runs inside which both the pw slot and the
-///    flat `w(p,q)` slot (stride `n+1`) advance by arithmetic
-///    progressions. A root decomposes into one contiguous run per slack
-///    `s` (w slots striding `n+2`) plus, past the band, one run per
-///    child-gap side store, whose cell offsets are quadratic in the
-///    boundary `k` and therefore still APs. The engine's fast pebble
-///    kernel streams these runs instead of calling the general `get` per
-///    gap; `for_each_gap` remains the reference enumeration, and the two
-///    cover exactly the same `(p,q)` set with identical cell values.
+/// slack, is that layout at `B = n`. `PwGapRun` walks the stored gaps of
+/// one root `(i,j)` without re-deriving addresses: they partition into
+/// runs inside which both the pw slot and the flat `w(p,q)` slot (stride
+/// `n+1`) advance by arithmetic progressions. A root decomposes into one
+/// contiguous run per slack `s` (w slots striding `n+2`) plus, past the
+/// band, one run per child-gap side store, whose cell offsets are
+/// quadratic in the boundary `k` and therefore still APs. The engine's
+/// fast pebble kernel streams these runs instead of calling the general
+/// `get` per gap; `for_each_gap` remains the reference enumeration, and
+/// the two cover exactly the same `(p,q)` set with identical cell values.
 ///
 /// Table shapes are products of four instance dimensions, and a silent
 /// `std::size_t` wrap would turn "too big" into a small, wrong
@@ -60,24 +49,9 @@ namespace subdp::core {
   return a + b;
 }
 
-/// Incremental in-band reader along one HLV window. The slot sequence is an
-/// arithmetic progression (see the file comment), so advancing is two adds:
-/// `cell += step; step += dstep`.
-struct PwWindowCursor {
-  const Cost* cell = nullptr;
-  std::ptrdiff_t step = 0;
-  std::ptrdiff_t dstep = 0;
-
-  [[nodiscard]] Cost value() const noexcept { return *cell; }
-  void advance() noexcept {
-    cell += step;
-    step += dstep;
-  }
-};
-
 /// One arithmetic-progression run of a root's stored gaps (a-pebble fast
 /// scan). Enumerates `count` gaps `(p,q)`: the pw slot starts at `cell`
-/// and advances like a `PwWindowCursor` (`cell += cell_step; cell_step +=
+/// and advances by a growing step (`cell += cell_step; cell_step +=
 /// cell_dstep`), while the matching `w(p,q)` slot — flattened as
 /// `p * (n+1) + q` — starts at `w_slot` and advances by the constant
 /// `w_step`. A run never contains the identity gap `(i,j)`.

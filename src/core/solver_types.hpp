@@ -91,7 +91,7 @@ struct SublinearOptions {
   bool windowed_pebble = false;
   /// Per-step engine profiling: record a `StepProfile` per iteration
   /// (frontier density, blocks/quads/pairs skipped vs scanned,
-  /// mark-grid builds, write-log sizes, per-phase wall times), readable
+  /// skip-test builds, write-log sizes, per-phase wall times), readable
   /// through `SolveSession::step_profile()`. Off by default; when off
   /// the engine takes no profiling branches at all, so results, timing
   /// and the ledger are untouched (asserted in the fastpath suite).
@@ -116,13 +116,16 @@ struct StepProfile {
   std::uint64_t frontier_sites = 0;
   std::uint64_t total_split_sites = 0;
   bool activate_used_frontier = false;
-  // a-square tiled sweep: whole root blocks skipped by the containment
-  // count vs visited, the target-level breakdown (a target is scanned
-  // when at least one of its candidates was evaluated), and the
-  // candidates evaluated against those of a full HLV sweep (identity
-  // candidates excluded). The fast Rytter square scans every target and
-  // leaves the block and candidate counters zero.
+  // a-square tiled sweep: root blocks visited vs skipped by the visit
+  // test, the target-level breakdown (a target is scanned when at least
+  // one of its candidates was evaluated), and the candidates evaluated
+  // against those of a full HLV sweep (identity candidates excluded).
+  // The fast Rytter square scans every target and leaves the block and
+  // candidate counters zero.
+  /// Roots whose tile ran: a cell of the root's own block moved, or a
+  /// sub-root edge cell the tile reads did (engine.hpp, "Visits").
   std::uint64_t square_blocks_scanned = 0;
+  /// Roots skipped whole: their tile would have evaluated no candidate.
   std::uint64_t square_blocks_skipped = 0;
   std::uint64_t square_quads_total = 0;
   std::uint64_t square_quads_scanned = 0;
@@ -134,15 +137,16 @@ struct StepProfile {
   std::uint64_t pebble_pairs_total = 0;
   std::uint64_t pebble_pairs_scanned = 0;
   std::uint64_t pebble_pairs_skipped = 0;
-  // Mark-grid builds: the engine builds the skip tests' grids from
-  // scratch right before each skipping sweep.
+  // Skip-test builds: the engine builds each skip test from scratch
+  // right before its sweep (the a-square's visit bytes, the a-pebble's
+  // moved-w containment grid).
   /// Always 0: there is no incremental grid update. Kept only because
   /// `perfbench/src/main.cpp` reads it for `core.marks_incremental_frac`,
   /// which now reads 0 by construction; a later change to the benchmark
   /// definition can retire both.
   std::uint64_t mark_updates_incremental = 0;
-  /// Number of grid builds in the iteration — one per skipping sweep
-  /// that ran (tiled a-square, frontier a-pebble).
+  /// Number of skip-test builds in the iteration — one per skipping
+  /// sweep that ran (tiled a-square, frontier a-pebble).
   std::uint64_t mark_updates_rebuilt = 0;
   // Delta-buffer write-log sizes (entries applied after the barrier).
   // The tiled a-square writes in place and logs nothing.
@@ -156,7 +160,9 @@ struct StepProfile {
   std::uint64_t gather_ns = 0;     ///< a-square edge gather
   std::uint64_t square_ns = 0;     ///< a-square sweep
   std::uint64_t pebble_ns = 0;     ///< a-pebble sweep
-  std::uint64_t mark_grid_ns = 0;  ///< both mark-grid builds
+  /// Both skip-test builds: the a-square visit pass (after the gather)
+  /// and the a-pebble containment grid.
+  std::uint64_t mark_grid_ns = 0;
   std::uint64_t log_apply_ns = 0;  ///< write-log applies
 };
 

@@ -4,7 +4,7 @@
 // through the layout's general `get`, with the PRAM ledger whose values
 // test_golden pins. The fast path (`record_costs = false`) runs
 // frontier-driven sweeps, the semi-naive tiled square, `PwGapRun` pebble
-// scans and the mark grids behind its skip tests. Every fast
+// scans and the visit and containment tests behind its skips. Every fast
 // configuration — serial or thread pool, profiled or not — and the
 // counted engine on the thread pool must produce output identical to the
 // serial oracle: the same w table, cost, iteration count, and
@@ -15,10 +15,12 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -558,6 +560,83 @@ TEST(StepProfiles, CountersReconcilePerStepOnEveryFamily) {
       EXPECT_GT(total_quads, 0u) << family;
       EXPECT_GT(total_pairs, 0u) << family;
       EXPECT_GT(evaluated, 0u) << family;
+    }
+  }
+}
+
+/// Per-iteration a-square ledger of one seeded solve:
+/// `{square_candidates_evaluated, square_blocks_scanned}` per iteration.
+struct SquareLedgerPin {
+  std::string family;
+  PwVariant variant;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> steps;
+};
+
+// Seed 606, n = 24, recorded with the two-pass tile and the 2-D
+// containment skip over moved roots. Semi-naive evaluation fixes the
+// candidate count exactly, whatever the tile's loop order or visit test:
+// a skipped tile that had a candidate lowers it, and a candidate
+// evaluated twice raises it. The visit test may only visit fewer blocks.
+const std::vector<SquareLedgerPin> kSquareLedgerPins = {
+    {"matrix-chain", PwVariant::kBanded,
+     {{6276, 276}, {14000, 253}, {39645, 231}, {33435, 210}, {6016, 173},
+      {98, 112}}},
+    {"matrix-chain", PwVariant::kDense,
+     {{8096, 276}, {18550, 253}, {61625, 231}, {122851, 210}, {74614, 173},
+      {14447, 112}, {368, 52}, {20, 5}}},
+    {"optimal-bst", PwVariant::kBanded,
+     {{6276, 276}, {14000, 253}, {37221, 231}, {21549, 210}, {894, 172},
+      {12, 126}, {0, 74}}},
+    {"optimal-bst", PwVariant::kDense,
+     {{8096, 276}, {18550, 253}, {58463, 231}, {107285, 210}, {41622, 172},
+      {5872, 126}, {186, 78}, {0, 30}}},
+    {"triangulation", PwVariant::kBanded,
+     {{6276, 276}, {14000, 253}, {39932, 231}, {34244, 210}, {6083, 172},
+      {72, 116}}},
+    {"triangulation", PwVariant::kDense,
+     {{8096, 276}, {18550, 253}, {61924, 231}, {123802, 210}, {75231, 172},
+      {13421, 116}, {264, 34}}},
+    {"zigzag", PwVariant::kBanded,
+     {{6276, 276}, {14000, 253}, {37461, 231}, {21435, 179}, {4031, 124},
+      {1886, 113}, {850, 102}, {310, 92}, {78, 78}, {0, 69}}},
+    {"zigzag", PwVariant::kDense,
+     {{8096, 276}, {18550, 253}, {59035, 231}, {106600, 179}, {60204, 126},
+      {33963, 113}, {22894, 102}, {16858, 92}, {12442, 82}, {9116, 73}}},
+    {"skewed", PwVariant::kBanded,
+     {{6276, 276}, {14000, 253}, {36977, 231}, {14881, 173}, {660, 24},
+      {0, 14}}},
+    {"skewed", PwVariant::kDense,
+     {{8096, 276}, {18550, 253}, {58351, 231}, {91878, 173}, {19756, 54},
+      {4060, 14}, {140, 6}}},
+    {"complete", PwVariant::kBanded,
+     {{6276, 276}, {14000, 253}, {37014, 231}, {16516, 210}, {240, 177},
+      {8, 121}}},
+    {"complete", PwVariant::kDense,
+     {{8096, 276}, {18550, 253}, {58256, 231}, {96891, 210}, {18719, 177},
+      {2048, 121}, {44, 61}, {0, 8}}},
+};
+
+TEST(StepProfiles, SquareLedgerMatchesThePinnedCandidateCounts) {
+  for (const SquareLedgerPin& pin : kSquareLedgerPins) {
+    support::Rng rng(606);
+    const auto problem = bench::make_instance(pin.family, 24, rng);
+    SublinearOptions options;
+    options.variant = pin.variant;
+    options.profile = true;
+    options.machine.record_costs = false;
+    SolveSession session(SolvePlan::create(problem->size(), options));
+    const auto result = session.solve(*problem);
+    const std::string label =
+        pin.family +
+        (pin.variant == PwVariant::kBanded ? " banded" : " dense");
+    EXPECT_EQ(result.cost, dp::solve_sequential(*problem).cost) << label;
+    const std::vector<StepProfile>& profiles = session.step_profile();
+    ASSERT_EQ(profiles.size(), pin.steps.size()) << label;
+    for (std::size_t t = 0; t < profiles.size(); ++t) {
+      EXPECT_EQ(profiles[t].square_candidates_evaluated, pin.steps[t].first)
+          << label << " iteration " << t + 1;
+      EXPECT_LE(profiles[t].square_blocks_scanned, pin.steps[t].second)
+          << label << " iteration " << t + 1;
     }
   }
 }

@@ -1,8 +1,8 @@
 // Tests for the pw-table layout (core/pw_banded.hpp): addressing, band
 // semantics, the Sec. 5 cell-count reduction, the full-band table that
 // serves the Sec. 2 algorithm, and the read machinery (pw_layout.hpp) —
-// overflow-checked sizing and the incremental window cursors the engine's
-// fast square kernel and its operand-column gather read through.
+// overflow-checked sizing and the gap runs the engine's fast a-pebble
+// streams through.
 
 #include <gtest/gtest.h>
 
@@ -62,90 +62,6 @@ TEST(PwLayout, CheckedSizeArithmeticThrowsInsteadOfWrapping) {
   EXPECT_EQ(checked_size_add(kMax - 1, 1), kMax);
   EXPECT_THROW((void)checked_size_mul(kMax / 2, 3), std::invalid_argument);
   EXPECT_THROW((void)checked_size_add(kMax, 1), std::invalid_argument);
-}
-
-// ---- Window cursors ----
-
-/// Replicates the engine's HLV window walks and its operand-column
-/// gather walks, comparing every cursor value against the general `get`.
-/// Exercised at narrow and full bands below.
-void expect_cursors_match_get(BandedPwTable& t) {
-  const std::size_t n = t.n();
-  const std::size_t maxs = t.max_slack();
-  // Make every stored cell distinct so an addressing slip cannot alias to
-  // the right value.
-  Cost v = 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 2; j <= n; ++j) {
-      for (std::size_t p = i; p < j; ++p) {
-        for (std::size_t q = p + 1; q <= j; ++q) {
-          if ((p == i && q == j) || !t.stores(i, j, p, q)) continue;
-          t.set(i, j, p, q, v++);
-        }
-      }
-    }
-  }
-  for (std::size_t k = 0; k < t.layout().band_cell_count(); ++k) {
-    const Quad e = t.layout().quad_at(k);
-    const std::size_t i = e.i, j = e.j, p = e.p, q = e.q;
-    const std::size_t r_lo = p > maxs && p - maxs > i ? p - maxs : i;
-    const std::size_t s_hi = q + maxs < j ? q + maxs : j;
-    std::size_t r = r_lo;
-    if (r == i && q == j) ++r;  // identity operand: not an in-band cell
-    if (r < p) {
-      PwWindowCursor cur = t.r_window_cursor(i, j, r, q);
-      for (; r < p; ++r) {
-        ASSERT_EQ(cur.value(), t.get(i, j, r, q))
-            << "r-cursor (" << i << "," << j << "," << r << "," << q << ")";
-        cur.advance();
-      }
-    }
-    std::size_t s_end = s_hi;
-    if (p == i && s_end == j) --s_end;  // identity operand
-    if (q < s_end) {
-      PwWindowCursor cur = t.s_window_cursor(i, j, p, q + 1);
-      for (std::size_t s = q + 1; s <= s_end; ++s) {
-        ASSERT_EQ(cur.value(), t.get(i, j, p, s))
-            << "s-cursor (" << i << "," << j << "," << p << "," << s << ")";
-        cur.advance();
-      }
-    }
-  }
-  // The gather's walks: per root (a,b), the left operands pw(a,b,a+s,b)
-  // and the right operands pw(a,b,a,b-s) of its slack-s gaps,
-  // s = 1 .. min(B, len-1), the latter walked by ascending gap end.
-  for (std::size_t len = 2; len <= n; ++len) {
-    const std::size_t m = std::min(maxs, len - 1);
-    for (std::size_t a = 0; a + len <= n; ++a) {
-      const std::size_t b = a + len;
-      PwWindowCursor left = t.r_window_cursor(a, b, a + 1, b);
-      for (std::size_t s = 1; s <= m; ++s) {
-        ASSERT_EQ(left.value(), t.get(a, b, a + s, b))
-            << "left gather (" << a << "," << b << "," << a + s << "," << b
-            << ")";
-        left.advance();
-      }
-      PwWindowCursor right = t.s_window_cursor(a, b, a, b - m);
-      for (std::size_t q = b - m; q < b; ++q) {
-        ASSERT_EQ(right.value(), t.get(a, b, a, q))
-            << "right gather (" << a << "," << b << "," << a << "," << q
-            << ")";
-        right.advance();
-      }
-    }
-  }
-}
-
-TEST(PwLayoutCursors, BandedWindowsMatchGeneralGet) {
-  BandedPwTable t(13, 4);
-  expect_cursors_match_get(t);
-}
-
-TEST(PwLayoutCursors, BandedWideBandWindowsMatchGeneralGet) {
-  BandedPwTable t(10, 10);
-  expect_cursors_match_get(t);
-  BandedPwTable full(11, 11);
-  expect_cursors_match_get(full);
 }
 
 // ---- Gap runs (the fast pebble scan's reader) ----
