@@ -39,7 +39,7 @@ std::uint64_t dense_square_ops_per_iteration(std::size_t n) {
 }
 
 // Cells of the dense (B = n) table, which stores every slack and needs
-// no child-gap side stores: sum over root lengths L of (n-L+1) roots of
+// no child-gap side store: sum over root lengths L of (n-L+1) roots of
 // C(L+1,2) - 1 gaps. Equals a dense plan's `pw_cell_count()`.
 std::size_t dense_cell_count(std::size_t n) {
   std::size_t total = 0;

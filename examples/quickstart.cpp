@@ -81,8 +81,8 @@ int main() {
   // Heavy-traffic shape: many instances, few distinct sizes. The service
   // keeps one immutable SolvePlan per (n, options) in a bounded LRU
   // cache, checks reusable sessions out of a per-plan pool, and overlaps
-  // independent instances across its worker threads while each solve
-  // runs the serial fast path.
+  // independent instances across its worker threads; a solve that runs
+  // alone also spreads its loops over the shared pool's idle cores.
   subdp::support::Rng rng(7);
   std::vector<subdp::dp::MatrixChainProblem> stream;
   for (int k = 0; k < 8; ++k) {

@@ -812,22 +812,17 @@ class Engine {
   }
 
   /// Fast-path a-pebble gap scan: same gap set, arithmetic and min-fold
-  /// as `pebble_scan`, but the gaps arrive as the layout's
-  /// arithmetic-progression `PwGapRun`s — a raw `pw` pointer advanced by
-  /// a (possibly decaying) step, paired with a `w` slot advanced by a
-  /// fixed stride — so the per-read identity / slack / child-gap
-  /// branching of the general `get` vanishes from the inner loop.
+  /// as `pebble_scan`, but the gaps arrive as the layout's `PwGapRun`s —
+  /// consecutive `pw` cells paired with a `w` slot advanced by a fixed
+  /// stride — so the per-read identity / slack / child-gap branching of
+  /// the general `get` vanishes from the inner loop.
   Cost pebble_scan_fast(std::size_t i, std::size_t j, Cost old_value) const {
     Cost best = old_value;
     const Cost* wraw = w_.data();
     pw_.for_each_gap_run(i, j, [&](const PwGapRun& run) {
-      const Cost* cell = run.cell;
-      std::ptrdiff_t step = run.cell_step;
       const Cost* wp = wraw + run.w_slot;
       for (std::size_t k = 0; k < run.count; ++k) {
-        const Cost a = *cell;
-        cell += step;
-        step += run.cell_dstep;
+        const Cost a = run.cell[k];
         const Cost wv = *wp;
         wp += run.w_step;
         if (is_finite(a)) best = sat_min(best, sat_add(a, wv));

@@ -25,11 +25,13 @@
 /// than `B` converge to a wrong fixed point, which
 /// `test_core_sublinear.cpp` demonstrates via the band-sensitivity tests.
 ///
-/// Each child-gap family is keyed by a triple `(i, k, j)` with
-/// `i < k < j <= n` (root `(i,j)`, inner boundary `k`), so the side stores
-/// use tetrahedral `C(n+1,3)` indexing rather than a flat `(n+1)^3` cube —
-/// a ~6x memory cut per family that also shrinks the per-iteration working
-/// set the pebble step streams through.
+/// The side store holds exactly the out-of-band child gaps: root `(i,j)`
+/// of length `L` has `c = max(0, L - 1 - B)` of them per family — left
+/// gaps `(i,k)` and right gaps `(k,j)` at slacks `B+1 .. L-1` — stored
+/// as one contiguous block of `2c` cells (left family, then right, each
+/// by ascending slack). Blocks run by root length, then `i`, from a
+/// per-length base, so a root's child gaps are two unit-stride runs
+/// and nothing in band is stored twice.
 ///
 /// Layout of the banded part: for root length `L` and left end `i`, the
 /// block holds slacks `s = 1 .. min(B, L-1)` contiguously, each with its
@@ -39,7 +41,7 @@
 /// At `B >= n - 1` every slack is in band: the layout then stores the
 /// Sec. 2 algorithm's full table (`PwVariant::kDense` is this layout at
 /// `B = n`), `sum_L (n-L+1) (L(L+1)/2 - 1)` cells with no identity slot,
-/// and the child-gap side stores are empty, since no child gap can leave
+/// and the child-gap side store is empty, since no child gap can leave
 /// the band.
 ///
 /// Plan/instance split: everything above is a function of `(n, B)` only,
@@ -79,7 +81,7 @@ class BandedPwLayout {
   /// would produce.
   BandedPwLayout(std::size_t n, std::size_t band,
                  ShapeArray<std::size_t> length_base,
-                 ShapeArray<std::size_t> tetra_base);
+                 ShapeArray<std::size_t> child_base);
 
   [[nodiscard]] std::size_t n() const noexcept { return n_; }
   [[nodiscard]] std::size_t band() const noexcept { return band_; }
@@ -89,20 +91,25 @@ class BandedPwLayout {
     return band_cell_count_;
   }
 
-  /// Cells per child-gap side store: `C(n+1,3)` each, or 0 when
-  /// `band + 1 >= n` (no child gap leaves the band).
+  /// Cells of the child-gap side store (both families), summed from the
+  /// per-length bases: 0 when `band + 1 >= n` (no child gap leaves the
+  /// band).
   [[nodiscard]] std::size_t child_cell_count() const noexcept {
     return child_cell_count_;
   }
 
-  /// Stored child gaps whose slack exceeds the band.
+  /// Child gaps whose slack exceeds the band, in closed form: with `M =
+  /// max(0, n - 1 - B)`, `sum_m 2 m (M + 1 - m) = M (M+1) (M+2) / 3`.
+  /// The side store holds exactly these, so it equals
+  /// `child_cell_count()`.
   [[nodiscard]] std::size_t out_of_band_child_count() const noexcept {
-    return out_of_band_child_count_;
+    const std::size_t m = n_ > band_ + 1 ? n_ - 1 - band_ : 0;
+    return m * (m + 1) * (m + 2) / 3;
   }
 
-  /// Total cells a table of this shape allocates (all three stores).
+  /// Total cells a table of this shape allocates (both stores).
   [[nodiscard]] std::size_t cell_count() const noexcept {
-    return band_cell_count_ + 2 * child_cell_count_;
+    return band_cell_count_ + child_cell_count_;
   }
 
   /// Storage slot of an in-band square-step entry (index into a table's
@@ -147,10 +154,10 @@ class BandedPwLayout {
     return length_base_;
   }
 
-  /// Child-store offsets per `i` (snapshot serialisation); empty when the
-  /// side stores are.
-  [[nodiscard]] const ShapeArray<std::size_t>& tetra_base() const noexcept {
-    return tetra_base_;
+  /// Cumulative child-block offsets per length (snapshot serialisation);
+  /// empty when the side store is.
+  [[nodiscard]] const ShapeArray<std::size_t>& child_base() const noexcept {
+    return child_base_;
   }
 
   /// Cells for one `(L, i)` block: sum over s of (s+1) slots.
@@ -174,34 +181,44 @@ class BandedPwLayout {
            (p - i);
   }
 
-  /// Child-gap cell for root `(i,j)` and inner gap boundary `k`; gap
-  /// `(i,k)` lives in the left family, gap `(k,j)` in the right (for long
-  /// roots both can be out of band at the same `k`, so the families must
-  /// not share storage). Both families are keyed by the ordered triple
-  /// `(i, k, j)`, indexed tetrahedrally: triples sort by `i`, then `k`,
-  /// then `j`, giving `C(n+1,3)` slots.
-  [[nodiscard]] std::size_t child_flat(std::size_t i, std::size_t j,
-                                       std::size_t k) const {
-    SUBDP_ASSERT(i < k && k < j && j <= n_);
-    // Within the `i` block, boundary `k` owns `n - k` slots (one per
-    // `j > k`); offset of `k`'s row: sum_{b=i+1..k-1} (n - b).
-    const std::size_t row = (k - i - 1) * (2 * n_ - i - k) / 2;
-    return tetra_base_[i] + row + (j - k - 1);
+  /// First cell of root `(i,j)`'s child block: its `c = L - 1 - B`
+  /// left-family cells, then its `c` right-family cells, each family by
+  /// ascending slack. Only roots with `L >= B + 2` have one.
+  [[nodiscard]] std::size_t child_block(std::size_t i, std::size_t j) const {
+    const std::size_t len = j - i;
+    SUBDP_ASSERT(len >= band_ + 2 && j <= n_);
+    return child_base_[len] + i * 2 * (len - 1 - band_);
+  }
+
+  /// Cell of the left child gap `(i,k)` of root `(i,j)`, at slack `j - k`
+  /// past the band.
+  [[nodiscard]] std::size_t left_child_flat(std::size_t i, std::size_t j,
+                                            std::size_t k) const {
+    SUBDP_ASSERT(i < k && k + band_ < j);
+    return child_block(i, j) + (j - k - band_ - 1);
+  }
+
+  /// Cell of the right child gap `(k,j)` of root `(i,j)`, at slack
+  /// `k - i` past the band. For long roots both families are out of band
+  /// at the same `k`, so they must not share cells.
+  [[nodiscard]] std::size_t right_child_flat(std::size_t i, std::size_t j,
+                                             std::size_t k) const {
+    SUBDP_ASSERT(i + band_ < k && k < j);
+    return child_block(i, j) + (j - i - 1 - band_) + (k - i - band_ - 1);
   }
 
  private:
   /// Computes counts + offset tables from `(n, band)` alone (shared by
   /// both constructors; the rehydrating one verifies instead of adopting).
   void init_geometry(std::vector<std::size_t>& length_base,
-                     std::vector<std::size_t>& tetra_base);
+                     std::vector<std::size_t>& child_base);
 
   std::size_t n_;
   std::size_t band_;
   std::size_t band_cell_count_ = 0;
   std::size_t child_cell_count_ = 0;
-  std::size_t out_of_band_child_count_ = 0;
   ShapeArray<std::size_t> length_base_;  ///< Cumulative block offsets.
-  ShapeArray<std::size_t> tetra_base_;   ///< Child-store offsets per `i`.
+  ShapeArray<std::size_t> child_base_;   ///< Cumulative child-block offsets.
 };
 
 /// Banded `pw'` storage; in-band entries plus child-gap entries of any
@@ -234,8 +251,8 @@ class BandedPwTable {
     if (p == i && q == j) return 0;
     const std::size_t s = (j - i) - (q - p);
     if (s <= band_) return cells_[layout_->flat(i, j, p, s)];
-    if (p == i) return left_child_cells_[layout_->child_flat(i, j, q)];
-    if (q == j) return right_child_cells_[layout_->child_flat(i, j, p)];
+    if (p == i) return child_cells_[layout_->left_child_flat(i, j, q)];
+    if (q == j) return child_cells_[layout_->right_child_flat(i, j, p)];
     return kInfinity;
   }
 
@@ -247,9 +264,9 @@ class BandedPwTable {
     if (s <= band_) {
       cells_[layout_->flat(i, j, p, s)] = value;
     } else if (p == i) {
-      left_child_cells_[layout_->child_flat(i, j, q)] = value;
+      child_cells_[layout_->left_child_flat(i, j, q)] = value;
     } else {
-      right_child_cells_[layout_->child_flat(i, j, p)] = value;
+      child_cells_[layout_->right_child_flat(i, j, p)] = value;
     }
   }
 
@@ -269,12 +286,9 @@ class BandedPwTable {
     if (s <= band_) {
       return static_cast<std::uint64_t>(layout_->flat(i, j, p, s));
     }
-    if (p == i) {
-      return kLeftChildTag |
-             static_cast<std::uint64_t>(layout_->child_flat(i, j, q));
-    }
-    return kRightChildTag |
-           static_cast<std::uint64_t>(layout_->child_flat(i, j, p));
+    const std::size_t child = p == i ? layout_->left_child_flat(i, j, q)
+                                     : layout_->right_child_flat(i, j, p);
+    return kChildTag | static_cast<std::uint64_t>(child);
   }
 
   /// Storage slot of a stored in-band (square-step) entry; an index into
@@ -293,10 +307,9 @@ class BandedPwTable {
     return cells_.data();
   }
 
-  /// Allocated cells across all stores (E7 memory metric).
+  /// Allocated cells across both stores (E7 memory metric).
   [[nodiscard]] std::size_t cell_count() const noexcept {
-    return cells_.size() + left_child_cells_.size() +
-           right_child_cells_.size();
+    return cells_.size() + child_cells_.size();
   }
 
   /// Meaningful stored entries: banded cells plus out-of-band child gaps.
@@ -322,16 +335,15 @@ class BandedPwTable {
     }
   }
 
-  /// Enumerates the stored gaps of root `(i,j)` as arithmetic-progression
-  /// runs (the fast pebble scan's reader; same gap set as `for_each_gap`).
-  /// The banded block of a root is one contiguous cell range — slack `s`
+  /// Enumerates the stored gaps of root `(i,j)` as unit-stride runs (the
+  /// fast pebble scan's reader; same gap set as `for_each_gap`). The
+  /// banded block of a root is one contiguous cell range — slack `s`
   /// holds offsets `o = p - i in [0, s]` at consecutive slots — so each
-  /// slack becomes a run with cell stride 1; the gaps `(i+o, i+o+len-s)`
-  /// put the matching `w` slots on stride `n+2`. Past the band, each
-  /// child-gap side store contributes one run over its boundary `k`: the
-  /// tetrahedral `child_flat` is quadratic in `k`, so consecutive slots
-  /// differ by `n-k` (left, descending `k`) / `n-k-1` (right, ascending
-  /// `k`) — arithmetic progressions with `cell_dstep = -1`.
+  /// slack becomes a run; the gaps `(i+o, i+o+len-s)` put the matching
+  /// `w` slots on stride `n+2`. Past the band, the root's child block
+  /// contributes one run per family, by ascending slack: left gaps
+  /// `(i, k)` with `k` descending (`w` stride -1), then right gaps
+  /// `(k, j)` with `k` ascending (`w` stride `n+1`).
   template <class Fn>
   void for_each_gap_run(std::size_t i, std::size_t j, Fn&& fn) const {
     const std::size_t len = j - i;
@@ -340,37 +352,30 @@ class BandedPwTable {
     const Cost* block = cells_.data() + layout_->flat(i, j, i, 1);
     std::size_t w0 = i * stride + (j - 1);  // gap (i, j-1): s = 1, o = 0
     for (std::size_t s = 1; s <= max_s; ++s) {
-      fn(PwGapRun{block, 1, 0, w0,
-                  static_cast<std::ptrdiff_t>(stride + 1), s + 1});
+      fn(PwGapRun{block, w0, static_cast<std::ptrdiff_t>(stride + 1),
+                  s + 1});
       block += s + 1;
       --w0;  // next slack starts at gap (i, j-s-1)
     }
     if (max_s >= len - 1) return;
     const std::size_t child_count = (len - 1) - band_;
-    const std::size_t kl = j - band_ - 1;  // left boundaries kl down to i+1
-    fn(PwGapRun{left_child_cells_.data() + layout_->child_flat(i, j, kl),
-                -static_cast<std::ptrdiff_t>(n_ - kl), -1,
-                i * stride + kl, -1, child_count});
-    const std::size_t kr = i + band_ + 1;  // right boundaries kr up to j-1
-    fn(PwGapRun{right_child_cells_.data() + layout_->child_flat(i, j, kr),
-                static_cast<std::ptrdiff_t>(n_ - kr - 1), -1,
-                kr * stride + j, static_cast<std::ptrdiff_t>(stride),
-                child_count});
+    const Cost* left = child_cells_.data() + layout_->child_block(i, j);
+    fn(PwGapRun{left, i * stride + (j - band_ - 1), -1, child_count});
+    fn(PwGapRun{left + child_count, (i + band_ + 1) * stride + j,
+                static_cast<std::ptrdiff_t>(stride), child_count});
   }
 
   /// Resets every stored entry to `kInfinity` (in place, no reallocation).
   void reset();
 
  private:
-  static constexpr std::uint64_t kLeftChildTag = std::uint64_t{1} << 60;
-  static constexpr std::uint64_t kRightChildTag = std::uint64_t{1} << 61;
+  static constexpr std::uint64_t kChildTag = std::uint64_t{1} << 60;
 
   std::shared_ptr<const BandedPwLayout> layout_;
   std::size_t n_;     ///< Cached from the layout (hot-path locality).
   std::size_t band_;  ///< Cached from the layout (hot-path locality).
   std::vector<Cost> cells_;
-  std::vector<Cost> left_child_cells_;
-  std::vector<Cost> right_child_cells_;
+  std::vector<Cost> child_cells_;
 };
 
 }  // namespace subdp::core

@@ -6,17 +6,16 @@
 /// the table's layout.
 ///
 /// There is one layout, `BandedPwTable` (pw_banded.hpp): slack-banded
-/// cells plus child-gap side stores. The Sec. 2 table, which stores every
+/// cells plus a child-gap side store. The Sec. 2 table, which stores every
 /// slack, is that layout at `B = n`. `PwGapRun` walks the stored gaps of
 /// one root `(i,j)` without re-deriving addresses: they partition into
-/// runs inside which both the pw slot and the flat `w(p,q)` slot (stride
-/// `n+1`) advance by arithmetic progressions. A root decomposes into one
-/// contiguous run per slack `s` (w slots striding `n+2`) plus, past the
-/// band, one run per child-gap side store, whose cell offsets are
-/// quadratic in the boundary `k` and therefore still APs. The engine's
-/// fast pebble kernel streams these runs instead of calling the general
-/// `get` per gap; `for_each_gap` remains the reference enumeration, and
-/// the two cover exactly the same `(p,q)` set with identical cell values.
+/// runs of consecutive pw cells inside which the flat `w(p,q)` slot
+/// (stride `n+1`) advances by a constant step. A root decomposes into one
+/// run per slack `s` (w slots striding `n+2`) plus, past the band, one
+/// run per child-gap family in the root's side block. The engine's fast
+/// pebble kernel streams these runs instead of calling the general `get`
+/// per gap; `for_each_gap` remains the reference enumeration, and the two
+/// cover exactly the same `(p,q)` set with identical cell values.
 ///
 /// Table shapes are products of four instance dimensions, and a silent
 /// `std::size_t` wrap would turn "too big" into a small, wrong
@@ -49,16 +48,13 @@ namespace subdp::core {
   return a + b;
 }
 
-/// One arithmetic-progression run of a root's stored gaps (a-pebble fast
-/// scan). Enumerates `count` gaps `(p,q)`: the pw slot starts at `cell`
-/// and advances by a growing step (`cell += cell_step; cell_step +=
-/// cell_dstep`), while the matching `w(p,q)` slot — flattened as
-/// `p * (n+1) + q` — starts at `w_slot` and advances by the constant
-/// `w_step`. A run never contains the identity gap `(i,j)`.
+/// One run of a root's stored gaps (a-pebble fast scan). Enumerates
+/// `count` gaps `(p,q)` whose pw cells are consecutive from `cell`, while
+/// the matching `w(p,q)` slot — flattened as `p * (n+1) + q` — starts at
+/// `w_slot` and advances by the constant `w_step`. A run never contains
+/// the identity gap `(i,j)`.
 struct PwGapRun {
   const Cost* cell = nullptr;
-  std::ptrdiff_t cell_step = 0;
-  std::ptrdiff_t cell_dstep = 0;
   std::size_t w_slot = 0;
   std::ptrdiff_t w_step = 0;
   std::size_t count = 0;

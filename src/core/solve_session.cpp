@@ -1,5 +1,6 @@
 #include "core/solve_session.hpp"
 
+#include "pram/thread_pool.hpp"
 #include "support/assert.hpp"
 
 namespace subdp::core {
@@ -102,6 +103,7 @@ SublinearResult SolveSession::finish() {
 }
 
 SublinearResult SolveSession::solve(const dp::Problem& problem) {
+  const pram::SolveGuard in_flight;  // see pram/thread_pool.hpp
   reset(problem);
   if (engine_ == nullptr) return finish();
 

@@ -73,7 +73,10 @@ class SolveSession {
   [[nodiscard]] SublinearResult finish();
 
   /// The full cycle: `reset(problem)`, iterate under the plan's
-  /// termination mode, `finish()`. Repeatable across instances.
+  /// termination mode, `finish()`. Repeatable across instances. Counts
+  /// as a solve in flight (`pram::SolveGuard`) for the whole call: on
+  /// the threads backend its loops use the shared pool only while no
+  /// other solve is in flight, and run inline otherwise.
   [[nodiscard]] SublinearResult solve(const dp::Problem& problem);
 
   [[nodiscard]] const SolvePlan& plan() const noexcept { return *plan_; }

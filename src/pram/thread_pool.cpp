@@ -80,8 +80,13 @@ void ThreadPool::parallel_for_erased(std::int64_t begin, std::int64_t end,
     return;
   }
 
-  // The job fields below are shared by every issuer: one loop at a time.
-  const std::lock_guard<std::mutex> issuer(issuer_mutex_);
+  // The job fields below are shared by every issuer: one loop at a time,
+  // and only for a lone solve. Anyone else runs the loop on its own thread.
+  std::unique_lock<std::mutex> issuer(issuer_mutex_, std::defer_lock);
+  if (SolveGuard::in_flight() > 1 || !issuer.try_lock()) {
+    fn(ctx, begin, end);
+    return;
+  }
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     body_fn_ = fn;

@@ -22,16 +22,22 @@
 /// its dispatch through this pool: a fork-join round cannot return
 /// before its longest solve, so async submissions arriving mid-round
 /// would head-of-line block behind it — the service keeps free-running
-/// queue-consumer threads instead, and (when it runs more than one
-/// worker) forces each solve onto the serial backend so service workers
-/// do not serialise on `shared()`.
+/// queue-consumer threads instead, whose solves issue their loops here
+/// like any other caller.
 ///
-/// One loop runs at a time: an issuer mutex, held for the whole of a
-/// multi-chunk loop, makes concurrent callers (say, a 1-worker service
-/// that keeps the threads backend and a caller's own solver) take turns
-/// instead of overwriting each other's published job. Loops that run
-/// inline — no workers, or a range within one grain — skip the lock.
-/// A body must not issue a loop on the pool that is running it.
+/// The pool serves one loop at a time, and only a lone solve. A loop
+/// goes to the workers only when no other solve is in flight (fewer than
+/// two `SolveGuard`s held process-wide; the caller's own solve is one)
+/// and the pool is free (a `try_lock` on the issuer mutex, held for the
+/// whole of a multi-chunk loop). Otherwise the loop runs inline on its
+/// caller, as one chunk over the whole range, and never waits for the
+/// pool. So a solve that has the host to itself spreads over every core,
+/// while solves that overlap — a multi-worker service under load, or
+/// several callers of `core::solve` — each keep to their own thread
+/// instead of queueing for the workers or oversubscribing the cores.
+/// Loops that run inline anyway — no workers, or a range within one
+/// grain — skip both tests. A body must not issue a loop on the pool
+/// that is running it.
 
 #include <atomic>
 #include <condition_variable>
@@ -45,8 +51,30 @@
 
 namespace subdp::pram {
 
+/// Marks one solve in flight for the length of its scope. The count is
+/// process-wide; `ThreadPool::parallel_for` runs a loop inline while more
+/// than one guard is held. `core::SolveSession::solve` holds one for the
+/// whole call, so `core::solve` and service workers both count.
+class SolveGuard {
+ public:
+  SolveGuard() noexcept { ++in_flight_; }
+  ~SolveGuard() { --in_flight_; }
+
+  SolveGuard(const SolveGuard&) = delete;
+  SolveGuard& operator=(const SolveGuard&) = delete;
+
+  /// Guards held right now, across all threads.
+  [[nodiscard]] static unsigned in_flight() noexcept {
+    return in_flight_.load();
+  }
+
+ private:
+  static inline std::atomic<unsigned> in_flight_{0};
+};
+
 /// Fork-join pool; one instance can be reused for any number of loops,
-/// issued from any number of threads (they run one at a time).
+/// issued from any number of threads (one at a time on the workers, the
+/// rest inline; see the file comment).
 class ThreadPool {
  public:
   /// Spawns `threads` workers (0 = `hardware_concurrency`).
@@ -62,8 +90,9 @@ class ThreadPool {
   }
 
   /// Runs `body(chunk_begin, chunk_end)` over `[begin, end)` split into
-  /// chunks of at most `grain` indices (grain 0 = choose automatically).
-  /// Blocks until all chunks have completed.
+  /// chunks of at most `grain` indices (grain 0 = choose automatically),
+  /// or inline as one chunk while another solve is in flight or another
+  /// loop holds the pool. Blocks until all chunks have completed.
   template <class Body>
   void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
                     Body&& body) {
@@ -91,7 +120,8 @@ class ThreadPool {
   void run_chunks();
 
   std::vector<std::thread> workers_;
-  /// Held by the issuing thread for a whole multi-chunk loop.
+  /// Held by the issuing thread for a whole multi-chunk loop; only ever
+  /// try-locked, so an issuer never waits for another.
   std::mutex issuer_mutex_;
   std::mutex mutex_;
   std::condition_variable start_cv_;

@@ -45,17 +45,6 @@ std::string shape_label(std::size_t n, const core::SublinearOptions& opts) {
 
 }  // namespace
 
-core::SublinearOptions SolverService::normalized(
-    core::SublinearOptions options) const {
-  // Multi-worker sessions run the serial engine path (the shared engine
-  // pool runs one loop at a time, and instance-level parallelism already
-  // covers the cores). A one-worker service has no instance-level
-  // parallelism, so it keeps the caller's backend: parallelism inside
-  // the solve is then its only way onto more than one core.
-  if (workers_ > 1) options.machine.backend = pram::Backend::kSerial;
-  return options;
-}
-
 /// Completion rendezvous for one `solve_all` call.
 struct SolverService::BatchCall {
   core::SublinearResult* results = nullptr;  ///< Slot per input index.
@@ -76,7 +65,6 @@ SolverService::SolverService(ServiceOptions options)
              options_.sessions_per_plan != 0 ? options_.sessions_per_plan
                                              : workers_,
              store_) {
-  options_.solver = normalized(options_.solver);
   builders_ = options_.builders != 0 ? options_.builders : 1;
   clock_ = options_.clock != nullptr ? options_.clock : obs::default_clock();
   if (options_.trace_capacity != 0) {
@@ -209,7 +197,7 @@ std::future<core::SublinearResult> SolverService::submit_job(
     PriorityClass priority, bool has_deadline, Deadline deadline) {
   Job job;
   job.problem = &problem;
-  job.solve_options = normalized(options);
+  job.solve_options = options;
   job.has_promise = true;
   job.priority = priority;
   job.has_deadline = has_deadline;
@@ -230,7 +218,6 @@ core::BatchResult SolverService::solve_all(
 core::BatchResult SolverService::solve_all(
     std::span<const dp::Problem* const> problems,
     const core::SublinearOptions& options) {
-  const core::SublinearOptions opts = normalized(options);
   core::BatchResult out;
   out.results.resize(problems.size());
   out.ledger.instances = problems.size();
@@ -257,7 +244,7 @@ core::BatchResult SolverService::solve_all(
     // Resolving on the caller thread (not per job on a worker) keeps the
     // per-call ledger exact — one hit or miss per shape group — and the
     // builder thread free for async cold traffic.
-    std::shared_ptr<SessionPool> pool = cache_.acquire(n, opts, &built);
+    std::shared_ptr<SessionPool> pool = cache_.acquire(n, options, &built);
     if (built) {
       ++out.ledger.plans_built;
     } else {
@@ -266,7 +253,7 @@ core::BatchResult SolverService::solve_all(
     for (const std::size_t idx : indices) {
       Job job;
       job.problem = problems[idx];
-      job.solve_options = opts;
+      job.solve_options = options;
       job.pool = pool;
       job.batch = &call;
       job.slot = idx;
@@ -851,7 +838,7 @@ std::shared_ptr<const core::SolvePlan> SolverService::plan_for(
 
 std::shared_ptr<const core::SolvePlan> SolverService::plan_for(
     std::size_t n, const core::SublinearOptions& options) const {
-  return cache_.peek(n, normalized(options));
+  return cache_.peek(n, options);
 }
 
 }  // namespace subdp::serve

@@ -14,7 +14,7 @@
 /// same-shape instances through one session serially (all parallelism
 /// inside a single solve), the service keeps a pool of `workers`
 /// long-lived worker threads consuming a shared dispatch queue, each
-/// solve running the *serial* fast path. (A fork-join dispatch over
+/// solve running on the caller's backend. (A fork-join dispatch over
 /// `pram::ThreadPool` was considered and rejected: a round cannot finish
 /// before its longest solve, so async submissions arriving mid-round
 /// would head-of-line block behind it; free-running queue consumers have
@@ -156,17 +156,16 @@
 ///    capacity, overload policy and submission order (the serve test
 ///    suite, including the differential fuzz harness, asserts this).
 ///
-/// When the service runs more than one worker, sessions normalise the
-/// machine backend to `kSerial`: the shared engine pool runs one loop at
-/// a time (its issuer lock would serialise the workers' solves), and
-/// with instances already covering the cores, intra-solve threading has
-/// nothing left to win. A one-worker service keeps the caller's
-/// configured backend: with a single worker there is no instance-level
-/// parallelism, so the backend's parallelism inside each solve is the
-/// only way the service uses more than one core. Other threads solving
-/// on the shared pool meanwhile take turns with it.
-/// Normalisation happens before keying the cache, so the `(n, options)`
-/// key space is not split by ignored backend choices.
+/// Every solve keeps the caller's backend, whatever the worker count.
+/// On the threads backend (the default) the shared engine pool decides
+/// per loop (pram/thread_pool.hpp): while a solve is the only one in
+/// flight, its loops spread over the idle cores; while solves overlap,
+/// each runs its loops inline on its own worker, so instances cover the
+/// cores and no worker waits for the pool. A lightly loaded service
+/// thus cuts a request's latency with intra-solve parallelism, and a
+/// busy one falls back to instance-level parallelism on its own. The
+/// backend is part of the plan key, so requests on different backends
+/// hold different plans.
 ///
 /// ```
 /// serve::ServiceOptions opts;
@@ -258,8 +257,7 @@ inline constexpr std::chrono::nanoseconds kRetryAfterConservativeDefault =
 /// Configuration of a `SolverService`.
 struct ServiceOptions {
   /// Solver configuration applied to `submit(problem)` / `solve_all`
-  /// calls that do not carry their own options. The machine backend is
-  /// normalised to `kSerial` when `workers > 1` (see the file comment).
+  /// calls that do not carry their own options.
   core::SublinearOptions solver;
   /// Worker threads executing solves (0 = `hardware_concurrency`).
   std::size_t workers = 0;
@@ -565,14 +563,10 @@ class SolverService {
   /// `builder_mutex_`; the build itself runs with the mutex released.
   struct ColdShape {
     std::size_t n = 0;
-    core::SublinearOptions options;  ///< Normalised (cache-key) options.
+    core::SublinearOptions options;  ///< The shape's cache-key options.
     std::deque<Job> jobs;
     bool in_progress = false;
   };
-
-  /// Applies the `workers > 1` backend normalisation; see file comment.
-  [[nodiscard]] core::SublinearOptions normalized(
-      core::SublinearOptions options) const;
 
   [[nodiscard]] std::future<core::SublinearResult> submit_job(
       const dp::Problem& problem, const core::SublinearOptions& options,

@@ -55,7 +55,7 @@ struct SnapshotHeader {
   std::uint64_t total_split_sites;
   // Payload section counts (elements, not bytes), in payload order.
   std::uint64_t length_base_count;
-  std::uint64_t tetra_base_count;
+  std::uint64_t child_base_count;
   std::uint64_t reserved;  ///< Zero; keeps the header at 160 bytes.
   std::uint64_t pair_count;
   std::uint64_t pair_offset_count;
@@ -151,7 +151,7 @@ void append_shape_payload(std::vector<std::uint8_t>& out,
                           SnapshotHeader& h) {
   const core::BandedPwLayout& layout = *shape.layout;
   h.length_base_count = layout.length_base().size();
-  h.tetra_base_count = layout.tetra_base().size();
+  h.child_base_count = layout.child_base().size();
   h.pair_count = shape.pairs.size();
   h.pair_offset_count = shape.pairs_offset_by_length.size();
   h.root_block_count = shape.root_blocks.size();
@@ -159,7 +159,7 @@ void append_shape_payload(std::vector<std::uint8_t>& out,
 
   append_section(out, layout.length_base().data(),
                  layout.length_base().size());
-  append_section(out, layout.tetra_base().data(), layout.tetra_base().size());
+  append_section(out, layout.child_base().data(), layout.child_base().size());
   append_section(out, shape.pairs.data(), shape.pairs.size());
   append_section(out, shape.pairs_offset_by_length.data(),
                  shape.pairs_offset_by_length.size());
@@ -244,7 +244,7 @@ std::shared_ptr<const core::SolvePlan> decode_plan(
   SectionReader reader(payload, static_cast<std::size_t>(h.payload_bytes),
                        std::move(owner));
   auto length_base = reader.take<std::size_t>(h.length_base_count);
-  auto tetra_base = reader.take<std::size_t>(h.tetra_base_count);
+  auto child_base = reader.take<std::size_t>(h.child_base_count);
   auto pairs = reader.take<core::detail::Pair>(h.pair_count);
   auto pair_offsets = reader.take<std::size_t>(h.pair_offset_count);
   auto root_blocks = reader.take<core::detail::RootBlock>(h.root_block_count);
@@ -259,7 +259,7 @@ std::shared_ptr<const core::SolvePlan> decode_plan(
     plan = core::SolvePlan::restore(n, options, nullptr);
   } else {
     auto layout = std::make_shared<const core::BandedPwLayout>(
-        n, band, std::move(length_base), std::move(tetra_base));
+        n, band, std::move(length_base), std::move(child_base));
     auto shape = core::detail::EngineShape::restore(
         std::move(layout), n, band, std::move(pairs), std::move(pair_offsets),
         std::move(root_blocks), h.total_split_sites);

@@ -12,7 +12,7 @@
 ///   [ SnapshotHeader : 160 bytes, trivially copyable ]
 ///   [ payload: 5 sections, each 16-byte aligned, zero-padded ]
 ///     1. layout length_base     (std::size_t per element)
-///     2. layout tetra_base      (empty when band + 1 >= n: no side stores)
+///     2. layout child_base      (empty when band + 1 >= n: no side store)
 ///     3. shape pairs            (core::detail::Pair)
 ///     4. shape pair offsets     (std::size_t)
 ///     5. shape root blocks      (core::detail::RootBlock)
@@ -60,7 +60,7 @@ namespace subdp::snapshot {
 
 /// Bumped on any incompatible change to the header or payload layout;
 /// decoders reject other versions (the caller rebuilds and overwrites).
-inline constexpr std::uint32_t kFormatVersion = 5;
+inline constexpr std::uint32_t kFormatVersion = 6;
 
 /// "SUBDPSNP" — identifies a plan snapshot regardless of version.
 inline constexpr char kMagic[8] = {'S', 'U', 'B', 'D', 'P', 'S', 'N', 'P'};

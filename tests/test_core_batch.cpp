@@ -1,8 +1,7 @@
 // Tests of the plan/session/batch architecture: prepare-once/solve-many
 // bit-identity against one-shot solves, in-place session reuse, plan
 // sharing across sessions, ledger resets between instances, and the
-// grouping and aggregation of `solve_all` on a 1-worker SolverService
-// (the configuration that keeps the caller's backend inside each solve).
+// grouping and aggregation of `solve_all` on a 1-worker SolverService.
 
 #include <gtest/gtest.h>
 
@@ -326,8 +325,7 @@ TEST(Batch, RespectsConfiguredOptions) {
   const auto plan = service.plan_for(p.size());
   ASSERT_NE(plan, nullptr);
   EXPECT_EQ(plan->options().variant, PwVariant::kDense);
-  // One worker has no instance-level parallelism, so the service keeps
-  // the caller's backend rather than normalising it to serial.
+  // The service keeps the caller's backend.
   EXPECT_EQ(plan->options().machine.backend, pram::Backend::kThreadPool);
 }
 

@@ -96,14 +96,10 @@ void expect_gap_runs_match_for_each_gap(BandedPwTable& t) {
       });
       std::vector<GapTriple> runs;
       t.for_each_gap_run(i, j, [&](const PwGapRun& run) {
-        const Cost* cell = run.cell;
-        std::ptrdiff_t step = run.cell_step;
         std::ptrdiff_t w = static_cast<std::ptrdiff_t>(run.w_slot);
         for (std::size_t k = 0; k < run.count; ++k) {
           const std::size_t slot = static_cast<std::size_t>(w);
-          runs.emplace_back(slot / (n + 1), slot % (n + 1), *cell);
-          cell += step;
-          step += run.cell_dstep;
+          runs.emplace_back(slot / (n + 1), slot % (n + 1), run.cell[k]);
           w += run.w_step;
         }
       });
@@ -129,7 +125,7 @@ TEST(PwGapRuns, BandedWideBandRunsMatchForEachGap) {
 
 TEST(PwGapRuns, BandedNarrowestBandRunsMatchForEachGap) {
   // band = 1: the slack runs degenerate to one per root and nearly every
-  // child gap lives in the tetrahedral side stores.
+  // child gap lives in the side store.
   BandedPwTable t(9, 1);
   expect_gap_runs_match_for_each_gap(t);
 }
@@ -156,7 +152,7 @@ TEST(BandedPwTable, ResetRestoresInfinity) {
   full.set(0, 5, 1, 3, 9);
   full.reset();
   EXPECT_EQ(full.get(0, 5, 1, 3), kInfinity);
-  // Narrow band: the child-gap side stores are reset too.
+  // Narrow band: the child-gap side store is reset too.
   BandedPwTable t(10, 2);
   t.set(0, 10, 0, 5, 21);
   t.set(0, 10, 5, 10, 22);
@@ -337,6 +333,49 @@ TEST(BandedPwTable, FullBandCellCountIsTheEntryCount) {
   EXPECT_EQ(BandedPwLayout(64, 64).cell_count(), 764400u);
   EXPECT_EQ(BandedPwLayout(9, 8).child_cell_count(), 0u);  // band = n - 1
   EXPECT_GT(BandedPwLayout(9, 7).child_cell_count(), 0u);  // band = n - 2
+}
+
+TEST(BandedPwLayout, ChildStoreHoldsExactlyTheOutOfBandChildGaps) {
+  // Each root of length L keeps 2 max(0, L - 1 - B) child cells, so the
+  // per-length bases sum to the closed-form out-of-band count.
+  for (const std::size_t n : {3u, 9u, 17u, 64u, 72u, 192u}) {
+    const BandedPwLayout layout(n, support::two_ceil_sqrt(n));
+    EXPECT_EQ(layout.child_cell_count(), layout.out_of_band_child_count())
+        << "n=" << n;
+    EXPECT_EQ(layout.cell_count(),
+              layout.band_cell_count() + layout.child_cell_count());
+  }
+  EXPECT_EQ(BandedPwLayout(64, support::two_ceil_sqrt(64)).child_cell_count(),
+            36848u);
+  EXPECT_EQ(
+      BandedPwLayout(192, support::two_ceil_sqrt(192)).child_cell_count(),
+      1470260u);
+  for (const std::size_t n : {9u, 64u, 192u}) {
+    EXPECT_EQ(BandedPwLayout(n, n).child_cell_count(), 0u) << "n=" << n;
+    EXPECT_EQ(BandedPwLayout(n, n).out_of_band_child_count(), 0u);
+  }
+  EXPECT_EQ(BandedPwLayout(9, 1).child_cell_count(),
+            BandedPwLayout(9, 1).out_of_band_child_count());
+}
+
+TEST(BandedPwTable, ChildCellsAreDenselyAddressed) {
+  // Every child-store cell backs exactly one out-of-band child gap.
+  for (const auto& [n, band] :
+       std::vector<std::pair<std::size_t, std::size_t>>{{9, 1}, {13, 4}}) {
+    const BandedPwLayout layout(n, band);
+    std::vector<int> hits(layout.child_cell_count(), 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + band + 2; j <= n; ++j) {
+        for (std::size_t k = i + 1; k < j; ++k) {
+          if (j - k > band) ++hits.at(layout.left_child_flat(i, j, k));
+          if (k - i > band) ++hits.at(layout.right_child_flat(i, j, k));
+        }
+      }
+    }
+    for (std::size_t c = 0; c < hits.size(); ++c) {
+      EXPECT_EQ(hits[c], 1) << "n=" << n << " band=" << band << " cell " << c;
+    }
+  }
 }
 
 TEST(BandedPwLayout, EntriesAreEmittedInStorageOrder) {

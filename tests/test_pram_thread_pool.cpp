@@ -1,13 +1,16 @@
 // Unit tests for the fork-join pool (pram/thread_pool.hpp), including
-// the issuer lock that lets several threads solve on the shared pool at
-// once.
+// the issuer gate: a loop reaches the workers only for a lone solve on a
+// free pool, and runs inline on its caller otherwise.
 
 #include "pram/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <future>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -21,6 +24,58 @@
 
 namespace subdp::pram {
 namespace {
+
+/// Generous: a gate that holds this long has failed, and the waiting
+/// test reports it instead of hanging.
+constexpr std::chrono::seconds kGateTimeout{10};
+
+/// A one-shot countdown whose wait gives up after a timeout.
+class TimedLatch {
+ public:
+  explicit TimedLatch(int count) : count_(count) {}
+
+  void count_down() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (--count_ == 0) done_.notify_all();
+  }
+
+  /// True once the count reached zero; false after `kGateTimeout`.
+  [[nodiscard]] bool wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return done_.wait_for(lock, kGateTimeout, [&] { return count_ <= 0; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable done_;
+  int count_;
+};
+
+/// The `(begin, end)` of every chunk a loop ran, with the thread that ran
+/// it.
+struct ChunkLog {
+  struct Chunk {
+    std::int64_t begin;
+    std::int64_t end;
+    std::thread::id thread;
+  };
+  std::mutex mutex;
+  std::vector<Chunk> chunks;
+
+  void add(std::int64_t lo, std::int64_t hi) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    chunks.push_back({lo, hi, std::this_thread::get_id()});
+  }
+};
+
+/// A loop over `[0, n)` at grain 1 ran inline: one chunk, the whole
+/// range, on the calling thread (the pool would have split it).
+void expect_ran_inline(const ChunkLog& log, std::int64_t n) {
+  ASSERT_EQ(log.chunks.size(), 1u);
+  EXPECT_EQ(log.chunks[0].begin, 0);
+  EXPECT_EQ(log.chunks[0].end, n);
+  EXPECT_EQ(log.chunks[0].thread, std::this_thread::get_id());
+}
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
@@ -107,11 +162,75 @@ TEST(ThreadPool, SharedPoolIsSingleton) {
   EXPECT_GE(ThreadPool::shared().parallelism(), 1u);
 }
 
+TEST(ThreadPool, LoopIssuedWhileAnotherHoldsThePoolRunsInlineAndReturns) {
+  // A holder thread's loop parks every chunk it runs on `release`. A loop
+  // issued meanwhile must not wait for the pool: it runs on its own
+  // thread and returns while the holder's loop is still blocked.
+  ThreadPool pool(4);
+  TimedLatch holding(1);
+  TimedLatch release(1);
+  std::atomic<bool> released_in_time{true};
+  std::atomic<bool> holder_done{false};
+  std::thread holder([&] {
+    pool.parallel_for(0, 8, 1, [&](std::int64_t lo, std::int64_t) {
+      if (lo == 0) holding.count_down();
+      if (!release.wait()) released_in_time.store(false);
+    });
+    holder_done.store(true);
+  });
+  const bool started = holding.wait();
+  ChunkLog log;
+  if (started) {
+    pool.parallel_for(0, 64, 1, [&](std::int64_t lo, std::int64_t hi) {
+      log.add(lo, hi);
+    });
+  }
+  const bool waited_for_holder = holder_done.load();
+  release.count_down();
+  holder.join();
+  ASSERT_TRUE(started) << "the holder's loop never started";
+  EXPECT_FALSE(waited_for_holder) << "the loop waited for the holder's";
+  expect_ran_inline(log, 64);
+  EXPECT_TRUE(released_in_time.load());
+}
+
+TEST(ThreadPool, LoopIssuedWhileAnotherSolveIsInFlightRunsInline) {
+  // The caller's own solve plus a second one: the loop stays on the
+  // caller although the pool is free.
+  ThreadPool pool(4);
+  const SolveGuard mine;
+  const SolveGuard other;
+  EXPECT_GE(SolveGuard::in_flight(), 2u);
+  ChunkLog log;
+  pool.parallel_for(0, 64, 1,
+                    [&](std::int64_t lo, std::int64_t hi) { log.add(lo, hi); });
+  expect_ran_inline(log, 64);
+}
+
+TEST(ThreadPool, LoneSolveSpreadsItsLoopOverTheWorkers) {
+  // Each of two chunks waits until both have started, which only a
+  // worker running the second chunk beside the caller can satisfy (an
+  // inline run is one chunk, whose wait times out).
+  ThreadPool pool(2);
+  const SolveGuard mine;
+  TimedLatch both_started(2);
+  std::atomic<int> met{0};
+  ChunkLog log;
+  pool.parallel_for(0, 2, 1, [&](std::int64_t lo, std::int64_t hi) {
+    log.add(lo, hi);
+    both_started.count_down();
+    if (both_started.wait()) met.fetch_add(1);
+  });
+  EXPECT_EQ(met.load(), 2);
+  ASSERT_EQ(log.chunks.size(), 2u);
+  EXPECT_NE(log.chunks[0].thread, log.chunks[1].thread);
+}
+
 TEST(ThreadPool, ConcurrentIssuersOnTheSharedPoolStayBitIdentical) {
   // Four caller threads solve on the threads backend while a 1-worker
-  // service (which keeps that backend) solves the same instances: every
-  // one of them issues loops on `shared()` at once. Each result must be
-  // bit-identical to a serial solve.
+  // service solves the same instances: every one of them issues loops on
+  // `shared()` at once, some on the workers and the rest inline. Each
+  // result must be bit-identical to a serial solve.
   constexpr std::size_t kCallers = 4;
   constexpr std::size_t kRounds = 3;
   support::Rng rng(4242);

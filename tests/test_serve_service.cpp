@@ -20,6 +20,7 @@
 #include "dp/matrix_chain.hpp"
 #include "dp/optimal_bst.hpp"
 #include "dp/sequential.hpp"
+#include "pram/backend.hpp"
 #include "serve/solver_service.hpp"
 #include "support/rng.hpp"
 
@@ -111,9 +112,11 @@ TEST(Service, SubmitFuturesMatchIndependentSolvesShuffled) {
 }
 
 TEST(Service, MultiWorkerMatchesOneWorkerLedgerAndResults) {
-  // A 1-worker service keeps the caller's backend inside each solve; a
-  // multi-worker one normalises to serial and overlaps instances. Both
-  // must produce the same results and the same ledger.
+  // A 1-worker service runs one solve at a time, so each solve's loops
+  // reach the shared pool's workers; a 3-worker one overlaps instances,
+  // whose loops then run inline on their workers. Both keep the
+  // caller's backend, and both must produce the same results and the
+  // same ledger.
   const auto load = make_workload({10, 15}, 3, 604);
   ServiceOptions one_worker;
   one_worker.workers = 1;
@@ -144,6 +147,29 @@ TEST(Service, MultiWorkerMatchesOneWorkerLedgerAndResults) {
   const auto again = service.solve_all(load.pointers);
   EXPECT_EQ(again.ledger.plans_built, 0u);
   EXPECT_EQ(again.ledger.plans_reused, 2u);
+}
+
+TEST(Service, MultiWorkerServiceKeepsTheCallersBackend) {
+  // Warm on the threads backend through four workers: the plan keeps
+  // that backend, and no serial plan stands in for it.
+  core::SublinearOptions threads_opts;
+  threads_opts.machine.backend = pram::Backend::kThreadPool;
+  core::SublinearOptions serial_opts = threads_opts;
+  serial_opts.machine.backend = pram::Backend::kSerial;
+  const auto load = make_workload({16}, 4, 610, threads_opts);
+  ServiceOptions options;
+  options.workers = 4;
+  options.solver = threads_opts;
+  SolverService service(options);
+  const auto out = service.solve_all(load.pointers);
+  for (std::size_t k = 0; k < load.pointers.size(); ++k) {
+    expect_identical(out.results[k], load.expected[k], k);
+  }
+  const auto plan = service.plan_for(16, threads_opts);
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(plan->options().machine.backend, pram::Backend::kThreadPool);
+  EXPECT_EQ(service.plan_for(16, serial_opts), nullptr)
+      << "a serial request must not share the threads-backend plan";
 }
 
 TEST(Service, StressManyCallerThreadsMixedShapes) {

@@ -111,7 +111,7 @@ fs::path only_snapshot_file(const fs::path& dir) {
   return found;
 }
 
-// Format-v5 byte offsets (documented in plan_snapshot.cpp's header
+// Format-v6 byte offsets (documented in plan_snapshot.cpp's header
 // struct); the tamper tests below flip bytes at these positions.
 constexpr std::size_t kHeaderBytes = 160;
 constexpr std::size_t kVersionOffset = 8;     // format_version u32
@@ -335,10 +335,12 @@ TEST(SnapshotRejection, StaleFormatVersion) {
 TEST(SnapshotRejection, RetiredFormatV1) {
   // Version 1 carried four engine-toggle key bytes that version 2 drops,
   // version 2 dense images carried a layout version 3 no longer has,
-  // version 3 carried an entry-slot section version 4 drops, and version
-  // 4 carried the quad-list section version 5 drops; a leftover file of
-  // any of them must be rejected and rebuilt, never misread.
-  for (const std::uint32_t retired : {1u, 2u, 3u, 4u}) {
+  // version 3 carried an entry-slot section version 4 drops, version 4
+  // carried the quad-list section version 5 drops, and version 5 carried
+  // the tetrahedral child-store offsets version 6 replaces with
+  // per-length bases; a leftover file of any of them must be rejected
+  // and rebuilt, never misread.
+  for (const std::uint32_t retired : {1u, 2u, 3u, 4u, 5u}) {
     expect_rejected_then_rebuilt(
         "format-v" + std::to_string(retired), [retired](auto& bytes) {
           std::memcpy(bytes.data() + kVersionOffset, &retired,
