@@ -31,8 +31,8 @@
 /// by exactly one logical processor per step (owner-computes, CREW), the
 /// apply order is immaterial. The log doubles as the change count and —
 /// for a-pebble — as the next iteration's frontier. a-activate writes
-/// cells nobody reads within the step and updates in place. The fast HLV
-/// a-square needs no log: it writes in place, tile by tile (below).
+/// only cells no other processor reads within the step, in place. The
+/// fast HLV a-square needs no log: it writes in place, tile by tile (below).
 ///
 /// Two execution paths
 /// -------------------
@@ -47,9 +47,9 @@
 ///  * the *fast path* (`Machine::run_blocks`, templated body): the
 ///    kernels inline into the worker loop with no op counting, and the
 ///    sweeps skip provable no-ops:
-///     - a-activate re-evaluates only the sites reading a `w(i,j)` the
-///       last pebble moved (falling back to the full sweep when that
-///       frontier is dense);
+///     - a-activate evaluates, per root, only the sites reading a `w(i,j)`
+///       the last pebble moved (`bucket_frontier`), then snapshots the
+///       root's edges for a tiled square (below);
 ///     - a-square (HLV mode) runs one tile per root, and visits a root
 ///       only when a candidate of its tile has a moved operand; a visited
 ///       root evaluates only those candidates (semi-naive evaluation,
@@ -83,10 +83,10 @@
 /// `F_(a,b)[d] = pw(a,b,a,b-d)`, `1 <= d <= B`. Every operand is in band,
 /// and the identity candidate (`V[0][0]` plus the target's own old value)
 /// is a provable no-op, so the tile holds `V[0][0] = kInfinity`.
-///  - *Edges.* Before the sweep, one serial O(n^2 B) pass (`gather_edges`)
-///    copies every root's two edges into the calling thread's
-///    `edge_scratch`, never session state: it is rebuilt at the start of
-///    every sweep and read only within it.
+///  - *Edges.* Each root's a-activate processor, after its writes, copies
+///    the root's two edges into its slots of the stepping thread's
+///    `edge_scratch` (`snapshot_edges`), never session state: only the
+///    same step's square reads them.
 ///  - *Tiles.* Each visited root folds its candidates into one square
 ///    accumulator tile in the worker's `tile_scratch`, which starts at
 ///    `kInfinity`. One pass walks the block in storage order: cell
@@ -99,7 +99,7 @@
 ///  - *Moved bytes.* One byte per in-band cell says "changed since the
 ///    last square's pre-step state": a-activate sets it on its in-band
 ///    writes, and the write-back sets it on improvements and clears the
-///    rest of its block. The edge gather derives each root's moved-edge
+///    rest of its block. The edge snapshot derives each root's moved-edge
 ///    slack ranges `[lo, hi]` from these bytes. A (row, first operand)
 ///    segment is evaluated over the whole row if the first operand moved,
 ///    over the partner edge's moved range otherwise, and not at all when
@@ -110,7 +110,7 @@
 ///  - *Visits.* A root's tile evaluates something only if a cell of its
 ///    own block moved (`pw_root_moved_`, set by in-band writes alone) or
 ///    a proper sub-root at offset `o` has a moved edge cell at a slack
-///    `d` with `o + d <= m`. One length-major pass after the gather
+///    `d` with `o + d <= m`. One serial length-major pass before the sweep
 ///    (`build_root_visits`) computes `reach(i,j)`, the least `o + d` over
 ///    the sub-roots of `(i,j)` itself included, from its two children's,
 ///    and visits exactly the roots that pass: a skipped root would have
@@ -121,8 +121,8 @@
 ///    pre-sweep edge snapshot and writes only its own block, its own moved
 ///    bytes and its own root flags, so in-place write-back races with no
 ///    read: every read of the sweep sees pre-step state, and each cell
-///    has one writer. The edge ranges and visit bytes come from the
-///    serial passes, never from a-activate's concurrent writers.
+///    has one writer. The snapshot's slots come from a-activate's
+///    per-root processors, ordered before the tiles by its barrier.
 /// Both operands lie in `[0, kInfinity]`, so the fold is a plain
 /// `min(acc, a + b)`, with no `is_finite` branch or `sat_add` (cost.hpp
 /// asserts the sum cannot overflow). The a-pebble gap scan streams too,
@@ -136,6 +136,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -196,14 +197,18 @@ struct EdgeScratch {
   std::vector<EdgeMoves> moves;
 };
 
-/// The calling thread's edge snapshot. Each tiled sweep regathers it from
-/// scratch before its tiles and reads it only within that sweep, so one
-/// buffer per solving thread serves every session that thread steps; it
-/// grows to the largest shape the thread has served and is reused. Pool
-/// workers read the caller's snapshot during the sweep; the sweep's
-/// fork-join orders those reads after the gather.
-inline EdgeScratch& edge_scratch() {
+/// The calling thread's edge snapshot, grown to `roots` roots of `stride`
+/// slots per edge. Each step's a-activate rewrites every root's slots and
+/// the same step's tiled square reads them, so one buffer per solving
+/// thread serves every session that thread steps. Pool workers write the
+/// caller's snapshot in the activate sweep and read it in the square's;
+/// each sweep's fork-join orders the two.
+inline EdgeScratch& edge_scratch(std::size_t roots, std::size_t stride) {
   thread_local EdgeScratch scratch;
+  if (scratch.edges.size() < roots * 2 * stride) {
+    scratch.edges.resize(roots * 2 * stride);
+  }
+  if (scratch.moves.size() < roots) scratch.moves.resize(roots);
   return scratch;
 }
 
@@ -243,8 +248,8 @@ struct RootBlock {
 /// Everything the engine precomputes that depends only on the *shape*
 /// `(n, band)` — never on a concrete instance's costs: the shared
 /// storage layout, the length-major pair list and its offsets, the root
-/// blocks of the tiled square sweep, and the activate-site total the
-/// frontier density test compares against. All of it is O(n^2). A
+/// blocks of the tiled square sweep, and the activate-site total the step
+/// profile reports against the frontier's. All of it is O(n^2). A
 /// `SolvePlan` builds one `EngineShape` and every engine (session) of
 /// that shape shares it, so per-instance preparation is a table fill.
 struct EngineShape {
@@ -257,13 +262,8 @@ struct EngineShape {
   ShapeArray<std::size_t> pairs_offset_by_length;
   /// Per-root blocks of in-band cells (tiled square sweep), one per pair.
   ShapeArray<RootBlock> root_blocks;
-  /// Total (pair, split) activate sites — the frontier density cutoff.
+  /// Total (pair, split) activate sites of a full sweep.
   std::uint64_t total_split_sites = 0;
-
-  /// Index of pair `(i,j)` in `pairs` (groups are length-major, then `i`).
-  [[nodiscard]] std::size_t pair_index(std::size_t i, std::size_t j) const {
-    return pairs_offset_by_length[j - i] + i;
-  }
 
   [[nodiscard]] static std::shared_ptr<const EngineShape> build(
       std::size_t n, std::size_t band) {
@@ -362,7 +362,6 @@ class Engine {
         pairs_(shape_->pairs),
         pairs_offset_by_length_(shape_->pairs_offset_by_length),
         root_blocks_(shape_->root_blocks),
-        total_split_sites_(shape_->total_split_sites),
         edge_stride_(std::min(pw_.max_slack(), n_ - 1) + 1) {
     SUBDP_ASSERT(problem.size() == n_);
     const bool fast = !machine_.instrumented();
@@ -373,14 +372,13 @@ class Engine {
     w_log_.resize(pairs_.size());
     profile_ = options_.profile;
     if (fast) {
-      // Value-initialised (zeroed) atomic flag arrays.
+      // A value-initialised (zeroed) atomic flag array.
       root_dirty_ =
-          std::make_unique<std::atomic<std::uint8_t>[]>(pairs_.size());
-      pw_root_moved_ =
           std::make_unique<std::atomic<std::uint8_t>[]>(pairs_.size());
     }
     if (tiled_) {
       moved_.assign(pw_.layout().band_cell_count(), 0);
+      pw_root_moved_.assign(pairs_.size(), 0);
       reach_.assign(pairs_.size(), kNoReach);
       visit_.assign(pairs_.size(), 0);
     }
@@ -388,6 +386,8 @@ class Engine {
       w_moved_.assign((n_ + 1) * (n_ + 1), 0);
       contained_.assign((n_ + 1) * (n_ + 1), 0);
       frontier_.reserve(n_);
+      row_start_.assign(n_ + 2, 0);
+      col_start_.assign(n_ + 2, 0);
     }
     bind_instance(problem, /*fresh_tables=*/true);
   }
@@ -489,9 +489,9 @@ class Engine {
     if (!fresh_tables && root_dirty_ != nullptr) {
       for (std::size_t k = 0; k < pairs_.size(); ++k) {
         root_dirty_[k].store(0, std::memory_order_relaxed);
-        pw_root_moved_[k].store(0, std::memory_order_relaxed);
       }
       std::fill(moved_.begin(), moved_.end(), std::uint8_t{0});
+      std::fill(pw_root_moved_.begin(), pw_root_moved_.end(), 0);
     }
     if (frontier_enabled_) {
       // The initial frontier: every base entry w(i, i+1) was just set.
@@ -505,11 +505,6 @@ class Engine {
 
   /// `reach_` of a root with no moved edge cell at or inside it.
   static constexpr std::uint16_t kNoReach = UINT16_MAX;
-
-  /// Index of pair `(i,j)` in `pairs_` (groups are length-major, then `i`).
-  [[nodiscard]] std::size_t pair_index(std::size_t i, std::size_t j) const {
-    return pairs_offset_by_length_[j - i] + i;
-  }
 
   /// Sec. 5 window for iteration `t` (1-based): `l = ceil(t/2)`, lengths
   /// `(l-1)^2 < L <= l^2`. Returns the pair-index range to pebble.
@@ -528,16 +523,14 @@ class Engine {
   }
 
   // ---- Per-cell kernels --------------------------------------------------
-  // Templated on `Instr`: with Instr = false, op counting and CREW
-  // reporting vanish at compile time and the kernel inlines into the
-  // worker loop of the fast path. `pebble_scan` is oracle-only: the fast
-  // path pebbles through `pebble_scan_fast` and squares through
-  // `square_tile` (HLV) or `square_scan<false>` (Rytter).
+  // `activate_pair` and `pebble_scan` are oracle-only: the fast path
+  // runs `activate_root`, `pebble_scan_fast`, and `square_tile` (HLV) or
+  // `square_scan<false>` (Rytter), whose op counting vanishes at compile
+  // time.
 
-  /// Full a-activate scan of root `root`: both eq. 1a/1b targets for
+  /// Oracle a-activate scan of root `root`: both eq. 1a/1b targets for
   /// every split `k`. In-place writes (activate targets are read by nobody
   /// within the step). Returns the number of cells improved.
-  template <bool Instr>
   std::uint64_t activate_pair(std::size_t root, std::uint64_t& ops) {
     const std::size_t i = pairs_[root].i, j = pairs_[root].j;
     std::uint64_t local_changed = 0;
@@ -546,18 +539,14 @@ class Engine {
     // because the terminal pebble of a balanced node needs them (see
     // pw_banded.hpp).
     for (std::size_t k = i + 1; k <= j - 1; ++k) {
-      if constexpr (Instr) ops += 2;
+      ops += 2;
       const Cost fv = problem_->f(i, k, j);
       const Cost w_right = w_(k, j);
       if (is_finite(w_right)) {
         const Cost cand = sat_add(fv, w_right);
         if (cand < pw_.get(i, j, i, k)) {
           pw_.set(i, j, i, k, cand);
-          if constexpr (Instr) {
-            machine_.note_write(pw_.address(i, j, i, k));
-          } else {
-            mark_write(root, i, j, i, k);
-          }
+          machine_.note_write(pw_.address(i, j, i, k));
           ++local_changed;
         }
       }
@@ -566,16 +555,76 @@ class Engine {
         const Cost cand = sat_add(fv, w_left);
         if (cand < pw_.get(i, j, k, j)) {
           pw_.set(i, j, k, j, cand);
-          if constexpr (Instr) {
-            machine_.note_write(pw_.address(i, j, k, j));
-          } else {
-            mark_write(root, i, j, k, j);
-          }
+          machine_.note_write(pw_.address(i, j, k, j));
           ++local_changed;
         }
       }
     }
     return local_changed;
+  }
+
+  /// Fast a-activate of root `root = (i,j)`, in place. `Full` evaluates
+  /// every split; otherwise only the sites reading a `w` the last pebble
+  /// moved: `(a,j)`, `a > i`, as right child (target `pw(i,j,i,a)`) and
+  /// `(i,b)`, `b < j`, as left child (target `pw(i,j,b,j)`). Every other
+  /// candidate is unchanged and, by monotonicity, already applied.
+  /// Returns the number of cells improved.
+  template <bool Full>
+  std::uint64_t activate_root(std::size_t root) {
+    const std::size_t i = pairs_[root].i, j = pairs_[root].j;
+    const std::size_t m = root_slacks(root);
+    // Locals, so the opaque `f` calls force no reloads.
+    const std::size_t begin = root_blocks_[root].begin;
+    Cost* const cells = pw_.raw_cells() + begin;
+    std::uint8_t* const moved = tiled_ ? moved_.data() + begin : nullptr;
+    const Cost* const w = w_.data();
+    const std::size_t stride = n_ + 1;
+    std::uint64_t changed = 0;
+    // Offers `f + w(k,j)` to `pw(i,j,i,k)` (`left`: `F` at slack `j-k`)
+    // or `f + w(i,k)` to `pw(i,j,k,j)` (`E` at slack `k-i`). Child gaps
+    // past the band are never square operands and set no moved byte.
+    const auto offer = [&](Cost fv, std::size_t k, bool left) {
+      const Cost wv = left ? w[k * stride + j] : w[i * stride + k];
+      if (!is_finite(wv)) return;
+      const Cost cand = sat_add(fv, wv);
+      const std::size_t s = left ? j - k : k - i;
+      if (s <= m) {
+        const std::size_t slot =
+            BandedPwLayout::slack_offset(s) + (left ? 0 : s);
+        if (cand >= cells[slot]) return;
+        cells[slot] = cand;
+        if (moved != nullptr) {
+          moved[slot] = 1;
+          pw_root_moved_[root] = 1;
+        }
+      } else {
+        const std::size_t p = left ? i : k, q = left ? k : j;
+        if (cand >= pw_.get(i, j, p, q)) return;
+        pw_.set(i, j, p, q, cand);
+      }
+      ++changed;
+    };
+    if constexpr (Full) {
+      for (std::size_t k = i + 1; k < j; ++k) {
+        const Cost fv = problem_->f(i, k, j);
+        offer(fv, k, true);
+        offer(fv, k, false);
+      }
+    } else {
+      // The sites: a suffix of column `j`, a prefix of row `i`.
+      const std::uint32_t* const col = col_a_.data();
+      const std::uint32_t* const row = row_b_.data();
+      for (std::size_t at = col_start_[j + 1], lo = col_start_[j];
+           at > lo && col[at - 1] > i; --at) {
+        offer(problem_->f(i, col[at - 1], j), col[at - 1], true);
+      }
+      for (std::size_t at = row_start_[i], hi = row_start_[i + 1];
+           at < hi && row[at] < j; ++at) {
+        offer(problem_->f(i, row[at], j), row[at], false);
+      }
+    }
+    if (changed > 0) mark_root_dirty(root);
+    return changed;
   }
 
   /// a-square candidate scan for one stored quadruple; returns the best
@@ -645,42 +694,33 @@ class Engine {
                     static_cast<std::size_t>(pairs_[k].j - pairs_[k].i) - 1);
   }
 
-  /// Copies every root's two edges, `E[d] = pw(a,b,a+d,b)` at
+  /// Copies root `k = (a,b)`'s two edges, `E[d] = pw(a,b,a+d,b)` at
   /// `edges[k * 2 * edge_stride_ + d]` and `F[d] = pw(a,b,a,b-d)` at
-  /// `edges[(2k + 1) * edge_stride_ + d]` for root `k = (a,b)` and
-  /// `d = 1 .. min(B, b-a-1)`, and derives each root's moved-edge ranges
-  /// from the moved bytes (see the file comment). Within slack `d` of a
-  /// root block (`BandedPwLayout::slack_offset`), `F[d]` is the first
-  /// cell and `E[d]` the last. One serial O(n^2 B) pass over the pre-step
-  /// table, so the sweep's reads see the same values as the table's.
-  void gather_edges(EdgeScratch& scratch) const {
-    const std::size_t roots = root_blocks_.size();
-    if (scratch.edges.size() < roots * 2 * edge_stride_) {
-      scratch.edges.resize(roots * 2 * edge_stride_);
-    }
-    if (scratch.moves.size() < roots) scratch.moves.resize(roots);
-    const Cost* cells = pw_.raw_cells();
-    const std::uint8_t* moved = moved_.data();
-    for (std::size_t k = 0; k < roots; ++k) {
-      const std::size_t m = root_slacks(k);
-      Cost* e = scratch.edges.data() + k * 2 * edge_stride_;
-      Cost* f = e + edge_stride_;
-      EdgeMoves em{UINT16_MAX, 0, UINT16_MAX, 0};
-      std::size_t at = root_blocks_[k].begin;
-      for (std::size_t d = 1; d <= m; at += d + 1, ++d) {
-        f[d] = cells[at];
-        e[d] = cells[at + d];
-        if (moved[at] != 0) {
-          if (em.f_lo == UINT16_MAX) em.f_lo = static_cast<std::uint16_t>(d);
-          em.f_hi = static_cast<std::uint16_t>(d);
-        }
-        if (moved[at + d] != 0) {
-          if (em.e_lo == UINT16_MAX) em.e_lo = static_cast<std::uint16_t>(d);
-          em.e_hi = static_cast<std::uint16_t>(d);
-        }
+  /// `edges[(2k + 1) * edge_stride_ + d]` for `d = 1 .. min(B, b-a-1)`,
+  /// and derives its moved-edge ranges from the moved bytes (see the file
+  /// comment). Within slack `d` of a root block, `F[d]` is the first cell
+  /// and `E[d]` the last. Run by `k`'s activate processor after its writes.
+  void snapshot_edges(std::size_t k, EdgeScratch& scratch) const {
+    const std::size_t m = root_slacks(k);
+    const Cost* const cells = pw_.raw_cells();
+    const std::uint8_t* const moved = moved_.data();
+    Cost* const e = scratch.edges.data() + k * 2 * edge_stride_;
+    Cost* const f = e + edge_stride_;
+    EdgeMoves em{UINT16_MAX, 0, UINT16_MAX, 0};
+    std::size_t at = root_blocks_[k].begin;
+    for (std::size_t d = 1; d <= m; at += d + 1, ++d) {
+      f[d] = cells[at];
+      e[d] = cells[at + d];
+      if (moved[at] != 0) {
+        if (em.f_lo == UINT16_MAX) em.f_lo = static_cast<std::uint16_t>(d);
+        em.f_hi = static_cast<std::uint16_t>(d);
       }
-      scratch.moves[k] = em;
+      if (moved[at + d] != 0) {
+        if (em.e_lo == UINT16_MAX) em.e_lo = static_cast<std::uint16_t>(d);
+        em.e_hi = static_cast<std::uint16_t>(d);
+      }
     }
+    scratch.moves[k] = em;
   }
 
   /// Per-chunk profile tallies of the tiled sweep.
@@ -785,7 +825,7 @@ class Engine {
     }
     if (improved > 0) {
       mark_root_dirty(k);
-      pw_root_moved_[k].store(1, std::memory_order_relaxed);
+      pw_root_moved_[k] = 1;
     }
     return improved;
   }
@@ -834,28 +874,45 @@ class Engine {
   // ---- Frontier bookkeeping ----------------------------------------------
 
   /// Records that some `pw` entry of root `pair_idx` moved, for the
-  /// frontier a-pebble (`root_dirty_`, sticky until the pair is
-  /// rescanned). Every fast-path write flags it, in band or not. Fast
-  /// path only.
+  /// frontier a-pebble (`root_dirty_`, sticky until rescanned). Every
+  /// fast-path write flags it, in band or not; the fast Rytter square's
+  /// slot processors share it, hence the atomic.
   void mark_root_dirty(std::size_t pair_idx) {
     root_dirty_[pair_idx].store(1, std::memory_order_relaxed);
   }
 
-  /// Records an activate write to `pw'(i,j,p,q)` of root `root`: the root
-  /// is dirty for the pebble, and an in-band cell also sets its moved
-  /// byte and the root's `pw_root_moved_` flag for the next tiled
-  /// a-square. Out-of-band child gaps set neither: they are never square
-  /// operands. Each cell has one writer per step, so plain moved bytes
-  /// suffice; a root's flags are shared by its writers, so they are
-  /// relaxed atomics.
-  void mark_write(std::size_t root, std::size_t i, std::size_t j,
-                  std::size_t p, std::size_t q) {
-    mark_root_dirty(root);
-    if (moved_.empty()) return;
-    const std::size_t s = (j - i) - (q - p);
-    if (s > pw_.max_slack()) return;
-    moved_[pw_.entry_slot(i, j, p, q)] = 1;
-    pw_root_moved_[root].store(1, std::memory_order_relaxed);
+  /// Buckets the moved `w` entries `(a,b)` by counting sorts, O(|frontier|
+  /// + n): row `a` lists their `b`, ascending, in `row_b_[row_start_[a] ..
+  /// row_start_[a+1])`, column `b` their `a` likewise in `col_a_`. Returns
+  /// the frontier's activate sites: `a` left and `n - b` right per entry.
+  std::uint64_t bucket_frontier() {
+    std::fill(row_start_.begin(), row_start_.end(), 0u);
+    std::fill(col_start_.begin(), col_start_.end(), 0u);
+    std::uint64_t sites = 0;
+    for (const Pair e : frontier_) {
+      ++row_start_[e.i + 1];
+      ++col_start_[e.j + 1];
+      sites += e.i + (n_ - e.j);
+    }
+    std::partial_sum(row_start_.begin(), row_start_.end(), row_start_.begin());
+    std::partial_sum(col_start_.begin(), col_start_.end(), col_start_.begin());
+    row_b_.resize(frontier_.size());
+    col_a_.resize(frontier_.size());
+    bucket_at_.assign(col_start_.begin(), col_start_.end());
+    for (const Pair e : frontier_) col_a_[bucket_at_[e.j]++] = e.i;
+    // Walking one side's buckets in key order fills the other's sorted.
+    const auto regroup = [&](const auto& from_start, const auto& from,
+                             const auto& to_start, auto& to) {
+      bucket_at_.assign(to_start.begin(), to_start.end());
+      for (std::uint32_t x = 0; x <= n_; ++x) {
+        for (std::size_t at = from_start[x]; at < from_start[x + 1]; ++at) {
+          to[bucket_at_[from[at]]++] = x;
+        }
+      }
+    };
+    regroup(col_start_, col_a_, row_start_, row_b_);
+    regroup(row_start_, row_b_, col_start_, col_a_);
+    return sites;
   }
 
   /// Builds the 2-D containment counts of the last pebble's moved
@@ -885,7 +942,7 @@ class Engine {
   }
 
   /// Decides which roots the next tiled sweep visits (see the file
-  /// comment) from the gathered edge ranges, and clears `pw_root_moved_`,
+  /// comment) from the snapshot's edge ranges, and clears `pw_root_moved_`,
   /// which the sweep's own write-backs then set afresh for the next
   /// square. `reach_[k]` is the least `o + d` over the moved edge cells,
   /// at slack `d`, of root `k`'s sub-roots at offset `o` (itself at
@@ -907,9 +964,8 @@ class Engine {
         const EdgeMoves em = snapshot.moves[k];
         reach_[k] = static_cast<std::uint16_t>(std::min<std::uint32_t>(
             {inner, em.e_lo, em.f_lo, kNoReach}));
-        visit_[k] = pw_root_moved_[k].load(std::memory_order_relaxed) != 0 ||
-                    inner <= m;
-        pw_root_moved_[k].store(0, std::memory_order_relaxed);
+        visit_[k] = pw_root_moved_[k] != 0 || inner <= m;
+        pw_root_moved_[k] = 0;
       }
     }
   }
@@ -923,22 +979,10 @@ class Engine {
 
   // ---- Step drivers ------------------------------------------------------
 
+  /// a-activate, one processor per root: a root's cells, moved bytes,
+  /// flags and edge snapshot slots have one writer.
   std::uint64_t run_activate() {
     const PhaseTimer timer = phase_timer(&StepProfile::activate_ns);
-    if (frontier_enabled_) {
-      // Frontier-driven activate touches one site per (moved entry,
-      // affected root); a full sweep touches every (pair, split) twice.
-      // Fall back to the full sweep when the frontier is dense.
-      std::uint64_t frontier_sites = 0;
-      for (const Pair e : frontier_) frontier_sites += e.i + (n_ - e.j);
-      const bool use_frontier = frontier_sites < total_split_sites_;
-      if (prof_ != nullptr) {
-        prof_->frontier_sites = frontier_sites;
-        prof_->total_split_sites = total_split_sites_;
-        prof_->activate_used_frontier = use_frontier;
-      }
-      if (use_frontier) return run_activate_frontier();
-    }
     std::atomic<std::uint64_t> changed{0};
     if (machine_.instrumented()) {
       machine_.step(
@@ -946,67 +990,33 @@ class Engine {
           [&](std::int64_t idx) -> std::uint64_t {
             std::uint64_t ops = 0;
             const std::uint64_t local =
-                activate_pair<true>(static_cast<std::size_t>(idx), ops);
+                activate_pair(static_cast<std::size_t>(idx), ops);
             if (local > 0) {
               changed.fetch_add(local, std::memory_order_relaxed);
             }
             return ops;
           });
-    } else {
-      machine_.run_blocks(
-          static_cast<std::int64_t>(pairs_.size()),
-          [&](std::int64_t lo, std::int64_t hi) {
-            std::uint64_t block_changed = 0;
-            std::uint64_t ops = 0;
-            for (std::int64_t idx = lo; idx < hi; ++idx) {
-              block_changed +=
-                  activate_pair<false>(static_cast<std::size_t>(idx), ops);
-            }
-            if (block_changed > 0) {
-              changed.fetch_add(block_changed, std::memory_order_relaxed);
-            }
-          });
+      return changed.load();
     }
-    return changed.load();
-  }
-
-  /// Fast-path activate driven by the moved-`w` frontier: each moved
-  /// entry (a,b) re-evaluates only the sites that read it — as the right
-  /// child of roots (i,b) for i < a (target pw(i,b,i,a)) and as the left
-  /// child of roots (a,j) for j > b (target pw(a,j,b,j)). All other
-  /// sites' candidates are unchanged and, by monotonicity, already
-  /// applied. Two logical processors per moved entry; the targets are
-  /// pairwise distinct, so the step stays CREW.
-  std::uint64_t run_activate_frontier() {
-    std::atomic<std::uint64_t> changed{0};
-    const std::size_t m = frontier_.size();
+    if (frontier_enabled_) {
+      const std::uint64_t frontier_sites = bucket_frontier();
+      if (prof_ != nullptr) {
+        prof_->frontier_sites = frontier_sites;
+        prof_->total_split_sites = shape_->total_split_sites;
+        prof_->activate_used_frontier = true;
+      }
+    }
+    EdgeScratch* const snapshot =
+        tiled_ ? &edge_scratch(root_blocks_.size(), edge_stride_) : nullptr;
     machine_.run_blocks(
-        static_cast<std::int64_t>(2 * m),
+        static_cast<std::int64_t>(pairs_.size()),
         [&](std::int64_t lo, std::int64_t hi) {
           std::uint64_t block_changed = 0;
-          for (std::int64_t idx = lo; idx < hi; ++idx) {
-            const Pair e = frontier_[static_cast<std::size_t>(idx >> 1)];
-            const std::size_t a = e.i, b = e.j;
-            const Cost wv = w_(a, b);  // finite: it just moved
-            if ((idx & 1) == 0) {
-              for (std::size_t i = a; i-- > 0;) {
-                const Cost cand = sat_add(problem_->f(i, a, b), wv);
-                if (cand < pw_.get(i, b, i, a)) {
-                  pw_.set(i, b, i, a, cand);
-                  mark_write(pair_index(i, b), i, b, i, a);
-                  ++block_changed;
-                }
-              }
-            } else {
-              for (std::size_t j = b + 1; j <= n_; ++j) {
-                const Cost cand = sat_add(problem_->f(a, b, j), wv);
-                if (cand < pw_.get(a, j, b, j)) {
-                  pw_.set(a, j, b, j, cand);
-                  mark_write(pair_index(a, j), a, j, b, j);
-                  ++block_changed;
-                }
-              }
-            }
+          for (std::size_t k = static_cast<std::size_t>(lo);
+               k < static_cast<std::size_t>(hi); ++k) {
+            block_changed += frontier_enabled_ ? activate_root<false>(k)
+                                               : activate_root<true>(k);
+            if (snapshot != nullptr) snapshot_edges(k, *snapshot);
           }
           if (block_changed > 0) {
             changed.fetch_add(block_changed, std::memory_order_relaxed);
@@ -1064,7 +1074,7 @@ class Engine {
                   pw_log_[pw_log_count_.fetch_add(
                       1, std::memory_order_relaxed)] =
                       Delta{static_cast<std::uint32_t>(idx), best};
-                  mark_root_dirty(pair_index(t.i, t.j));
+                  mark_root_dirty(pairs_offset_by_length_[t.j - t.i] + t.i);
                 }
               }
             });
@@ -1086,11 +1096,9 @@ class Engine {
   /// comment). Every square, the first included, skips: before any
   /// square, a cell that no write has moved holds `kInfinity`.
   std::uint64_t run_square_tiled() {
-    EdgeScratch& snapshot = edge_scratch();
-    {
-      const PhaseTimer timer = phase_timer(&StepProfile::gather_ns);
-      gather_edges(snapshot);
-    }
+    // This step's a-activate snapshotted the edges on this thread.
+    const EdgeScratch& snapshot =
+        edge_scratch(root_blocks_.size(), edge_stride_);
     build_root_visits(snapshot);
     const bool prof = prof_ != nullptr;
     if (prof) prof_->square_quads_total = pw_.layout().band_cell_count();
@@ -1234,7 +1242,7 @@ class Engine {
   // Parallel sweep lambdas accumulate block-local counters and flush them
   // to these relaxed atomics; `end_profile` loads the totals into the
   // iteration's StepProfile after the last barrier. Serial call sites
-  // (the activate density decision, the skip-test builds, the
+  // (the frontier bucketing, the skip-test builds, the
   // post-barrier log totals) write `prof_` directly.
 
   /// Times the enclosing scope into `prof_->*field` when profiling; reads
@@ -1295,7 +1303,6 @@ class Engine {
   const ShapeArray<Pair>& pairs_;
   const ShapeArray<std::size_t>& pairs_offset_by_length_;
   const ShapeArray<RootBlock>& root_blocks_;  ///< Per-root runs.
-  std::uint64_t total_split_sites_ = 0;
 
   // Slots per edge in the a-square edge snapshot: slack 1 .. min(B, n-1)
   // at its own index (slot 0 unused).
@@ -1308,14 +1315,17 @@ class Engine {
   std::atomic<std::size_t> pw_log_count_{0};
   std::atomic<std::size_t> w_log_count_{0};
 
-  // Fast-path movement state. The root flags exist on every fast path;
+  // Fast-path movement state. The dirty flags exist on every fast path;
   // the frontier state needs the per-iteration pebble, the moved bytes
-  // and per-root visit state the tiled square.
+  // and per-root moved and visit state the tiled square.
   bool frontier_enabled_ = false;
   bool tiled_ = false;
   std::unique_ptr<std::atomic<std::uint8_t>[]> root_dirty_;
-  std::unique_ptr<std::atomic<std::uint8_t>[]> pw_root_moved_;
+  std::vector<std::uint8_t> pw_root_moved_;
   std::vector<Pair> frontier_;  ///< w entries moved by the last pebble.
+  // The frontier by row and by column, and a cursor (`bucket_frontier`).
+  std::vector<std::uint32_t> row_start_, row_b_, col_start_, col_a_;
+  std::vector<std::uint32_t> bucket_at_;
   std::vector<std::uint8_t> w_moved_;
   std::vector<std::uint32_t> contained_;
   std::vector<std::uint8_t> moved_;  ///< Per in-band cell (see above).

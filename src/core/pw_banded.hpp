@@ -291,17 +291,8 @@ class BandedPwTable {
     return kChildTag | static_cast<std::uint64_t>(child);
   }
 
-  /// Storage slot of a stored in-band (square-step) entry; an index into
-  /// `raw_cells` (the engine's moved bytes share it). Child-gap entries
-  /// are not square targets and have no slot here: their activate value
-  /// `f + w(child)` is exact once the children have converged, and keeping
-  /// them out preserves the O(n^3 * B) square work bound.
-  [[nodiscard]] std::size_t entry_slot(std::size_t i, std::size_t j,
-                                       std::size_t p, std::size_t q) const {
-    return layout_->entry_slot(i, j, p, q);
-  }
-
-  /// Direct in-band cell storage (write-log applies, the tiled square).
+  /// Direct in-band cell storage (write-log applies, the fast a-activate
+  /// and the tiled square).
   [[nodiscard]] Cost* raw_cells() noexcept { return cells_.data(); }
   [[nodiscard]] const Cost* raw_cells() const noexcept {
     return cells_.data();

@@ -111,8 +111,8 @@ struct SublinearOptions {
 /// `pebble_pairs_scanned + pebble_pairs_skipped == pebble_pairs_total`.
 struct StepProfile {
   std::size_t iteration = 0;  ///< 1-based, matching IterationTrace.
-  // a-activate frontier density: the sweep walks the frontier when its
-  // total site count undercuts the full split-site count.
+  // a-activate: the sites (`f` calls) of the fast frontier sweep, and of
+  // a full one; full sweeps leave `activate_used_frontier` false.
   std::uint64_t frontier_sites = 0;
   std::uint64_t total_split_sites = 0;
   bool activate_used_frontier = false;
@@ -156,12 +156,11 @@ struct StepProfile {
   // phases are disjoint, so their sum is at most the iteration's wall
   // time; a phase that did not run reads 0. Unlike the counters above,
   // the timers cover the oracle sweeps too.
-  std::uint64_t activate_ns = 0;
-  std::uint64_t gather_ns = 0;     ///< a-square edge gather
+  std::uint64_t activate_ns = 0;   ///< a-activate + a-square edge snapshot
   std::uint64_t square_ns = 0;     ///< a-square sweep
   std::uint64_t pebble_ns = 0;     ///< a-pebble sweep
-  /// Both skip-test builds: the a-square visit pass (after the gather)
-  /// and the a-pebble containment grid.
+  /// Both skip-test builds: the a-square visit pass and the a-pebble
+  /// containment grid.
   std::uint64_t mark_grid_ns = 0;
   std::uint64_t log_apply_ns = 0;  ///< write-log applies
 };

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -223,23 +224,31 @@ TEST(FastPath, WriteLogOracleIsCrewConformantAndMatchesFastPath) {
 }
 
 TEST(FastPath, WindowedPebbleMatchesReferenceEngine) {
-  // The windowed schedule disables frontier sweeps internally; the fast
-  // path's full sweeps must still match the oracle.
-  support::Rng rng(55);
-  const auto problem = bench::make_instance("zigzag", 30, rng);
-  SublinearOptions base;
-  base.windowed_pebble = true;
-  base.termination = TerminationMode::kFixedBound;
-
-  SublinearOptions ref_options = base;  // instrumented oracle
-  SublinearOptions fast_options = base;
-  fast_options.machine.record_costs = false;
-
-  SolveSession ref(SolvePlan::create(30, ref_options));
-  SolveSession fast(SolvePlan::create(30, fast_options));
-  const auto a = ref.solve(*problem);
-  const auto b = fast.solve(*problem);
-  expect_identical(a, b, "windowed");
+  // The windowed schedule disables frontier sweeps internally: its fast
+  // a-activate sweeps every split of every root and takes the tiled
+  // square's edge snapshot in the same pass. Both must match the oracle
+  // per iteration, serial and on the pool.
+  const std::size_t n = 30;
+  for (const std::string& family : bench::instance_families()) {
+    support::Rng rng(55);
+    const auto problem = bench::make_instance(family, n, rng);
+    for (const pram::Backend backend :
+         {pram::Backend::kSerial, pram::Backend::kThreadPool}) {
+      SublinearOptions options = fast_options(PwVariant::kBanded, backend);
+      options.windowed_pebble = true;
+      options.termination = TerminationMode::kFixedBound;
+      const auto ref = oracle_steps(*problem, options);
+      SolveSession session(SolvePlan::create(n, options));
+      session.reset(*problem);
+      for (std::size_t t = 0; t < ref.size(); ++t) {
+        expect_step_matches(ref[t], step_and_capture(session),
+                            family + " windowed " + pram::to_string(backend) +
+                                " iteration " + std::to_string(t + 1));
+      }
+      EXPECT_EQ(session.current_w(0, n), dp::solve_sequential(*problem).cost)
+          << family << " " << pram::to_string(backend);
+    }
+  }
 }
 
 TEST(FastPath, RytterSquareMatchesTheOraclePerIteration) {
@@ -264,12 +273,12 @@ TEST(FastPath, RytterSquareMatchesTheOraclePerIteration) {
 }
 
 // ---- Narrow bands and the edge snapshot ------------------------------------
-// The tiled HLV square reads its second operands from the root edges it
-// gathers into a per-thread scratch buffer before each sweep. These tests
-// pin the short edges (B = 1-3, and roots near the table ends, whose
-// edges stop at slack j - i - 1) and the buffer's lifetime (regathered
-// every sweep, never stale across sessions, shapes or threads), per
-// iteration against the oracle.
+// The tiled HLV square reads its second operands from the root edges that
+// the step's a-activate snapshots into the stepping thread's scratch
+// buffer. These tests pin the short edges (B = 1-3, and roots near the
+// table ends, whose edges stop at slack j - i - 1) and the buffer's
+// lifetime (rewritten every step, never stale across sessions, shapes or
+// threads), per iteration against the oracle.
 
 TEST(FastPath, NarrowBandsMatchTheOraclePerIteration) {
   // B = 1 leaves only identity candidates; B = 2, 3 exercise one- and
@@ -305,8 +314,8 @@ TEST(FastPath, NarrowBandsMatchTheOraclePerIteration) {
 TEST(FastPath, OperandScratchIsRegatheredAcrossSessionsOfTwoShapes) {
   // One thread steps a banded and a dense session of different n in
   // turn, so its edge buffer alternates between two shapes (the larger
-  // leaves stale slots past the smaller's extent) and each sweep must
-  // regather before reading.
+  // leaves stale slots past the smaller's extent) and each step must
+  // snapshot before its square reads.
   support::Rng rng(31);
   const auto banded_problem = bench::make_instance("zigzag", 30, rng);
   const auto dense_problem = bench::make_instance("optimal-bst", 17, rng);
@@ -337,9 +346,9 @@ TEST(FastPath, OperandScratchIsRegatheredAcrossSessionsOfTwoShapes) {
 }
 
 TEST(FastPath, OperandScratchFollowsTheSteppingThread) {
-  // One session is stepped by two threads in strict turns, so each sweep
-  // runs on a thread whose buffer was last gathered two steps earlier:
-  // reading it without regathering would fold stale operands.
+  // One session is stepped by two threads in strict turns, so each step
+  // runs on a thread whose buffer was last written two steps earlier:
+  // reading it without a fresh snapshot would fold stale operands.
   support::Rng rng(32);
   const std::size_t n = 28;
   const auto problem = bench::make_instance("matrix-chain", n, rng);
@@ -644,7 +653,7 @@ TEST(StepProfiles, SquareLedgerMatchesThePinnedCandidateCounts) {
 TEST(StepProfiles, PhaseTimersCoverTheStepsThatRanAndFitInsideIt) {
   // Each phase timer is positive whenever its phase ran, and the phases
   // are disjoint slices of the step, so they sum to at most the step's
-  // externally timed wall time. The oracle sweeps gather no edges.
+  // externally timed wall time.
   using Clock = std::chrono::steady_clock;
   for (const std::string& family : bench::instance_families()) {
     for (const PwVariant variant : {PwVariant::kBanded, PwVariant::kDense}) {
@@ -684,19 +693,70 @@ TEST(StepProfiles, PhaseTimersCoverTheStepsThatRanAndFitInsideIt) {
             EXPECT_GT(p.log_apply_ns, 0u) << label;
           }
           if (oracle) {
-            EXPECT_EQ(p.gather_ns, 0u) << label;
             EXPECT_EQ(p.mark_grid_ns, 0u) << label;
           } else {
-            EXPECT_GT(p.gather_ns, 0u) << label;
             EXPECT_EQ(p.mark_grid_ns > 0, p.mark_updates_rebuilt > 0)
                 << label;
           }
-          EXPECT_LE(p.activate_ns + p.gather_ns + p.square_ns + p.pebble_ns +
+          EXPECT_LE(p.activate_ns + p.square_ns + p.pebble_ns +
                         p.mark_grid_ns + p.log_apply_ns,
                     step_ns[t])
               << label;
         }
       }
+    }
+  }
+}
+
+/// Counts `f` evaluations (atomically: pool workers call it concurrently).
+class CountingProblem final : public dp::Problem {
+ public:
+  explicit CountingProblem(const dp::Problem& inner) : inner_(inner) {}
+  [[nodiscard]] std::size_t size() const override { return inner_.size(); }
+  [[nodiscard]] Cost init(std::size_t i) const override {
+    return inner_.init(i);
+  }
+  [[nodiscard]] Cost f(std::size_t i, std::size_t k,
+                       std::size_t j) const override {
+    evals_.fetch_add(1, std::memory_order_relaxed);
+    return inner_.f(i, k, j);
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] std::uint64_t evals() const { return evals_.load(); }
+
+ private:
+  const dp::Problem& inner_;
+  mutable std::atomic<std::uint64_t> evals_{0};
+};
+
+TEST(StepProfiles, FrontierActivateEvaluatesExactlyTheFrontierSites) {
+  // `f` is called only by a-activate, so on the fast path each
+  // iteration's calls are its frontier sweep's work: one per site that
+  // reads a moved `w`, no more (a sweep that evaluated extra sites) and
+  // no less (one that dropped a site would also fail the bit-identity
+  // tests above).
+  for (const std::string& family : bench::instance_families()) {
+    support::Rng rng(610);
+    const auto inner = bench::make_instance(family, 26, rng);
+    const CountingProblem problem(*inner);
+    for (const pram::Backend backend :
+         {pram::Backend::kSerial, pram::Backend::kThreadPool}) {
+      SublinearOptions options = fast_options(PwVariant::kBanded, backend);
+      options.profile = true;
+      SolveSession session(SolvePlan::create(problem.size(), options));
+      session.reset(problem);
+      std::uint64_t sites_total = 0;
+      for (std::size_t t = 0; t < session.plan().iteration_bound(); ++t) {
+        const std::uint64_t before = problem.evals();
+        (void)session.step();
+        const StepProfile& p = session.step_profile().back();
+        const std::string label = family + " " + pram::to_string(backend) +
+                                  " iteration " + std::to_string(t + 1);
+        EXPECT_TRUE(p.activate_used_frontier) << label;
+        EXPECT_EQ(problem.evals() - before, p.frontier_sites) << label;
+        sites_total += p.frontier_sites;
+      }
+      EXPECT_GT(sites_total, 0u) << family;
     }
   }
 }
