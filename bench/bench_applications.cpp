@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
     support::Rng rng(static_cast<std::uint64_t>(args.get_int("seed")));
     const auto problem = bench::make_instance(family, n, rng);
     core::SublinearOptions options;
+    options.machine.record_costs = true;
     core::SolveSession session(core::SolvePlan::create(n, options));
     const auto result = session.solve(*problem);
     const auto& costs = session.machine().costs();

@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
       core::SublinearOptions options;
       options.band_width = band;
       options.termination = core::TerminationMode::kFixedBound;
+      options.machine.record_costs = true;
       core::SolveSession session(core::SolvePlan::create(n, options));
       const auto result = session.solve(*problem);
       const bool correct = result.cost == optimal;

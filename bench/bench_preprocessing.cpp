@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
 
       core::SublinearOptions options;
       options.termination = core::TerminationMode::kFixedBound;
+      options.machine.record_costs = true;
       core::SolveSession session(core::SolvePlan::create(n, options));
       (void)session.solve(table_problem);
       const auto& main_costs = session.machine().costs();

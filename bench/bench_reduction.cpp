@@ -82,6 +82,7 @@ int main(int argc, char** argv) {
 
     core::SublinearOptions banded_opts;
     banded_opts.termination = core::TerminationMode::kFixedBound;
+    banded_opts.machine.record_costs = true;
     core::SolveSession banded(core::SolvePlan::create(n, banded_opts));
     const auto banded_result = banded.solve(problem);
     const std::size_t banded_cells = banded.pw_cell_count();
@@ -93,6 +94,7 @@ int main(int argc, char** argv) {
       core::SublinearOptions dense_opts;
       dense_opts.variant = core::PwVariant::kDense;
       dense_opts.termination = core::TerminationMode::kFixedBound;
+      dense_opts.machine.record_costs = true;
       core::SolveSession dense(core::SolvePlan::create(n, dense_opts));
       const auto dense_result = dense.solve(problem);
       same = dense_result.w == banded_result.w ? "yes" : "NO";

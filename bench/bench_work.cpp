@@ -32,6 +32,7 @@ std::uint64_t sublinear_work(const dp::Problem& problem,
   core::SublinearOptions options;
   options.variant = variant;
   options.square_mode = square_mode;
+  options.machine.record_costs = true;
   options.termination = core::TerminationMode::kFixedBound;
   if (square_mode == core::SquareMode::kRytterFull) {
     options.termination = core::TerminationMode::kFixedPoint;

@@ -43,7 +43,9 @@ int main(int argc, char** argv) {
         return prefix[j] - prefix[i];
       });
 
-  const auto solution = subdp::core::solve(problem);
+  subdp::core::SublinearOptions options;
+  options.machine.record_costs = true;  // keep the PRAM ledger
+  const auto solution = subdp::core::solve(problem, options);
   const auto total =
       std::accumulate(run_length.begin(), run_length.end(), subdp::Cost{0});
   std::printf("%zu runs, %lld elements total\n", n,

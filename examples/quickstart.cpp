@@ -8,6 +8,8 @@
 //   MatrixChainProblem problem({30, 35, 15, 5, 10, 20, 25});
 //   auto solution = subdp::core::solve(problem);
 //   // solution.cost, solution.tree, solution.iterations, ...
+//   // the PRAM work/depth ledger is on request: set
+//   // options.machine.record_costs = true (the counted engine)
 //
 // and the serving-shaped API for heavy traffic:
 //   serve::SolverService service;                 // hardware workers
@@ -73,10 +75,16 @@ int main() {
               parenthesization(solution.tree, solution.tree.root()).c_str());
   std::printf("  iterations      : %zu (worst-case schedule %zu = 2*ceil(sqrt n))\n",
               solution.iterations, solution.iteration_bound);
+
+  // The PRAM work/depth ledger is the counted engine's; default options
+  // take the fast path and keep none, so ask for it.
+  subdp::core::SublinearOptions counted;
+  counted.machine.record_costs = true;
+  const subdp::core::Solution ledger = subdp::core::solve(problem, counted);
   std::printf("  PRAM work       : %llu elementary operations\n",
-              static_cast<unsigned long long>(solution.pram_work));
+              static_cast<unsigned long long>(ledger.pram_work));
   std::printf("  PRAM depth      : %llu parallel time units\n",
-              static_cast<unsigned long long>(solution.pram_depth));
+              static_cast<unsigned long long>(ledger.pram_depth));
 
   // Heavy-traffic shape: many instances, few distinct sizes. The service
   // keeps one immutable SolvePlan per (n, options) in a bounded LRU

@@ -5,8 +5,9 @@
 ///
 /// Three front doors, lowest friction first:
 ///  * `solve(problem, options)` — one instance in, assembled `Solution`
-///    out (cost, optimal tree, iteration and PRAM statistics). Builds a
-///    throwaway plan+session pair; what the examples use.
+///    out (cost, optimal tree, iteration statistics, and PRAM statistics
+///    when the ledger is asked for). Builds a throwaway plan+session
+///    pair; what the examples use.
 ///  * `SolvePlan` / `SolveSession` (solve_plan.hpp / solve_session.hpp) —
 ///    explicit prepare-once/solve-many: share one immutable plan across
 ///    sessions, reset a session in place for every same-shape instance,
@@ -33,8 +34,11 @@ struct Solution {
   std::size_t iterations = 0;          ///< Iterations the solver ran.
   std::size_t iteration_bound = 0;     ///< The `2*ceil(sqrt n)` schedule.
   bool reached_fixed_point = false;
-  std::uint64_t pram_work = 0;         ///< Total PRAM operations.
-  std::uint64_t pram_depth = 0;        ///< Total PRAM parallel time.
+  /// Total PRAM operations and parallel time: the instrumented oracle's
+  /// ledger, so both are 0 unless `options.machine.record_costs` is set
+  /// (it is off by default).
+  std::uint64_t pram_work = 0;
+  std::uint64_t pram_depth = 0;
 };
 
 /// Solves `problem` with the paper's algorithm (banded layout, fixed-point

@@ -24,33 +24,36 @@
 /// a-square and a-pebble both read and write the same array, so every read
 /// within a step must observe the *previous* step's state regardless of
 /// execution backend. Instead of double-buffering (a full table copy per
-/// step), the oracle's steps (and the fast path's Rytter square and
-/// a-pebble) record a write log of `(cell, new value)` pairs while
-/// scanning and apply it only after the step's barrier: reads during the
-/// step see pre-step state by construction, and since each cell is written
-/// by exactly one logical processor per step (owner-computes, CREW), the
-/// apply order is immaterial. The log doubles as the change count and —
-/// for a-pebble — as the next iteration's frontier. a-activate writes
-/// only cells no other processor reads within the step, in place. The
-/// fast HLV a-square needs no log: it writes in place, tile by tile (below).
+/// step), the oracle's a-square and both paths' a-pebble record a write
+/// log of `(cell, new value)` pairs while scanning and apply it only
+/// after the step's barrier: reads during the step see pre-step state by
+/// construction, and since each cell is written by exactly one logical
+/// processor per step (owner-computes, CREW), the apply order is
+/// immaterial. The log doubles as the change count and — for a-pebble —
+/// as the next iteration's frontier. a-activate writes only cells no
+/// other processor reads within the step, in place. The fast path's
+/// a-square needs no log: it writes in place, tile by tile (below).
 ///
 /// Two execution paths
 /// -------------------
-/// Each macro-step runs one of two implementations, chosen by
-/// `machine.instrumented()` (cost ledger or CREW checker on):
+/// The engine picks one of two implementations once, at construction
+/// (`oracle_`), and every macro-step follows it:
 ///  * the *oracle* (`Machine::step`, `std::function` body): full sweeps
 ///    over every pair / quad, operands read through the layout's general
 ///    `get` (`square_scan`, `pebble_scan`), per-processor op counts and
 ///    `note_write` conformance reports — exactly the paper's accounting.
-///    This is the reference every other configuration is tested against,
-///    and the ledger `test_golden` pins.
-///  * the *fast path* (`Machine::run_blocks`, templated body): the
-///    kernels inline into the worker loop with no op counting, and the
-///    sweeps skip provable no-ops:
+///    It runs whenever the machine is instrumented (cost ledger or CREW
+///    checker on) and for every Rytter square, a comparison baseline
+///    that needs no fast path; without a ledger, `Machine::step` keeps
+///    no costs. This is the reference every other configuration is
+///    tested against, and the ledger `test_golden` pins.
+///  * the *fast path* (`Machine::run_blocks`, templated body; HLV square
+///    only): the kernels inline into the worker loop with no op
+///    counting, and the sweeps skip provable no-ops:
 ///     - a-activate evaluates, per root, only the sites reading a `w(i,j)`
 ///       the last pebble moved (`bucket_frontier`), then snapshots the
-///       root's edges for a tiled square (below);
-///     - a-square (HLV mode) runs one tile per root, and visits a root
+///       root's edges for the tiled square (below);
+///     - a-square runs one tile per root, and visits a root
 ///       only when a candidate of its tile has a moved operand; a visited
 ///       root evaluates only those candidates (semi-naive evaluation,
 ///       below);
@@ -364,19 +367,15 @@ class Engine {
         root_blocks_(shape_->root_blocks),
         edge_stride_(std::min(pw_.max_slack(), n_ - 1) + 1) {
     SUBDP_ASSERT(problem.size() == n_);
-    const bool fast = !machine_.instrumented();
-    frontier_enabled_ = fast && !options_.windowed_pebble;
-    tiled_ = fast && options_.square_mode == SquareMode::kHlvOneLevel;
-    // The tiled square writes in place; only the other squares log.
-    if (!tiled_) pw_log_.resize(pw_.layout().band_cell_count());
+    oracle_ = machine_.instrumented() ||
+              options_.square_mode == SquareMode::kRytterFull;
+    frontier_enabled_ = !oracle_ && !options_.windowed_pebble;
+    // The tiled square writes in place; only the oracle's square logs.
+    if (oracle_) pw_log_.resize(pw_.layout().band_cell_count());
     w_log_.resize(pairs_.size());
     profile_ = options_.profile;
-    if (fast) {
-      // A value-initialised (zeroed) atomic flag array.
-      root_dirty_ =
-          std::make_unique<std::atomic<std::uint8_t>[]>(pairs_.size());
-    }
-    if (tiled_) {
+    if (!oracle_) {
+      root_dirty_.assign(pairs_.size(), 0);
       moved_.assign(pw_.layout().band_cell_count(), 0);
       pw_root_moved_.assign(pairs_.size(), 0);
       reach_.assign(pairs_.size(), kNoReach);
@@ -486,10 +485,8 @@ class Engine {
     for (std::size_t i = 0; i < n_; ++i) {
       w_(i, i + 1) = problem.init(i);
     }
-    if (!fresh_tables && root_dirty_ != nullptr) {
-      for (std::size_t k = 0; k < pairs_.size(); ++k) {
-        root_dirty_[k].store(0, std::memory_order_relaxed);
-      }
+    if (!fresh_tables) {
+      std::fill(root_dirty_.begin(), root_dirty_.end(), std::uint8_t{0});
       std::fill(moved_.begin(), moved_.end(), std::uint8_t{0});
       std::fill(pw_root_moved_.begin(), pw_root_moved_.end(), 0);
     }
@@ -523,10 +520,9 @@ class Engine {
   }
 
   // ---- Per-cell kernels --------------------------------------------------
-  // `activate_pair` and `pebble_scan` are oracle-only: the fast path
-  // runs `activate_root`, `pebble_scan_fast`, and `square_tile` (HLV) or
-  // `square_scan<false>` (Rytter), whose op counting vanishes at compile
-  // time.
+  // `activate_pair`, `square_scan` and `pebble_scan` are the oracle's,
+  // with per-op counting; the fast path runs `activate_root`,
+  // `square_tile` and `pebble_scan_fast`, which count nothing.
 
   /// Oracle a-activate scan of root `root`: both eq. 1a/1b targets for
   /// every split `k`. In-place writes (activate targets are read by nobody
@@ -576,7 +572,7 @@ class Engine {
     // Locals, so the opaque `f` calls force no reloads.
     const std::size_t begin = root_blocks_[root].begin;
     Cost* const cells = pw_.raw_cells() + begin;
-    std::uint8_t* const moved = tiled_ ? moved_.data() + begin : nullptr;
+    std::uint8_t* const moved = moved_.data() + begin;
     const Cost* const w = w_.data();
     const std::size_t stride = n_ + 1;
     std::uint64_t changed = 0;
@@ -593,10 +589,8 @@ class Engine {
             BandedPwLayout::slack_offset(s) + (left ? 0 : s);
         if (cand >= cells[slot]) return;
         cells[slot] = cand;
-        if (moved != nullptr) {
-          moved[slot] = 1;
-          pw_root_moved_[root] = 1;
-        }
+        moved[slot] = 1;
+        pw_root_moved_[root] = 1;
       } else {
         const std::size_t p = left ? i : k, q = left ? k : j;
         if (cand >= pw_.get(i, j, p, q)) return;
@@ -627,9 +621,8 @@ class Engine {
     return changed;
   }
 
-  /// a-square candidate scan for one stored quadruple; returns the best
-  /// composition (callers write only if it beats `old_value`).
-  template <bool Instr>
+  /// Oracle a-square candidate scan for one stored quadruple; returns the
+  /// best composition (callers write only if it beats `old_value`).
   Cost square_scan(const Quad& t, Cost old_value, std::uint64_t& ops) {
     const std::size_t i = t.i, j = t.j, p = t.p, q = t.q;
     Cost best = old_value;
@@ -640,7 +633,7 @@ class Engine {
         for (std::size_t s = q; s <= j; ++s) {
           if (r == i && s == j) continue;
           if (r == p && s == q) continue;
-          if constexpr (Instr) ++ops;
+          ++ops;
           const Cost a = pw_.get(i, j, r, s);
           if (!is_finite(a)) continue;
           const Cost b = pw_.get(r, s, p, q);
@@ -653,14 +646,14 @@ class Engine {
       // restricted to the B-window without changing the result.
       const HlvWindow win = hlv_window(t);
       for (std::size_t r = win.r_lo; r < p; ++r) {
-        if constexpr (Instr) ++ops;
+        ++ops;
         const Cost a = pw_.get(i, j, r, q);
         if (!is_finite(a)) continue;
         const Cost b = pw_.get(r, q, p, q);
         best = sat_min(best, sat_add(a, b));
       }
       for (std::size_t s = q + 1; s <= win.s_hi; ++s) {
-        if constexpr (Instr) ++ops;
+        ++ops;
         const Cost a = pw_.get(i, j, p, s);
         if (!is_finite(a)) continue;
         const Cost b = pw_.get(p, s, p, q);
@@ -875,11 +868,11 @@ class Engine {
 
   /// Records that some `pw` entry of root `pair_idx` moved, for the
   /// frontier a-pebble (`root_dirty_`, sticky until rescanned). Every
-  /// fast-path write flags it, in band or not; the fast Rytter square's
-  /// slot processors share it, hence the atomic.
-  void mark_root_dirty(std::size_t pair_idx) {
-    root_dirty_[pair_idx].store(1, std::memory_order_relaxed);
-  }
+  /// fast-path write flags it, in band or not. Each sweep gives the flag
+  /// one writer, the root's own processor: `activate_root(k)`, then
+  /// `square_tile(k)`, then pebble pair `k`, ordered by the fork-joins
+  /// between the sweeps.
+  void mark_root_dirty(std::size_t pair_idx) { root_dirty_[pair_idx] = 1; }
 
   /// Buckets the moved `w` entries `(a,b)` by counting sorts, O(|frontier|
   /// + n): row `a` lists their `b`, ascending, in `row_b_[row_start_[a] ..
@@ -984,7 +977,7 @@ class Engine {
   std::uint64_t run_activate() {
     const PhaseTimer timer = phase_timer(&StepProfile::activate_ns);
     std::atomic<std::uint64_t> changed{0};
-    if (machine_.instrumented()) {
+    if (oracle_) {
       machine_.step(
           "a-activate", static_cast<std::int64_t>(pairs_.size()),
           [&](std::int64_t idx) -> std::uint64_t {
@@ -1006,8 +999,7 @@ class Engine {
         prof_->activate_used_frontier = true;
       }
     }
-    EdgeScratch* const snapshot =
-        tiled_ ? &edge_scratch(root_blocks_.size(), edge_stride_) : nullptr;
+    EdgeScratch& snapshot = edge_scratch(root_blocks_.size(), edge_stride_);
     machine_.run_blocks(
         static_cast<std::int64_t>(pairs_.size()),
         [&](std::int64_t lo, std::int64_t hi) {
@@ -1016,7 +1008,7 @@ class Engine {
                k < static_cast<std::size_t>(hi); ++k) {
             block_changed += frontier_enabled_ ? activate_root<false>(k)
                                                : activate_root<true>(k);
-            if (snapshot != nullptr) snapshot_edges(k, *snapshot);
+            snapshot_edges(k, snapshot);
           }
           if (block_changed > 0) {
             changed.fetch_add(block_changed, std::memory_order_relaxed);
@@ -1026,59 +1018,29 @@ class Engine {
   }
 
   std::uint64_t run_square() {
-    if (tiled_) return run_square_tiled();
-    // One logical processor per in-band slot, targeting its quadruple.
+    if (!oracle_) return run_square_tiled();
+    // Oracle: one logical processor per in-band slot, targeting its
+    // quadruple. Reads see pre-step state because all writes are deferred
+    // to the post-barrier apply below.
     const BandedPwLayout& geometry = pw_.layout();
-    const std::size_t slots = geometry.band_cell_count();
-    // Reads see pre-step state because all writes are deferred to the
-    // post-barrier apply below.
     pw_log_count_.store(0, std::memory_order_relaxed);
-    const bool fast = !machine_.instrumented();
     {
       const PhaseTimer timer = phase_timer(&StepProfile::square_ns);
-      if (!fast) {
-        machine_.step(
-            "a-square", static_cast<std::int64_t>(slots),
-            [&](std::int64_t idx) -> std::uint64_t {
-              const Quad t =
-                  square_target(geometry, static_cast<std::size_t>(idx));
-              const Cost old_value = pw_.get(t.i, t.j, t.p, t.q);
-              std::uint64_t ops = 0;
-              const Cost best = square_scan<true>(t, old_value, ops);
-              if (best < old_value) {
-                pw_log_[pw_log_count_.fetch_add(1,
-                                                std::memory_order_relaxed)] =
-                    Delta{static_cast<std::uint32_t>(idx), best};
-                machine_.note_write(pw_.address(t.i, t.j, t.p, t.q));
-              }
-              return ops;
-            });
-      } else {
-        // Fast Rytter square: a full sweep of the unchecked kernel. Each
-        // block inverts its first slot and steps from there.
-        if (prof_ != nullptr) {
-          prof_->square_quads_total = slots;
-          prof_->square_quads_scanned = slots;
-        }
-        const Cost* raw_read = pw_.raw_cells();
-        machine_.run_blocks(
-            static_cast<std::int64_t>(slots),
-            [&](std::int64_t lo, std::int64_t hi) {
-              std::uint64_t ops = 0;
-              Quad t = geometry.quad_at(static_cast<std::size_t>(lo));
-              for (std::int64_t idx = lo; idx < hi; ++idx) {
-                if (idx > lo) t = geometry.next_quad(t);
-                const Cost old_value = raw_read[idx];
-                const Cost best = square_scan<false>(t, old_value, ops);
-                if (best < old_value) {
-                  pw_log_[pw_log_count_.fetch_add(
-                      1, std::memory_order_relaxed)] =
-                      Delta{static_cast<std::uint32_t>(idx), best};
-                  mark_root_dirty(pairs_offset_by_length_[t.j - t.i] + t.i);
-                }
-              }
-            });
-      }
+      machine_.step(
+          "a-square", static_cast<std::int64_t>(geometry.band_cell_count()),
+          [&](std::int64_t idx) -> std::uint64_t {
+            const Quad t =
+                square_target(geometry, static_cast<std::size_t>(idx));
+            const Cost old_value = pw_.get(t.i, t.j, t.p, t.q);
+            std::uint64_t ops = 0;
+            const Cost best = square_scan(t, old_value, ops);
+            if (best < old_value) {
+              pw_log_[pw_log_count_.fetch_add(1, std::memory_order_relaxed)] =
+                  Delta{static_cast<std::uint32_t>(idx), best};
+              machine_.note_write(pw_.address(t.i, t.j, t.p, t.q));
+            }
+            return ops;
+          });
     }
     // Apply after the barrier: one write per improved cell, all distinct.
     const PhaseTimer timer = phase_timer(&StepProfile::log_apply_ns);
@@ -1161,7 +1123,7 @@ class Engine {
       return 0;
     }
     w_log_count_.store(0, std::memory_order_relaxed);
-    if (machine_.instrumented()) {
+    if (oracle_) {
       const PhaseTimer timer = phase_timer(&StepProfile::pebble_ns);
       machine_.step(
           "a-pebble", static_cast<std::int64_t>(w_end - w_begin),
@@ -1197,15 +1159,12 @@ class Engine {
                 // Skip unless some input moved: a pw entry of this root
                 // (activate/square this iteration, sticky until rescanned)
                 // or the w of a contained gap (last pebble).
-                const bool pw_moved =
-                    root_dirty_[at].load(std::memory_order_relaxed) != 0;
+                const bool pw_moved = root_dirty_[at] != 0;
                 if (!pw_moved && !gap_w_moved(pr.i, pr.j)) {
                   if (prof) ++pairs_skipped;
                   continue;
                 }
-                if (pw_moved) {
-                  root_dirty_[at].store(0, std::memory_order_relaxed);
-                }
+                root_dirty_[at] = 0;
               }
               if (prof) ++pairs_scanned;
               const Cost old_value = w_(pr.i, pr.j);
@@ -1268,22 +1227,20 @@ class Engine {
   }
 
   void end_profile() {
-    if (tiled_) {
-      prof_->square_blocks_scanned =
-          prof_blocks_scanned_.load(std::memory_order_relaxed);
-      prof_->square_blocks_skipped =
-          prof_blocks_skipped_.load(std::memory_order_relaxed);
-      prof_->square_quads_scanned =
-          prof_quads_scanned_.load(std::memory_order_relaxed);
-      prof_->square_quads_skipped =
-          prof_quads_skipped_.load(std::memory_order_relaxed);
-      prof_->square_quads_block_skipped =
-          prof_quads_block_skipped_.load(std::memory_order_relaxed);
-      prof_->square_candidates_evaluated =
-          prof_candidates_evaluated_.load(std::memory_order_relaxed);
-      prof_->square_candidates_total =
-          prof_candidates_total_.load(std::memory_order_relaxed);
-    }
+    prof_->square_blocks_scanned =
+        prof_blocks_scanned_.load(std::memory_order_relaxed);
+    prof_->square_blocks_skipped =
+        prof_blocks_skipped_.load(std::memory_order_relaxed);
+    prof_->square_quads_scanned =
+        prof_quads_scanned_.load(std::memory_order_relaxed);
+    prof_->square_quads_skipped =
+        prof_quads_skipped_.load(std::memory_order_relaxed);
+    prof_->square_quads_block_skipped =
+        prof_quads_block_skipped_.load(std::memory_order_relaxed);
+    prof_->square_candidates_evaluated =
+        prof_candidates_evaluated_.load(std::memory_order_relaxed);
+    prof_->square_candidates_total =
+        prof_candidates_total_.load(std::memory_order_relaxed);
     prof_->pebble_pairs_scanned =
         prof_pairs_scanned_.load(std::memory_order_relaxed);
     prof_->pebble_pairs_skipped =
@@ -1308,19 +1265,22 @@ class Engine {
   // at its own index (slot 0 unused).
   std::size_t edge_stride_ = 0;
 
+  // The one path flag: instrumented or Rytter runs the oracle's
+  // `Machine::step` sweeps, anything else the fast path (file comment).
+  bool oracle_ = false;
+
   // Write logs of the current step (see the file comment); `pw_log_` is
-  // empty when the square is tiled.
+  // empty on the fast path, whose square is tiled.
   std::vector<Delta> pw_log_;
   std::vector<Delta> w_log_;
   std::atomic<std::size_t> pw_log_count_{0};
   std::atomic<std::size_t> w_log_count_{0};
 
-  // Fast-path movement state. The dirty flags exist on every fast path;
-  // the frontier state needs the per-iteration pebble, the moved bytes
-  // and per-root moved and visit state the tiled square.
+  // Fast-path movement state, all empty on the oracle: the dirty flags,
+  // moved bytes and per-root moved and visit state exist on every fast
+  // path; the frontier state needs the per-iteration pebble.
   bool frontier_enabled_ = false;
-  bool tiled_ = false;
-  std::unique_ptr<std::atomic<std::uint8_t>[]> root_dirty_;
+  std::vector<std::uint8_t> root_dirty_;
   std::vector<std::uint8_t> pw_root_moved_;
   std::vector<Pair> frontier_;  ///< w entries moved by the last pebble.
   // The frontier by row and by column, and a cursor (`bucket_frontier`).

@@ -98,13 +98,21 @@ struct SublinearOptions {
   /// Keyed into `serve::PlanKey` so profiled and unprofiled sessions
   /// never share a pool.
   bool profile = false;
-  /// Host execution / accounting configuration.
-  pram::MachineOptions machine;
+  /// Host execution / accounting configuration. A bare
+  /// `pram::MachineOptions` keeps the ledger (`record_costs = true`):
+  /// its scan, wavefront and set-up users have no other path, and the
+  /// ledger is what they run for. The solver defaults to
+  /// `record_costs = false`, so every solver front door takes the
+  /// engine's fast path; a caller that wants the PRAM work/depth ledger
+  /// (or the CREW report) sets `record_costs` (or `check_crew`), which
+  /// selects the instrumented oracle (engine.hpp).
+  pram::MachineOptions machine{.record_costs = false};
 };
 
 /// One iteration's engine profile (`SublinearOptions::profile`). Counters
-/// cover the fast sweep paths only — instrumented / reference sweeps
-/// leave them zero (trivially consistent). Invariants asserted in tests:
+/// cover the fast HLV sweeps only: the oracle's sweeps, which every
+/// Rytter and every instrumented session runs, leave them zero (trivially
+/// consistent). Invariants asserted in tests:
 /// `square_quads_scanned + square_quads_skipped + square_quads_block_skipped
 /// == square_quads_total`,
 /// `square_candidates_evaluated <= square_candidates_total` and
@@ -120,8 +128,6 @@ struct StepProfile {
   // test, the target-level breakdown (a target is scanned when at least
   // one of its candidates was evaluated), and the candidates evaluated
   // against those of a full HLV sweep (identity candidates excluded).
-  // The fast Rytter square scans every target and leaves the block and
-  // candidate counters zero.
   /// Roots whose tile ran: a cell of the root's own block moved, or a
   /// sub-root edge cell the tile reads did (engine.hpp, "Visits").
   std::uint64_t square_blocks_scanned = 0;
@@ -264,7 +270,7 @@ struct BatchLedger {
   std::size_t plans_reused = 0;   ///< Shape groups served by a warm plan.
   std::size_t total_iterations = 0;
   /// Summed PRAM work/depth across instances; 0 unless
-  /// `options.machine.record_costs` is on.
+  /// `options.machine.record_costs` is on (it is off by default).
   std::uint64_t total_work = 0;
   std::uint64_t total_depth = 0;
 };

@@ -86,7 +86,7 @@ struct PlanKey {
   bool profile = false;
   pram::Backend backend = pram::default_backend();
   bool check_crew = false;
-  bool record_costs = true;
+  bool record_costs = core::SublinearOptions{}.machine.record_costs;
 
   [[nodiscard]] static PlanKey make(std::size_t n,
                                     const core::SublinearOptions& options);

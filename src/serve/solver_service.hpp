@@ -342,7 +342,8 @@ struct ServiceStats {
   /// but share a single build (one cache miss).
   std::uint64_t jobs_cold_deferred = 0;
   std::uint64_t total_iterations = 0;
-  /// Summed PRAM work/depth; 0 unless `machine.record_costs` is on.
+  /// Summed PRAM work/depth of the jobs whose options set
+  /// `machine.record_costs`; 0 when none did (it is off by default).
   std::uint64_t total_work = 0;
   std::uint64_t total_depth = 0;
   /// Session churn across all plans (service lifetime, eviction-proof).

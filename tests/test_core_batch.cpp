@@ -113,7 +113,9 @@ TEST(Session, ReuseIsBitIdenticalToFreshSolves) {
 TEST(Session, LedgerAndCellCountResetBetweenInstances) {
   const std::size_t n = 16;
   const auto problems = random_chains(2, n, 503);
-  SolveSession session(SolvePlan::create(n));
+  SublinearOptions counted;
+  counted.machine.record_costs = true;
+  SolveSession session(SolvePlan::create(n, counted));
 
   const auto r0 = session.solve(problems[0]);
   const std::size_t cells = session.pw_cell_count();
@@ -128,6 +130,7 @@ TEST(Session, LedgerAndCellCountResetBetweenInstances) {
   const auto r1 = session.solve(problems[0]);
   EXPECT_EQ(session.pw_cell_count(), cells);
   EXPECT_EQ(session.machine().costs().total_work(), work0);
+  EXPECT_GT(session.machine().costs().total_work(), 0u);
   EXPECT_EQ(session.machine().costs().step_count(), 3 * r1.iterations);
   EXPECT_EQ(r1.cost, r0.cost);
   EXPECT_TRUE(r1.w == r0.w);
@@ -231,18 +234,21 @@ TEST(Batch, AggregatesTheLedger) {
   std::vector<const dp::Problem*> pointers;
   for (const auto& p : problems) pointers.push_back(&p);
 
-  serve::SolverService service(one_worker());  // record_costs defaults on
+  SublinearOptions counted;  // the ledger is off by default
+  counted.machine.record_costs = true;
+  serve::SolverService service(one_worker(counted));
   const auto out = service.solve_all(pointers);
 
   std::uint64_t expected_work = 0;
   std::size_t expected_iterations = 0;
   for (const auto& p : problems) {
-    SolveSession session(SolvePlan::create(n));
+    SolveSession session(SolvePlan::create(n, counted));
     const auto r = session.solve(p);
     expected_work += session.machine().costs().total_work();
     expected_iterations += r.iterations;
   }
   EXPECT_EQ(out.ledger.total_work, expected_work);
+  EXPECT_GT(out.ledger.total_work, 0u);
   EXPECT_EQ(out.ledger.total_iterations, expected_iterations);
   EXPECT_GT(out.ledger.total_depth, 0u);
 }

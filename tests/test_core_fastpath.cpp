@@ -1,15 +1,16 @@
 // Equivalence tests for the engine's two execution paths
-// (core/engine.hpp). The oracle is the instrumented engine (the default,
-// `record_costs = true`): `Machine::step`, full sweeps, operands read
-// through the layout's general `get`, with the PRAM ledger whose values
-// test_golden pins. The fast path (`record_costs = false`) runs
+// (core/engine.hpp). The oracle is the instrumented engine, asked for
+// with `record_costs = true` (and run by every Rytter session):
+// `Machine::step`, full sweeps, operands read through the layout's
+// general `get`, with the PRAM ledger whose values test_golden pins. The
+// fast path, which default options take (`record_costs = false`), runs
 // frontier-driven sweeps, the semi-naive tiled square, `PwGapRun` pebble
 // scans and the visit and containment tests behind its skips. Every fast
-// configuration — serial or thread pool, profiled or not — and the
-// counted engine on the thread pool must produce output identical to the
-// serial oracle: the same w table, cost, iteration count, and
-// per-iteration change counts, across every instance family in
-// bench/common.hpp and both pw-table layouts.
+// configuration — the untouched defaults, serial or thread pool,
+// profiled or not — and the counted engine on the thread pool must
+// produce output identical to the serial oracle: the same w table, cost,
+// iteration count, and per-iteration change counts, across every
+// instance family in bench/common.hpp and both pw-table layouts.
 
 #include <gtest/gtest.h>
 
@@ -40,17 +41,30 @@ struct EngineConfig {
   // Per-step engine profiling: on or off, the solver output must be
   // bit-identical — profiling only ever records.
   bool profile = false;
+  /// true leaves every option but the variant as `SublinearOptions{}`
+  /// has it, ignoring the fields above.
+  bool defaults = false;
 };
 
 SublinearResult run_config(const dp::Problem& problem,
                            const EngineConfig& config, PwVariant variant) {
   SublinearOptions options;
   options.variant = variant;
-  options.profile = config.profile;
-  options.machine.record_costs = config.record_costs;
-  options.machine.backend = config.backend;
+  if (!config.defaults) {
+    options.profile = config.profile;
+    options.machine.record_costs = config.record_costs;
+    options.machine.backend = config.backend;
+  }
   SolveSession session(SolvePlan::create(problem.size(), options));
-  return session.solve(problem);
+  SublinearResult result = session.solve(problem);
+  if (config.defaults) {
+    // Default options take the fast path: no ledger unless asked for.
+    EXPECT_FALSE(session.machine().instrumented()) << config.name;
+    EXPECT_EQ(session.machine().costs().total_work(), 0u) << config.name;
+    EXPECT_EQ(session.machine().costs().total_depth(), 0u) << config.name;
+    EXPECT_EQ(session.machine().costs().step_count(), 0u) << config.name;
+  }
+  return result;
 }
 
 void expect_identical(const SublinearResult& ref, const SublinearResult& got,
@@ -74,6 +88,7 @@ EngineConfig reference_config() {
 
 std::vector<EngineConfig> variant_configs() {
   return {
+      {"defaults", false, pram::Backend::kSerial, false, true},
       {"fast,serial", false, pram::Backend::kSerial},
       {"fast,threads", false, pram::Backend::kThreadPool},
       {"counted,threads", true, pram::Backend::kThreadPool},
@@ -251,9 +266,10 @@ TEST(FastPath, WindowedPebbleMatchesReferenceEngine) {
   }
 }
 
-TEST(FastPath, RytterSquareMatchesTheOraclePerIteration) {
-  // The Rytter square keeps its write log on the fast path (only the HLV
-  // square is tiled); its slot-free apply must still match the oracle.
+TEST(FastPath, LedgerFreeRytterSessionMatchesTheCountedOraclePerIteration) {
+  // A Rytter session always runs the oracle's sweeps; without a ledger
+  // `Machine::step` keeps no costs, and the results must still be the
+  // counted serial oracle's, per iteration, serial and on the pool.
   support::Rng rng(2020);
   const std::size_t n = 12;
   const auto problem = bench::make_instance("optimal-bst", n, rng);
@@ -269,6 +285,7 @@ TEST(FastPath, RytterSquareMatchesTheOraclePerIteration) {
                           std::string(pram::to_string(backend)) +
                               " iteration " + std::to_string(t + 1));
     }
+    EXPECT_EQ(session.machine().costs().step_count(), 0u);
   }
 }
 

@@ -20,12 +20,14 @@ namespace subdp::core {
 namespace {
 
 /// The baseline's canonical options: dense variant, full squaring,
-/// fixed-point termination (O(log n) iterations).
+/// fixed-point termination (O(log n) iterations), and the PRAM ledger
+/// its work comparisons read.
 SublinearOptions rytter() {
   SublinearOptions options;
   options.variant = PwVariant::kDense;
   options.square_mode = SquareMode::kRytterFull;
   options.termination = TerminationMode::kFixedPoint;
+  options.machine.record_costs = true;
   return options;
 }
 
@@ -77,6 +79,7 @@ TEST(Rytter, FewerIterationsButMoreWorkThanHlvOnZigzag) {
   hlv_opts.variant = PwVariant::kDense;
   hlv_opts.square_mode = SquareMode::kHlvOneLevel;
   hlv_opts.termination = TerminationMode::kFixedPoint;
+  hlv_opts.machine.record_costs = true;
   SolveSession hlv(SolvePlan::create(n, hlv_opts));
   const auto hlv_result = hlv.solve(inst.problem);
 

@@ -236,7 +236,9 @@ TEST(Stepping, BandIsClampedToN) {
 TEST(Stepping, MachineLedgerGrowsPerStep) {
   support::Rng rng(410);
   const auto p = dp::MatrixChainProblem::random(10, rng);
-  SolveSession session(SolvePlan::create(10));
+  SublinearOptions options;
+  options.machine.record_costs = true;
+  SolveSession session(SolvePlan::create(10, options));
   session.reset(p);
   const auto before = session.machine().costs().step_count();
   (void)session.step();

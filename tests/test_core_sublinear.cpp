@@ -269,6 +269,7 @@ TEST(Sublinear, LedgerRecordsThreeStepsPerIteration) {
   const auto p = dp::MatrixChainProblem::random(12, rng);
   SublinearOptions options;
   options.termination = TerminationMode::kFixedBound;
+  options.machine.record_costs = true;
   SolveSession session(SolvePlan::create(12, options));
   const auto result = session.solve(p);
   EXPECT_EQ(session.machine().costs().step_count(), 3 * result.iterations);
@@ -287,6 +288,7 @@ TEST(Sublinear, BandedDoesLessSquareWorkThanDense) {
     SublinearOptions options;
     options.variant = variant;
     options.termination = TerminationMode::kFixedBound;
+    options.machine.record_costs = true;
     SolveSession session(SolvePlan::create(32, options));
     (void)session.solve(p);
     square_work[idx++] =

@@ -143,6 +143,7 @@ TEST(Windowed, PebbleWorkIsConcentrated) {
     SublinearOptions options;
     options.windowed_pebble = windowed;
     options.termination = TerminationMode::kFixedBound;
+    options.machine.record_costs = true;
     SolveSession solver(SolvePlan::create(p.size(), options));
     (void)solver.solve(p);
     pebble_work[idx++] =

@@ -95,6 +95,7 @@ TEST(ParallelSetup, PreprocessingNeverDominatesTheMainIteration) {
   const auto table = materialize_in_parallel(pre, problem);
 
   core::SublinearOptions options;
+  options.machine.record_costs = true;
   core::SolveSession solver(core::SolvePlan::create(n, options));
   (void)solver.solve(table);
   EXPECT_LT(pre.costs().total_work() * 10,

@@ -29,6 +29,14 @@ struct GoldenCase {
   std::uint64_t depth;
 };
 
+/// Default options with the PRAM ledger asked for: the ledgers below are
+/// the instrumented oracle's.
+core::SublinearOptions counted() {
+  core::SublinearOptions options;
+  options.machine.record_costs = true;
+  return options;
+}
+
 // Matrix-chain instances with seed 9000 + n, fixed-point termination.
 const GoldenCase kMatrixChainGolden[] = {
     {8u, core::PwVariant::kDense, 30074, 5u, 6930ull, 80ull},
@@ -47,7 +55,7 @@ TEST_P(GoldenMatrixChainTest, LedgerIsBitStable) {
   const auto& g = GetParam();
   support::Rng rng(9000 + g.n);
   const auto p = dp::MatrixChainProblem::random(g.n, rng);
-  core::SublinearOptions options;
+  core::SublinearOptions options = counted();
   options.variant = g.variant;
   options.termination = core::TerminationMode::kFixedPoint;
   core::SolveSession solver(core::SolvePlan::create(p.size(), options));
@@ -89,7 +97,7 @@ TEST(Golden, OptimalBstLedger) {
   {
     support::Rng rng(9110);
     const auto p = dp::OptimalBstProblem::random(10, rng);
-    core::SolveSession solver(core::SolvePlan::create(p.size()));
+    core::SolveSession solver(core::SolvePlan::create(p.size(), counted()));
     const auto r = solver.solve(p);
     EXPECT_EQ(r.cost, 1907);
     EXPECT_EQ(r.iterations, 6u);
@@ -99,7 +107,7 @@ TEST(Golden, OptimalBstLedger) {
   {
     support::Rng rng(9120);
     const auto p = dp::OptimalBstProblem::random(20, rng);
-    core::SolveSession solver(core::SolvePlan::create(p.size()));
+    core::SolveSession solver(core::SolvePlan::create(p.size(), counted()));
     const auto r = solver.solve(p);
     EXPECT_EQ(r.cost, 3814);
     EXPECT_EQ(r.iterations, 7u);

@@ -16,7 +16,9 @@ namespace {
 
 TEST(Api, MatrixChainEndToEnd) {
   const auto p = dp::MatrixChainProblem::clrs_example();
-  const auto solution = core::solve(p);
+  core::SublinearOptions counted;
+  counted.machine.record_costs = true;
+  const auto solution = core::solve(p, counted);
   EXPECT_EQ(solution.cost, 15125);
   EXPECT_TRUE(solution.tree.validate());
   EXPECT_EQ(solution.tree.leaf_count(), 6u);
@@ -89,8 +91,13 @@ TEST(Api, TreesFromAllSolversAgreeOnCost) {
 
 TEST(Api, WorkGrowsWithInstanceSize) {
   support::Rng rng(104);
-  const auto small = core::solve(dp::MatrixChainProblem::random(8, rng));
-  const auto large = core::solve(dp::MatrixChainProblem::random(32, rng));
+  core::SublinearOptions counted;
+  counted.machine.record_costs = true;
+  const auto small =
+      core::solve(dp::MatrixChainProblem::random(8, rng), counted);
+  const auto large =
+      core::solve(dp::MatrixChainProblem::random(32, rng), counted);
+  EXPECT_GT(small.pram_work, 0u);
   EXPECT_GT(large.pram_work, small.pram_work);
 }
 

@@ -117,14 +117,18 @@ TEST(Service, MultiWorkerMatchesOneWorkerLedgerAndResults) {
   // whose loops then run inline on their workers. Both keep the
   // caller's backend, and both must produce the same results and the
   // same ledger.
-  const auto load = make_workload({10, 15}, 3, 604);
+  core::SublinearOptions counted;  // the ledger is off by default
+  counted.machine.record_costs = true;
+  const auto load = make_workload({10, 15}, 3, 604, counted);
   ServiceOptions one_worker;
   one_worker.workers = 1;
+  one_worker.solver = counted;
   SolverService single(one_worker);
   const auto single_out = single.solve_all(load.pointers);
 
   ServiceOptions options;
   options.workers = 3;
+  options.solver = counted;
   SolverService service(options);
   const auto service_out = service.solve_all(load.pointers);
 
@@ -138,15 +142,36 @@ TEST(Service, MultiWorkerMatchesOneWorkerLedgerAndResults) {
   EXPECT_EQ(service_out.ledger.plans_built, single_out.ledger.plans_built);
   EXPECT_EQ(service_out.ledger.total_iterations,
             single_out.ledger.total_iterations);
-  // record_costs defaults on: the summed PRAM ledger is worker-count
-  // independent (accounting is backend-independent by construction).
+  // The summed PRAM ledger is worker-count independent (accounting is
+  // backend-independent by construction).
   EXPECT_EQ(service_out.ledger.total_work, single_out.ledger.total_work);
+  EXPECT_GT(single_out.ledger.total_work, 0u);
   EXPECT_EQ(service_out.ledger.total_depth, single_out.ledger.total_depth);
+  EXPECT_GT(single_out.ledger.total_depth, 0u);
 
   // A second call is served entirely warm.
   const auto again = service.solve_all(load.pointers);
   EXPECT_EQ(again.ledger.plans_built, 0u);
   EXPECT_EQ(again.ledger.plans_reused, 2u);
+
+  // A job with default options keeps no ledger; one that asks for it
+  // reports exactly the counted session's.
+  const dp::Problem& problem = *load.pointers.front();
+  ServiceOptions plain;
+  plain.workers = 1;
+  SolverService defaults(plain);
+  (void)defaults.submit(problem).get();
+  EXPECT_EQ(defaults.stats().total_work, 0u);
+  EXPECT_EQ(defaults.stats().total_depth, 0u);
+  core::SolveSession session(
+      core::SolvePlan::create(problem.size(), counted));
+  (void)session.solve(problem);
+  (void)defaults.submit(problem, counted).get();
+  EXPECT_EQ(defaults.stats().total_work,
+            session.machine().costs().total_work());
+  EXPECT_EQ(defaults.stats().total_depth,
+            session.machine().costs().total_depth());
+  EXPECT_GT(defaults.stats().total_work, 0u);
 }
 
 TEST(Service, MultiWorkerServiceKeepsTheCallersBackend) {

@@ -123,7 +123,7 @@ TEST(SnapshotRoundTrip, BitIdenticalEveryFamilyBanded) {
   for (const std::string& family : bench::instance_families()) {
     support::Rng rng(2026);
     const auto problem = bench::make_instance(family, 33, rng);
-    core::SublinearOptions options;  // banded default, instrumented
+    core::SublinearOptions options;  // banded default, fast path
     const auto fresh = core::SolvePlan::create(33, options);
     const auto loaded = reencode(fresh);
     const auto ref = solve_with(fresh, *problem);
@@ -157,8 +157,8 @@ TEST(SnapshotRoundTrip, OptionTogglesSurviveTheFormat) {
   toggles.push_back({"default", {}});
   {
     core::SublinearOptions o;
-    o.machine.record_costs = false;
-    toggles.push_back({"fast", o});
+    o.machine.record_costs = true;
+    toggles.push_back({"counted", o});
   }
   {
     core::SublinearOptions o;
