@@ -26,8 +26,8 @@
 // per-job deadlines that expire un-picked-up jobs instead of solving
 // them —
 // and plan persistence: `ServiceOptions::snapshot_dir` writes every
-// built plan to a versioned on-disk snapshot store, and a restarted
-// service prewarms the shapes named in the store's manifest from disk
+// built plan's key to a versioned on-disk snapshot store, and a
+// restarted service prewarms the shapes named in the store's manifest
 // before its first request, serving it with no plan-build stall.
 
 #include <algorithm>
@@ -215,13 +215,14 @@ int main() {
                                           bounded_stats.jobs_rejected +
                                           bounded_stats.jobs_expired;
 
-  // Persistence shape: `snapshot_dir` turns the plan build into a
-  // one-time cost. Generation 1 builds the n=24 plan (a snapshot
-  // miss), writes it back to the store, and names the shape in the
-  // prewarm manifest. The "restarted replica" — generation 2 over the
-  // same directory — rehydrates it from disk in its constructor, so its
-  // first request finds a warm plan: no geometry rebuild, bit-identical
-  // results.
+  // Persistence shape: `snapshot_dir` moves plan builds off the request
+  // path of a restarted service. Generation 1 builds the n=24 plan (a
+  // snapshot miss), writes its key back to the store, and names the
+  // shape in the prewarm manifest. The "restarted replica" — generation
+  // 2 over the same directory — loads it in its constructor (the load
+  // checks the stored key, then builds the plan it names), so its first
+  // request finds a warm plan: no build on the request path,
+  // bit-identical results.
   const std::string snapshot_dir =
       (std::filesystem::temp_directory_path() / "subdp-quickstart-snapshots")
           .string();

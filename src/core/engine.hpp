@@ -63,9 +63,12 @@
 ///       pebble's moved-`w` containment grid) are built from scratch,
 ///       serially, right before each skipping sweep: O(n^2) plain loops,
 ///       a small share of the sweeps they prune.
-///    The activate and pebble skips follow the moved-`w` frontier, so
-///    they are off under the windowed pebble schedule, which pebbles a
-///    different pair window each iteration; the square's are not.
+///    Only the pebble skip is off under the windowed pebble schedule.
+///    It reads just the last pebble's moved `w`s, but the window pebbles
+///    a different pair range each iteration, so a pair coming back into
+///    it would miss the moves made while it was out. The activate
+///    frontier holds on every schedule: a `w` moves only through a
+///    pebble write, and the pebble logs every one, whatever its window.
 /// Monotonicity of both tables makes every skipped site provably a no-op
 /// (its candidates are unchanged and were already min-applied), so
 /// results, change counts and iteration schedules are identical to the
@@ -236,7 +239,6 @@ inline TileScratch& tile_scratch() {
 struct Pair {
   std::uint32_t i = 0;
   std::uint32_t j = 0;
-  friend bool operator==(const Pair&, const Pair&) = default;
 };
 
 /// One root's contiguous block `[begin, end)` of in-band cell slots (the
@@ -245,7 +247,6 @@ struct Pair {
 struct RootBlock {
   std::uint32_t begin = 0;
   std::uint32_t end = 0;
-  friend bool operator==(const RootBlock&, const RootBlock&) = default;
 };
 
 /// Everything the engine precomputes that depends only on the *shape*
@@ -260,11 +261,11 @@ struct EngineShape {
   std::size_t n = 0;
   std::size_t band = 0;
   /// Pairs with length >= 2, grouped by length ascending.
-  ShapeArray<Pair> pairs;
+  std::vector<Pair> pairs;
   /// Prefix offsets addressing a window of lengths in `pairs`.
-  ShapeArray<std::size_t> pairs_offset_by_length;
+  std::vector<std::size_t> pairs_offset_by_length;
   /// Per-root blocks of in-band cells (tiled square sweep), one per pair.
-  ShapeArray<RootBlock> root_blocks;
+  std::vector<RootBlock> root_blocks;
   /// Total (pair, split) activate sites of a full sweep.
   std::uint64_t total_split_sites = 0;
 
@@ -275,19 +276,17 @@ struct EngineShape {
     shape->n = n;
     shape->band = band;
 
-    std::vector<Pair> pairs;
-    std::vector<std::size_t> pairs_offset_by_length(n + 2, 0);
+    std::vector<Pair>& pairs = shape->pairs;
+    // Lengths below 2 alias the first real group.
+    shape->pairs_offset_by_length.assign(n + 2, 0);
     for (std::size_t len = 2; len <= n; ++len) {
-      pairs_offset_by_length[len] = pairs.size();
+      shape->pairs_offset_by_length[len] = pairs.size();
       for (std::size_t i = 0; i + len <= n; ++i) {
         pairs.push_back(Pair{static_cast<std::uint32_t>(i),
                              static_cast<std::uint32_t>(i + len)});
       }
     }
-    pairs_offset_by_length[n + 1] = pairs.size();
-    // Lengths below 2 alias the first real group.
-    pairs_offset_by_length[0] = 0;
-    pairs_offset_by_length[1] = 0;
+    shape->pairs_offset_by_length[n + 1] = pairs.size();
 
     for (const Pair pr : pairs) {
       shape->total_split_sites += pr.j - pr.i - 1;
@@ -298,52 +297,13 @@ struct EngineShape {
     const BandedPwLayout& layout = *shape->layout;
     SUBDP_REQUIRE(layout.cell_count() <= UINT32_MAX,
                   "pw table too large for 32-bit slot indices");
-    std::vector<RootBlock> blocks;
-    blocks.reserve(pairs.size());
+    shape->root_blocks.reserve(pairs.size());
     for (const Pair pr : pairs) {
       const std::size_t begin = layout.flat(pr.i, pr.j, pr.i, 1);
-      blocks.push_back(RootBlock{
+      shape->root_blocks.push_back(RootBlock{
           static_cast<std::uint32_t>(begin),
           static_cast<std::uint32_t>(begin + layout.block_size(pr.j - pr.i))});
     }
-    shape->pairs = std::move(pairs);
-    shape->pairs_offset_by_length = std::move(pairs_offset_by_length);
-    shape->root_blocks = std::move(blocks);
-    return shape;
-  }
-
-  /// Rehydrates a shape around snapshot-backed arrays (the mmap load path;
-  /// see snapshot/plan_snapshot.hpp). The arrays are O(n^2) closed-form
-  /// geometry, so they are checked element by element against a fresh
-  /// `build`, and any disagreement throws: a corrupt file can never yield
-  /// an inconsistent shape (the tiled square addresses a root's cells from
-  /// its block's start).
-  [[nodiscard]] static std::shared_ptr<const EngineShape> restore(
-      std::shared_ptr<const BandedPwLayout> layout, std::size_t n,
-      std::size_t band, ShapeArray<Pair> pairs,
-      ShapeArray<std::size_t> pairs_offset_by_length,
-      ShapeArray<RootBlock> root_blocks, std::uint64_t total_split_sites) {
-    const auto same = [](const auto& got, const auto& want) {
-      return std::equal(got.begin(), got.end(), want.begin(), want.end());
-    };
-    const std::shared_ptr<const EngineShape> want = build(n, band);
-    SUBDP_REQUIRE(same(pairs, want->pairs),
-                  "snapshot pair list disagrees with n");
-    SUBDP_REQUIRE(same(pairs_offset_by_length, want->pairs_offset_by_length),
-                  "snapshot pair offsets disagree with n");
-    SUBDP_REQUIRE(total_split_sites == want->total_split_sites,
-                  "snapshot split-site total disagrees with n");
-    SUBDP_REQUIRE(same(root_blocks, want->root_blocks),
-                  "snapshot root blocks disagree with the layout");
-
-    auto shape = std::make_shared<EngineShape>();
-    shape->layout = std::move(layout);
-    shape->n = n;
-    shape->band = band;
-    shape->pairs = std::move(pairs);
-    shape->pairs_offset_by_length = std::move(pairs_offset_by_length);
-    shape->root_blocks = std::move(root_blocks);
-    shape->total_split_sites = total_split_sites;
     return shape;
   }
 };
@@ -369,24 +329,24 @@ class Engine {
     SUBDP_ASSERT(problem.size() == n_);
     oracle_ = machine_.instrumented() ||
               options_.square_mode == SquareMode::kRytterFull;
-    frontier_enabled_ = !oracle_ && !options_.windowed_pebble;
+    pebble_skip_ = !oracle_ && !options_.windowed_pebble;
     // The tiled square writes in place; only the oracle's square logs.
     if (oracle_) pw_log_.resize(pw_.layout().band_cell_count());
     w_log_.resize(pairs_.size());
     profile_ = options_.profile;
     if (!oracle_) {
-      root_dirty_.assign(pairs_.size(), 0);
       moved_.assign(pw_.layout().band_cell_count(), 0);
       pw_root_moved_.assign(pairs_.size(), 0);
       reach_.assign(pairs_.size(), kNoReach);
       visit_.assign(pairs_.size(), 0);
-    }
-    if (frontier_enabled_) {
-      w_moved_.assign((n_ + 1) * (n_ + 1), 0);
-      contained_.assign((n_ + 1) * (n_ + 1), 0);
       frontier_.reserve(n_);
       row_start_.assign(n_ + 2, 0);
       col_start_.assign(n_ + 2, 0);
+    }
+    if (pebble_skip_) {
+      root_dirty_.assign(pairs_.size(), 0);
+      w_moved_.assign((n_ + 1) * (n_ + 1), 0);
+      contained_.assign((n_ + 1) * (n_ + 1), 0);
     }
     bind_instance(problem, /*fresh_tables=*/true);
   }
@@ -490,7 +450,7 @@ class Engine {
       std::fill(moved_.begin(), moved_.end(), std::uint8_t{0});
       std::fill(pw_root_moved_.begin(), pw_root_moved_.end(), 0);
     }
-    if (frontier_enabled_) {
+    if (!oracle_) {
       // The initial frontier: every base entry w(i, i+1) was just set.
       frontier_.clear();
       for (std::size_t i = 0; i < n_; ++i) {
@@ -559,13 +519,12 @@ class Engine {
     return local_changed;
   }
 
-  /// Fast a-activate of root `root = (i,j)`, in place. `Full` evaluates
-  /// every split; otherwise only the sites reading a `w` the last pebble
-  /// moved: `(a,j)`, `a > i`, as right child (target `pw(i,j,i,a)`) and
-  /// `(i,b)`, `b < j`, as left child (target `pw(i,j,b,j)`). Every other
-  /// candidate is unchanged and, by monotonicity, already applied.
-  /// Returns the number of cells improved.
-  template <bool Full>
+  /// Fast a-activate of root `root = (i,j)`, in place. Evaluates only
+  /// the sites reading a `w` the last pebble moved: `(a,j)`, `a > i`, as
+  /// right child (target `pw(i,j,i,a)`) and `(i,b)`, `b < j`, as left
+  /// child (target `pw(i,j,b,j)`). Every other candidate is unchanged
+  /// and, by monotonicity, already applied. Returns the number of cells
+  /// improved.
   std::uint64_t activate_root(std::size_t root) {
     const std::size_t i = pairs_[root].i, j = pairs_[root].j;
     const std::size_t m = root_slacks(root);
@@ -598,24 +557,16 @@ class Engine {
       }
       ++changed;
     };
-    if constexpr (Full) {
-      for (std::size_t k = i + 1; k < j; ++k) {
-        const Cost fv = problem_->f(i, k, j);
-        offer(fv, k, true);
-        offer(fv, k, false);
-      }
-    } else {
-      // The sites: a suffix of column `j`, a prefix of row `i`.
-      const std::uint32_t* const col = col_a_.data();
-      const std::uint32_t* const row = row_b_.data();
-      for (std::size_t at = col_start_[j + 1], lo = col_start_[j];
-           at > lo && col[at - 1] > i; --at) {
-        offer(problem_->f(i, col[at - 1], j), col[at - 1], true);
-      }
-      for (std::size_t at = row_start_[i], hi = row_start_[i + 1];
-           at < hi && row[at] < j; ++at) {
-        offer(problem_->f(i, row[at], j), row[at], false);
-      }
+    // The sites: a suffix of column `j`, a prefix of row `i`.
+    const std::uint32_t* const col = col_a_.data();
+    const std::uint32_t* const row = row_b_.data();
+    for (std::size_t at = col_start_[j + 1], lo = col_start_[j];
+         at > lo && col[at - 1] > i; --at) {
+      offer(problem_->f(i, col[at - 1], j), col[at - 1], true);
+    }
+    for (std::size_t at = row_start_[i], hi = row_start_[i + 1];
+         at < hi && row[at] < j; ++at) {
+      offer(problem_->f(i, row[at], j), row[at], false);
     }
     if (changed > 0) mark_root_dirty(root);
     return changed;
@@ -867,12 +818,14 @@ class Engine {
   // ---- Frontier bookkeeping ----------------------------------------------
 
   /// Records that some `pw` entry of root `pair_idx` moved, for the
-  /// frontier a-pebble (`root_dirty_`, sticky until rescanned). Every
-  /// fast-path write flags it, in band or not. Each sweep gives the flag
-  /// one writer, the root's own processor: `activate_root(k)`, then
-  /// `square_tile(k)`, then pebble pair `k`, ordered by the fork-joins
-  /// between the sweeps.
-  void mark_root_dirty(std::size_t pair_idx) { root_dirty_[pair_idx] = 1; }
+  /// pebble skip (`root_dirty_`, sticky until rescanned; absent when the
+  /// skip is off). Every fast-path write flags it, in band or not. Each
+  /// sweep gives the flag one writer, the root's own processor:
+  /// `activate_root(k)`, then `square_tile(k)`, then pebble pair `k`,
+  /// ordered by the fork-joins between the sweeps.
+  void mark_root_dirty(std::size_t pair_idx) {
+    if (pebble_skip_) root_dirty_[pair_idx] = 1;
+  }
 
   /// Buckets the moved `w` entries `(a,b)` by counting sorts, O(|frontier|
   /// + n): row `a` lists their `b`, ascending, in `row_b_[row_start_[a] ..
@@ -991,13 +944,11 @@ class Engine {
           });
       return changed.load();
     }
-    if (frontier_enabled_) {
-      const std::uint64_t frontier_sites = bucket_frontier();
-      if (prof_ != nullptr) {
-        prof_->frontier_sites = frontier_sites;
-        prof_->total_split_sites = shape_->total_split_sites;
-        prof_->activate_used_frontier = true;
-      }
+    const std::uint64_t frontier_sites = bucket_frontier();
+    if (prof_ != nullptr) {
+      prof_->frontier_sites = frontier_sites;
+      prof_->total_split_sites = shape_->total_split_sites;
+      prof_->activate_used_frontier = true;
     }
     EdgeScratch& snapshot = edge_scratch(root_blocks_.size(), edge_stride_);
     machine_.run_blocks(
@@ -1006,8 +957,7 @@ class Engine {
           std::uint64_t block_changed = 0;
           for (std::size_t k = static_cast<std::size_t>(lo);
                k < static_cast<std::size_t>(hi); ++k) {
-            block_changed += frontier_enabled_ ? activate_root<false>(k)
-                                               : activate_root<true>(k);
+            block_changed += activate_root(k);
             snapshot_edges(k, snapshot);
           }
           if (block_changed > 0) {
@@ -1119,7 +1069,7 @@ class Engine {
   std::uint64_t run_pebble() {
     const auto [w_begin, w_end] = pebble_window();
     if (w_begin == w_end) {
-      if (frontier_enabled_) frontier_.clear();
+      frontier_.clear();
       return 0;
     }
     w_log_count_.store(0, std::memory_order_relaxed);
@@ -1143,8 +1093,8 @@ class Engine {
             return ops;
           });
     } else {
-      const bool use_frontier = frontier_enabled_;
-      if (use_frontier) build_contained_counts();
+      const bool skip = pebble_skip_;
+      if (skip) build_contained_counts();
       const bool prof = prof_ != nullptr;
       if (prof) prof_->pebble_pairs_total += w_end - w_begin;
       const PhaseTimer timer = phase_timer(&StepProfile::pebble_ns);
@@ -1155,7 +1105,7 @@ class Engine {
             for (std::int64_t idx = lo; idx < hi; ++idx) {
               const std::size_t at = w_begin + static_cast<std::size_t>(idx);
               const Pair pr = pairs_[at];
-              if (use_frontier) {
+              if (skip) {
                 // Skip unless some input moved: a pw entry of this root
                 // (activate/square this iteration, sticky until rescanned)
                 // or the w of a contained gap (last pebble).
@@ -1186,13 +1136,13 @@ class Engine {
     const PhaseTimer timer = phase_timer(&StepProfile::log_apply_ns);
     const std::size_t logged = w_log_count_.load(std::memory_order_relaxed);
     if (prof_ != nullptr) prof_->w_log_entries = logged;
-    if (frontier_enabled_) frontier_.clear();
+    frontier_.clear();
     Cost* wraw = w_.data();
     for (std::size_t k = 0; k < logged; ++k) {
       const Delta rec = w_log_[k];
       const Pair pr = pairs_[rec.index];
       wraw[pr.i * (n_ + 1) + pr.j] = rec.value;
-      if (frontier_enabled_) frontier_.push_back(pr);
+      if (!oracle_) frontier_.push_back(pr);
     }
     return logged;
   }
@@ -1257,9 +1207,9 @@ class Engine {
   support::Grid2D<Cost> w_;
 
   // Shape-owned geometry — immutable aliases into `*shape_`.
-  const ShapeArray<Pair>& pairs_;
-  const ShapeArray<std::size_t>& pairs_offset_by_length_;
-  const ShapeArray<RootBlock>& root_blocks_;  ///< Per-root runs.
+  const std::vector<Pair>& pairs_;
+  const std::vector<std::size_t>& pairs_offset_by_length_;
+  const std::vector<RootBlock>& root_blocks_;  ///< Per-root runs.
 
   // Slots per edge in the a-square edge snapshot: slack 1 .. min(B, n-1)
   // at its own index (slot 0 unused).
@@ -1276,16 +1226,17 @@ class Engine {
   std::atomic<std::size_t> pw_log_count_{0};
   std::atomic<std::size_t> w_log_count_{0};
 
-  // Fast-path movement state, all empty on the oracle: the dirty flags,
+  // Fast-path movement state, all empty on the oracle: the frontier,
   // moved bytes and per-root moved and visit state exist on every fast
-  // path; the frontier state needs the per-iteration pebble.
-  bool frontier_enabled_ = false;
-  std::vector<std::uint8_t> root_dirty_;
+  // path; the pebble skip's dirty flags and moved-`w` grids need the
+  // per-iteration pebble (`pebble_skip_`).
+  bool pebble_skip_ = false;
   std::vector<std::uint8_t> pw_root_moved_;
   std::vector<Pair> frontier_;  ///< w entries moved by the last pebble.
   // The frontier by row and by column, and a cursor (`bucket_frontier`).
   std::vector<std::uint32_t> row_start_, row_b_, col_start_, col_a_;
   std::vector<std::uint32_t> bucket_at_;
+  std::vector<std::uint8_t> root_dirty_;
   std::vector<std::uint8_t> w_moved_;
   std::vector<std::uint32_t> contained_;
   std::vector<std::uint8_t> moved_;  ///< Per in-band cell (see above).

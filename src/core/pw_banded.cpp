@@ -1,6 +1,5 @@
 #include "core/pw_banded.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -8,65 +7,37 @@
 
 namespace subdp::core {
 
-void BandedPwLayout::init_geometry(std::vector<std::size_t>& length_base,
-                                   std::vector<std::size_t>& child_base) {
+BandedPwLayout::BandedPwLayout(std::size_t n, std::size_t band)
+    : n_(n), band_(band) {
   SUBDP_REQUIRE(n_ >= 1, "need at least one object");
   SUBDP_REQUIRE(band_ >= 1, "band width must be at least 1");
 
-  length_base.assign(n_ + 2, 0);
+  length_base_.assign(n_ + 2, 0);
   std::size_t total = 0;
   for (std::size_t len = 2; len <= n_; ++len) {
-    length_base[len] = total;
+    length_base_[len] = total;
     total = checked_size_add(total,
                              checked_size_mul(n_ - len + 1, block_size(len)));
   }
-  length_base[n_ + 1] = total;
+  length_base_[n_ + 1] = total;
   band_cell_count_ = total;
 
   // Child-gap side store: `2 (L - 1 - B)` cells per root of length
   // `L >= B + 2`, exactly its out-of-band child gaps. At band + 1 >= n
   // every gap is in band, so the store (and its offset table) stay empty.
   if (band_ + 1 >= n_) return;
-  child_base.assign(n_ + 2, 0);
+  child_base_.assign(n_ + 2, 0);
   std::size_t child_total = 0;
   for (std::size_t len = 2; len <= n_; ++len) {
-    child_base[len] = child_total;
+    child_base_[len] = child_total;
     if (len >= band_ + 2) {
       child_total = checked_size_add(
           child_total,
           checked_size_mul(n_ - len + 1, 2 * (len - 1 - band_)));
     }
   }
-  child_base[n_ + 1] = child_total;
+  child_base_[n_ + 1] = child_total;
   child_cell_count_ = child_total;
-}
-
-BandedPwLayout::BandedPwLayout(std::size_t n, std::size_t band)
-    : n_(n), band_(band) {
-  std::vector<std::size_t> length_base;
-  std::vector<std::size_t> child_base;
-  init_geometry(length_base, child_base);
-  length_base_ = std::move(length_base);
-  child_base_ = std::move(child_base);
-}
-
-BandedPwLayout::BandedPwLayout(std::size_t n, std::size_t band,
-                               ShapeArray<std::size_t> length_base,
-                               ShapeArray<std::size_t> child_base)
-    : n_(n), band_(band) {
-  std::vector<std::size_t> expected_length_base;
-  std::vector<std::size_t> expected_child_base;
-  init_geometry(expected_length_base, expected_child_base);
-  SUBDP_REQUIRE(length_base.size() == expected_length_base.size() &&
-                    std::equal(length_base.begin(), length_base.end(),
-                               expected_length_base.begin()),
-                "banded snapshot offset table disagrees with (n, band)");
-  SUBDP_REQUIRE(child_base.size() == expected_child_base.size() &&
-                    std::equal(child_base.begin(), child_base.end(),
-                               expected_child_base.begin()),
-                "banded snapshot child-store offsets disagree with (n, band)");
-  length_base_ = std::move(length_base);
-  child_base_ = std::move(child_base);
 }
 
 Quad BandedPwLayout::quad_at(std::size_t slot) const {

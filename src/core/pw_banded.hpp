@@ -51,9 +51,7 @@
 /// in O(n). A `BandedPwTable` binds a (shared) layout to its own
 /// mutable cell vectors; `SolvePlan` builds the layout once per shape and
 /// every `SolveSession` table of that shape shares it, so per-instance
-/// setup is a fill, not a rebuild. The offset tables are `ShapeArray`s
-/// (shape_array.hpp), so a layout rehydrated from a plan snapshot can
-/// alias the file mapping (snapshot/plan_snapshot.hpp).
+/// setup is a fill, not a rebuild.
 
 #include <cstdint>
 #include <memory>
@@ -61,7 +59,6 @@
 
 #include "core/pw_layout.hpp"
 #include "core/quad.hpp"
-#include "core/shape_array.hpp"
 #include "support/cost.hpp"
 
 namespace subdp::core {
@@ -72,16 +69,6 @@ namespace subdp::core {
 class BandedPwLayout {
  public:
   BandedPwLayout(std::size_t n, std::size_t band);
-
-  /// Rehydrates a layout around snapshot-backed arrays (the mmap load
-  /// path; see snapshot/plan_snapshot.hpp). The offset tables and cell
-  /// counts are recomputed from `(n, band)` and *verified* against the
-  /// provided arrays — any size or content mismatch throws, so a decoder
-  /// can adopt the arrays only when they are exactly what a fresh build
-  /// would produce.
-  BandedPwLayout(std::size_t n, std::size_t band,
-                 ShapeArray<std::size_t> length_base,
-                 ShapeArray<std::size_t> child_base);
 
   [[nodiscard]] std::size_t n() const noexcept { return n_; }
   [[nodiscard]] std::size_t band() const noexcept { return band_; }
@@ -149,17 +136,6 @@ class BandedPwLayout {
     return t;
   }
 
-  /// Cumulative block offsets per length (snapshot serialisation).
-  [[nodiscard]] const ShapeArray<std::size_t>& length_base() const noexcept {
-    return length_base_;
-  }
-
-  /// Cumulative child-block offsets per length (snapshot serialisation);
-  /// empty when the side store is.
-  [[nodiscard]] const ShapeArray<std::size_t>& child_base() const noexcept {
-    return child_base_;
-  }
-
   /// Cells for one `(L, i)` block: sum over s of (s+1) slots.
   [[nodiscard]] std::size_t block_size(std::size_t len) const {
     const std::size_t m = len - 1 < band_ ? len - 1 : band_;
@@ -208,17 +184,13 @@ class BandedPwLayout {
   }
 
  private:
-  /// Computes counts + offset tables from `(n, band)` alone (shared by
-  /// both constructors; the rehydrating one verifies instead of adopting).
-  void init_geometry(std::vector<std::size_t>& length_base,
-                     std::vector<std::size_t>& child_base);
-
   std::size_t n_;
   std::size_t band_;
   std::size_t band_cell_count_ = 0;
   std::size_t child_cell_count_ = 0;
-  ShapeArray<std::size_t> length_base_;  ///< Cumulative block offsets.
-  ShapeArray<std::size_t> child_base_;   ///< Cumulative child-block offsets.
+  std::vector<std::size_t> length_base_;  ///< Cumulative block offsets.
+  /// Cumulative child-block offsets; empty when the side store is.
+  std::vector<std::size_t> child_base_;
 };
 
 /// Banded `pw'` storage; in-band entries plus child-gap entries of any

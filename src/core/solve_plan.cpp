@@ -7,7 +7,7 @@
 
 namespace subdp::core {
 
-std::shared_ptr<SolvePlan> SolvePlan::make_validated(
+std::shared_ptr<const SolvePlan> SolvePlan::create(
     std::size_t n, const SublinearOptions& options) {
   SUBDP_REQUIRE(n >= 1, "need at least one object");
   SUBDP_REQUIRE(n <= kMaxPackedN,
@@ -41,6 +41,7 @@ std::shared_ptr<SolvePlan> SolvePlan::make_validated(
   } else {
     plan->cap_ = plan->bound_;
   }
+  if (n >= 2) plan->shape_ = detail::EngineShape::build(n, plan->band_);
   return plan;
 }
 
@@ -55,31 +56,6 @@ std::size_t SolvePlan::effective_band_for(std::size_t n,
   if (band > n) band = n;
   if (band < 1) band = 1;
   return band;
-}
-
-std::shared_ptr<const SolvePlan> SolvePlan::create(
-    std::size_t n, const SublinearOptions& options) {
-  auto plan = make_validated(n, options);
-  if (n >= 2) plan->shape_ = detail::EngineShape::build(n, plan->band_);
-  return plan;
-}
-
-std::shared_ptr<const SolvePlan> SolvePlan::restore(
-    std::size_t n, const SublinearOptions& options,
-    std::shared_ptr<const detail::EngineShape> shape) {
-  auto plan = make_validated(n, options);
-  if (n >= 2) {
-    SUBDP_REQUIRE(shape != nullptr,
-                  "restoring a plan requires its engine shape");
-    SUBDP_REQUIRE(shape->n == n && shape->band == plan->band_ &&
-                      shape->layout->band() == plan->band_,
-                  "restored engine shape disagrees with the plan's "
-                  "(n, band)");
-    plan->shape_ = std::move(shape);
-  } else {
-    SUBDP_REQUIRE(shape == nullptr, "trivial plans carry no engine shape");
-  }
-  return plan;
 }
 
 std::size_t SolvePlan::pw_cell_count() const noexcept {

@@ -16,7 +16,7 @@
 ///    every cell's quadruple recovered in closed form (`quad_at`);
 ///  * the engine shape (`detail::EngineShape`): length-major pair lists
 ///    and their prefix offsets, the root blocks of the tiled square
-///    sweep, and the frontier density cutoff.
+///    sweep, and the split-site total of a full a-activate sweep.
 ///
 /// Thread-safety (audited for the concurrent serving subsystem): plans
 /// are immutable and thread-agnostic once `create` returns — every member
@@ -64,16 +64,6 @@ class SolvePlan {
   [[nodiscard]] static std::shared_ptr<const SolvePlan> create(
       std::size_t n, const SublinearOptions& options = {});
 
-  /// Adopts a prebuilt engine shape instead of constructing one — the
-  /// plan snapshot rehydration path (snapshot/plan_snapshot.hpp). Runs
-  /// exactly `create`'s validation and derived-scalar computation, then
-  /// requires the shape (null for trivial `n == 1` plans) to agree on
-  /// `n` and band; throws on any mismatch. The returned plan is
-  /// indistinguishable from a `create`d one.
-  [[nodiscard]] static std::shared_ptr<const SolvePlan> restore(
-      std::size_t n, const SublinearOptions& options,
-      std::shared_ptr<const detail::EngineShape> shape);
-
   /// Instance size this plan serves; sessions reject anything else.
   [[nodiscard]] std::size_t n() const noexcept { return n_; }
 
@@ -114,19 +104,8 @@ class SolvePlan {
   [[nodiscard]] std::unique_ptr<detail::Engine> make_engine(
       const dp::Problem& problem, pram::Machine& machine) const;
 
-  /// The precomputed engine shape (null for trivial `n == 1` plans);
-  /// snapshot serialisation reads through it.
-  [[nodiscard]] const std::shared_ptr<const detail::EngineShape>& shape()
-      const noexcept {
-    return shape_;
-  }
-
  private:
   SolvePlan() = default;
-
-  /// Shared validation + derived-scalar computation behind both factories.
-  [[nodiscard]] static std::shared_ptr<SolvePlan> make_validated(
-      std::size_t n, const SublinearOptions& options);
 
   std::size_t n_ = 0;
   std::size_t bound_ = 0;

@@ -120,7 +120,9 @@ struct SublinearOptions {
 struct StepProfile {
   std::size_t iteration = 0;  ///< 1-based, matching IterationTrace.
   // a-activate: the sites (`f` calls) of the fast frontier sweep, and of
-  // a full one; full sweeps leave `activate_used_frontier` false.
+  // a full one. Every fast step, under the windowed pebble schedule too,
+  // sweeps the frontier and sets `activate_used_frontier`; the oracle's
+  // full sweeps leave it false.
   std::uint64_t frontier_sites = 0;
   std::uint64_t total_split_sites = 0;
   bool activate_used_frontier = false;

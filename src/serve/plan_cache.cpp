@@ -132,9 +132,10 @@ std::shared_ptr<SessionPool> PlanCache::finish_build(
   BuildReport report;
   std::shared_ptr<SessionPool> pool;
   try {
-    // Persistence tier first: a verified snapshot replaces the O(n^2)
-    // geometry build outright; a fresh build is queued for write-back so
-    // the *next* process (or a post-eviction re-request) loads instead.
+    // Persistence tier first: a verified snapshot yields the plan (its
+    // key checked, its geometry built by the decode); a fresh build is
+    // queued for write-back so the *next* process (or a post-eviction
+    // re-request) loads instead.
     const obs::Clock::time_point t0 =
         timing ? observer_clock_->now() : obs::Clock::time_point();
     std::shared_ptr<const core::SolvePlan> plan;

@@ -139,12 +139,11 @@ class PlanCache {
  public:
   /// Keeps at most `capacity >= 1` shapes resident. Each miss builds the
   /// plan and a `SessionPool` of at most `sessions_per_plan` sessions.
-  /// With a `store`, a miss consults the snapshot directory before
-  /// building geometry (a verified snapshot is adopted; anything corrupt
-  /// or mismatched is ignored and rebuilt), and freshly built plans are
-  /// written back asynchronously. LRU eviction never touches the store's
-  /// files — the disk is the cheap tier, so a re-requested evicted shape
-  /// reloads (a snapshot hit) instead of rebuilding.
+  /// With a `store`, a miss consults the snapshot directory first (a
+  /// verified snapshot yields the plan; anything corrupt or mismatched
+  /// is ignored and rebuilt), and freshly built plans are written back
+  /// asynchronously. LRU eviction never touches the store's files, so a
+  /// re-requested evicted shape reloads (a snapshot hit).
   PlanCache(std::size_t capacity, std::size_t sessions_per_plan,
             std::shared_ptr<snapshot::SnapshotStore> store = nullptr);
 

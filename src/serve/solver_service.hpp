@@ -281,8 +281,9 @@ struct ServiceOptions {
   OverloadPolicy overload_policy = OverloadPolicy::kBlock;
   /// Plan snapshot directory (empty = no persistence). When set, the
   /// service opens a `snapshot::SnapshotStore` there and threads it into
-  /// the plan cache: cache misses load verified snapshots instead of
-  /// building geometry, fresh builds are written back asynchronously,
+  /// the plan cache: cache misses load verified snapshots first (a
+  /// snapshot is the plan's key; the load builds the plan it names),
+  /// fresh builds are written back asynchronously,
   /// and at startup every shape in the store's prewarm manifest
   /// (`prewarm.txt`) is resolved before the first request is accepted —
   /// a restarted replica serves its first requests with zero cold-path

@@ -1,23 +1,13 @@
 #include "snapshot/snapshot_store.hpp"
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
 #include "snapshot/plan_snapshot.hpp"
 #include "support/assert.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define SUBDP_SNAPSHOT_HAS_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#else
-#define SUBDP_SNAPSHOT_HAS_MMAP 0
-#endif
 
 namespace subdp::snapshot {
 
@@ -25,65 +15,14 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// A read-only view of a whole snapshot file plus whatever keeps it
-/// alive: an mmap handle or an owned read buffer.
-struct FileBytes {
-  const std::uint8_t* data = nullptr;
-  std::size_t size = 0;
-  std::shared_ptr<const void> owner;
-};
-
-#if SUBDP_SNAPSHOT_HAS_MMAP
-/// Owns one read-only mapping; destruction unmaps. Held alive by the
-/// decoded plan's `ShapeArray` owner handles.
-struct Mapping {
-  void* base = nullptr;
-  std::size_t size = 0;
-  ~Mapping() {
-    if (base != nullptr) ::munmap(base, size);
-  }
-};
-
-[[nodiscard]] bool map_file(const std::string& path, FileBytes& out) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return false;
-  struct stat st{};
-  if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
-    ::close(fd);
-    return false;
-  }
-  const auto size = static_cast<std::size_t>(st.st_size);
-  void* base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);  // the mapping outlives the descriptor
-  if (base == MAP_FAILED) return false;
-  auto mapping = std::make_shared<Mapping>();
-  mapping->base = base;
-  mapping->size = size;
-  out.data = static_cast<const std::uint8_t*>(base);
-  out.size = size;
-  out.owner = std::move(mapping);
-  return true;
-}
-#endif
-
-/// Buffered-read fallback (and the validation read path): one owned copy.
-[[nodiscard]] bool read_file(const std::string& path, FileBytes& out) {
+/// Reads a whole file into `out`; false when it cannot be read.
+[[nodiscard]] bool read_file(const std::string& path,
+                             std::vector<std::uint8_t>& out) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
-  auto buffer = std::make_shared<std::vector<std::uint8_t>>(
-      std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) return false;
-  out.data = buffer->data();
-  out.size = buffer->size();
-  out.owner = std::move(buffer);
-  return true;
-}
-
-[[nodiscard]] bool open_file(const std::string& path, FileBytes& out) {
-#if SUBDP_SNAPSHOT_HAS_MMAP
-  if (map_file(path, out)) return true;
-#endif
-  return read_file(path, out);
+  out.assign(std::istreambuf_iterator<char>(in),
+             std::istreambuf_iterator<char>());
+  return in.good() || in.eof();
 }
 
 }  // namespace
@@ -114,14 +53,13 @@ std::string SnapshotStore::path_for(
 
 std::shared_ptr<const core::SolvePlan> SnapshotStore::load(
     std::size_t n, const core::SublinearOptions& options) {
-  FileBytes bytes;
-  if (!open_file(path_for(n, options), bytes)) {
+  std::vector<std::uint8_t> bytes;
+  if (!read_file(path_for(n, options), bytes)) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
   try {
-    auto plan =
-        decode_plan(bytes.data, bytes.size, bytes.owner, n, options);
+    auto plan = decode_plan(bytes.data(), bytes.size(), nullptr, n, options);
     hits_.fetch_add(1, std::memory_order_relaxed);
     return plan;
   } catch (...) {
@@ -150,12 +88,12 @@ bool SnapshotStore::save(const std::shared_ptr<const core::SolvePlan>& plan) {
       }
       if (out) {
         // Validate the *on-disk* bytes end to end (size, key, checksum,
-        // structure) before the rename makes them reachable: a partial
+        // derived scalars) before the rename makes them reachable: a partial
         // or mangled write must never shadow a rebuildable shape.
         out.close();
-        FileBytes check;
-        if (read_file(tmp_path, check) && check.size == bytes.size()) {
-          (void)decode_plan(check.data, check.size, check.owner, plan->n(),
+        std::vector<std::uint8_t> check;
+        if (read_file(tmp_path, check) && check == bytes) {
+          (void)decode_plan(check.data(), check.size(), nullptr, plan->n(),
                             plan->options());  // throws on any defect
           std::error_code ec;
           fs::rename(tmp_path, final_path, ec);

@@ -2,15 +2,15 @@
 
 /// \file snapshot_store.hpp
 /// A directory of plan snapshots: one file per shape, shape-keyed names,
-/// mmap-backed load, asynchronous temp-file + validate + rename save.
+/// asynchronous temp-file + validate + rename save.
 ///
 /// The store is the persistence tier under `serve::PlanCache` (threaded
 /// in via `ServiceOptions::snapshot_dir`): a cache miss consults
-/// `load(n, options)` before building geometry, and freshly built plans
-/// are queued to a background writer thread so the builder never blocks
-/// on disk. The cache's LRU eviction never touches the files — the disk
-/// is the cheap tier, so a re-requested evicted shape reloads (a
-/// `snapshot hit`) instead of rebuilding.
+/// `load(n, options)` first, and freshly built plans are queued to a
+/// background writer thread so the builder never blocks on disk. The
+/// cache's LRU eviction never touches the files, so a re-requested
+/// evicted shape reloads (a `snapshot hit`). A snapshot holds only the
+/// plan's key, so a hit builds the plan too, after the file's checks.
 ///
 /// Durability discipline (the PR 6 artifact idiom): `save` writes to
 /// `<name>.tmp`, flushes, *re-reads and fully decodes* the temp file
@@ -20,14 +20,11 @@
 /// name. A failed validation removes the temp and counts a
 /// `write_failure`; it never installs.
 ///
-/// Load path: the file is mapped read-only (`mmap`, `MAP_PRIVATE`) where
-/// available, so the decoded plan's geometry arrays alias the page cache
-/// through `core::ShapeArray` views — no copy, and the mapping is held
-/// alive by the arrays' owner handles for exactly as long as the plan
-/// lives. Where mmap is unavailable the store falls back to one buffered
-/// read into an owned buffer; decode is identical. *Any* load failure —
-/// missing file, short file, bad magic/version/ABI, key mismatch,
-/// checksum mismatch, structural disagreement — is a miss: the caller
+/// Load path: one buffered read of the file's 80-byte image, then
+/// `decode_plan`, which verifies it and builds the plan it names
+/// (plan_snapshot.hpp). *Any* load failure — missing file, short or
+/// over-long file, bad magic/version/ABI, checksum mismatch, key
+/// mismatch, derived-scalar disagreement — is a miss: the caller
 /// rebuilds from scratch and the eventual save overwrites the bad file.
 /// Corrupt bytes are never trusted and never fatal.
 ///
@@ -80,7 +77,7 @@ class SnapshotStore {
   SnapshotStore(const SnapshotStore&) = delete;
   SnapshotStore& operator=(const SnapshotStore&) = delete;
 
-  /// Rehydrates the plan for `(n, options)` from its snapshot file, or
+  /// Builds the plan for `(n, options)` named by its snapshot file, or
   /// returns null (counting a miss) when the file is absent or fails any
   /// validation layer. Never throws on bad bytes.
   [[nodiscard]] std::shared_ptr<const core::SolvePlan> load(

@@ -239,10 +239,10 @@ TEST(FastPath, WriteLogOracleIsCrewConformantAndMatchesFastPath) {
 }
 
 TEST(FastPath, WindowedPebbleMatchesReferenceEngine) {
-  // The windowed schedule disables frontier sweeps internally: its fast
-  // a-activate sweeps every split of every root and takes the tiled
-  // square's edge snapshot in the same pass. Both must match the oracle
-  // per iteration, serial and on the pool.
+  // The windowed schedule turns off only the pebble skip: its fast
+  // a-activate still sweeps the last pebble's frontier, and its a-pebble
+  // scans every pair of the window. Both must match the oracle per
+  // iteration, serial and on the pool.
   const std::size_t n = 30;
   for (const std::string& family : bench::instance_families()) {
     support::Rng rng(55);
@@ -751,29 +751,37 @@ TEST(StepProfiles, FrontierActivateEvaluatesExactlyTheFrontierSites) {
   // iteration's calls are its frontier sweep's work: one per site that
   // reads a moved `w`, no more (a sweep that evaluated extra sites) and
   // no less (one that dropped a site would also fail the bit-identity
-  // tests above).
+  // tests above). The windowed pebble schedule sweeps the frontier too.
   for (const std::string& family : bench::instance_families()) {
     support::Rng rng(610);
     const auto inner = bench::make_instance(family, 26, rng);
     const CountingProblem problem(*inner);
-    for (const pram::Backend backend :
-         {pram::Backend::kSerial, pram::Backend::kThreadPool}) {
-      SublinearOptions options = fast_options(PwVariant::kBanded, backend);
-      options.profile = true;
-      SolveSession session(SolvePlan::create(problem.size(), options));
-      session.reset(problem);
-      std::uint64_t sites_total = 0;
-      for (std::size_t t = 0; t < session.plan().iteration_bound(); ++t) {
-        const std::uint64_t before = problem.evals();
-        (void)session.step();
-        const StepProfile& p = session.step_profile().back();
-        const std::string label = family + " " + pram::to_string(backend) +
-                                  " iteration " + std::to_string(t + 1);
-        EXPECT_TRUE(p.activate_used_frontier) << label;
-        EXPECT_EQ(problem.evals() - before, p.frontier_sites) << label;
-        sites_total += p.frontier_sites;
+    for (const bool windowed : {false, true}) {
+      for (const pram::Backend backend :
+           {pram::Backend::kSerial, pram::Backend::kThreadPool}) {
+        SublinearOptions options = fast_options(PwVariant::kBanded, backend);
+        options.profile = true;
+        if (windowed) {
+          options.windowed_pebble = true;
+          options.termination = TerminationMode::kFixedBound;
+        }
+        SolveSession session(SolvePlan::create(problem.size(), options));
+        session.reset(problem);
+        std::uint64_t sites_total = 0;
+        for (std::size_t t = 0; t < session.plan().iteration_bound(); ++t) {
+          const std::uint64_t before = problem.evals();
+          (void)session.step();
+          const StepProfile& p = session.step_profile().back();
+          const std::string label =
+              family + (windowed ? " windowed " : " ") +
+              pram::to_string(backend) + " iteration " +
+              std::to_string(t + 1);
+          EXPECT_TRUE(p.activate_used_frontier) << label;
+          EXPECT_EQ(problem.evals() - before, p.frontier_sites) << label;
+          sites_total += p.frontier_sites;
+        }
+        EXPECT_GT(sites_total, 0u) << family;
       }
-      EXPECT_GT(sites_total, 0u) << family;
     }
   }
 }

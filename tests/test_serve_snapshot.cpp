@@ -158,18 +158,20 @@ TEST(ServeSnapshot, CorruptSnapshotDegradesToRebuildAndRepairs) {
     service.snapshot_store()->flush();
     service.snapshot_store()->write_manifest({16});
   }
-  // Flip one payload byte in the installed snapshot.
+  // Flip one byte inside the installed snapshot (an image is an 80-byte
+  // header; byte 40 is its variant field).
   const auto files = snapshot_files(dir.path());
   ASSERT_EQ(files.size(), 1u);
   {
     std::fstream f(files.front(),
                    std::ios::in | std::ios::out | std::ios::binary);
-    f.seekg(170);
+    f.seekg(40);
     char byte = 0;
-    f.get(byte);
-    f.seekp(170);
+    ASSERT_TRUE(f.get(byte));
+    f.seekp(40);
     f.put(static_cast<char>(byte ^ 0x40));
   }
+  ASSERT_EQ(fs::file_size(files.front()), 80u);
   {
     // Generation 2: the prewarm load rejects the corrupt file, rebuilds
     // from scratch (prewarm still succeeds), and the write-back repairs

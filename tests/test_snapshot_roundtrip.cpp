@@ -6,11 +6,13 @@
 // must be indistinguishable from a freshly built one, so a solve through
 // it produces the same cost, iteration count, full w table and
 // per-iteration trace — across both pw variants, every bench instance
-// family, and the option toggles that shape a plan. The rejection half
-// asserts the trust-nothing decode: truncated files, flipped payload or
-// checksum bytes, stale format versions and key/filename mismatches are
-// all detected, counted as rejected misses, and followed by a clean
-// rebuild — never a crash, never a wrong answer.
+// family, and the option toggles that shape a plan. An image is the
+// plan's key alone, so it has one size at every shape. The rejection
+// half asserts the trust-nothing decode: truncated or over-long files,
+// flipped key or checksum bytes, stale format versions, key/filename
+// mismatches and derived scalars that disagree with the key are all
+// detected, counted as rejected misses, and followed by a clean rebuild
+// — never a crash, never a wrong answer.
 
 #include <gtest/gtest.h>
 
@@ -76,12 +78,11 @@ void expect_identical(const core::SublinearResult& ref,
   }
 }
 
-/// Encode -> decode through an owned buffer (the buffered-read path).
+/// Encode -> decode through an in-memory image.
 std::shared_ptr<const core::SolvePlan> reencode(
     const std::shared_ptr<const core::SolvePlan>& plan) {
-  auto bytes =
-      std::make_shared<std::vector<std::uint8_t>>(encode_plan(*plan));
-  return decode_plan(bytes->data(), bytes->size(), bytes, plan->n(),
+  const std::vector<std::uint8_t> bytes = encode_plan(*plan);
+  return decode_plan(bytes.data(), bytes.size(), nullptr, plan->n(),
                      plan->options());
 }
 
@@ -111,11 +112,13 @@ fs::path only_snapshot_file(const fs::path& dir) {
   return found;
 }
 
-// Format-v6 byte offsets (documented in plan_snapshot.cpp's header
+// Format-v7 byte offsets (documented in plan_snapshot.cpp's header
 // struct); the tamper tests below flip bytes at these positions.
-constexpr std::size_t kHeaderBytes = 160;
-constexpr std::size_t kVersionOffset = 8;     // format_version u32
-constexpr std::size_t kChecksumOffset = 152;  // payload_checksum u64
+constexpr std::size_t kHeaderBytes = 80;
+constexpr std::size_t kVersionOffset = 8;    // format_version u32
+constexpr std::size_t kKeyOffset = 16;       // n u64, the first key field
+constexpr std::size_t kBoundOffset = 48;     // bound u64
+constexpr std::size_t kChecksumOffset = 72;  // checksum u64
 
 // ---- Round-trip bit-identity -----------------------------------------------
 
@@ -184,15 +187,11 @@ TEST(SnapshotRoundTrip, OptionTogglesSurviveTheFormat) {
 }
 
 TEST(SnapshotRoundTrip, SmallShapesIncludingTrivial) {
-  // n == 1 has no engine shape (header-only snapshot); n == 2 and 3 are
-  // the smallest non-trivial geometries.
+  // n == 1 has no engine shape; n == 2 and 3 are the smallest
+  // non-trivial geometries.
   for (const std::size_t n : {std::size_t{1}, std::size_t{2},
                               std::size_t{3}}) {
     const auto fresh = core::SolvePlan::create(n);
-    const auto encoded = encode_plan(*fresh);
-    if (n == 1) {
-      EXPECT_EQ(encoded.size(), kHeaderBytes);
-    }
     const auto loaded = reencode(fresh);
     support::Rng rng(n);
     const auto problem = bench::make_instance("matrix-chain", n, rng);
@@ -203,12 +202,17 @@ TEST(SnapshotRoundTrip, SmallShapesIncludingTrivial) {
 }
 
 TEST(SnapshotRoundTrip, ImageHoldsNoPerCellGeometry) {
-  // The geometry is closed-form, so an image is O(n^2): a banded n = 64
-  // plan fits in 64 KB. A per-cell list (8 bytes per in-band cell, 1.8 MB
-  // here) would not.
-  const auto plan = core::SolvePlan::create(64);
-  const std::vector<std::uint8_t> bytes = encode_plan(*plan);
-  EXPECT_LT(bytes.size(), std::size_t{64} * 1024);
+  // The geometry is closed-form in (n, band), so an image is the plan's
+  // key alone: the same size at every shape, banded or dense.
+  for (const std::size_t n : {std::size_t{1}, std::size_t{12},
+                              std::size_t{64}, std::size_t{192}}) {
+    EXPECT_EQ(encode_plan(*core::SolvePlan::create(n)).size(), kHeaderBytes)
+        << "banded n=" << n;
+  }
+  core::SublinearOptions dense;
+  dense.variant = core::PwVariant::kDense;
+  EXPECT_EQ(encode_plan(*core::SolvePlan::create(18, dense)).size(),
+            kHeaderBytes);
 }
 
 // ---- Store save / load -----------------------------------------------------
@@ -282,7 +286,7 @@ void expect_rejected_then_rebuilt(const std::string& tag, Tamper tamper) {
   ASSERT_TRUE(store.save(core::SolvePlan::create(24)));
   const fs::path file = only_snapshot_file(dir.path());
   std::vector<std::uint8_t> bytes = slurp(file);
-  ASSERT_GT(bytes.size(), kHeaderBytes);
+  ASSERT_EQ(bytes.size(), kHeaderBytes);
   tamper(bytes);
   dump(file, bytes);
 
@@ -308,15 +312,15 @@ TEST(SnapshotRejection, TruncatedBelowHeader) {
   });
 }
 
-TEST(SnapshotRejection, TruncatedMidPayload) {
-  expect_rejected_then_rebuilt("trunc-payload", [](auto& bytes) {
-    bytes.resize(bytes.size() - 7);
+TEST(SnapshotRejection, TrailingBytes) {
+  expect_rejected_then_rebuilt("trailing", [](auto& bytes) {
+    bytes.push_back(0);  // one byte past the image
   });
 }
 
-TEST(SnapshotRejection, FlippedPayloadByte) {
-  expect_rejected_then_rebuilt("flip-payload", [](auto& bytes) {
-    bytes[kHeaderBytes + 3] ^= 0x40;  // checksum must catch it
+TEST(SnapshotRejection, FlippedKeyByte) {
+  expect_rejected_then_rebuilt("flip-key", [](auto& bytes) {
+    bytes[kKeyOffset] ^= 0x01;  // n 24 -> 25: checksum must catch it
   });
 }
 
@@ -336,11 +340,12 @@ TEST(SnapshotRejection, RetiredFormatV1) {
   // Version 1 carried four engine-toggle key bytes that version 2 drops,
   // version 2 dense images carried a layout version 3 no longer has,
   // version 3 carried an entry-slot section version 4 drops, version 4
-  // carried the quad-list section version 5 drops, and version 5 carried
+  // carried the quad-list section version 5 drops, version 5 carried
   // the tetrahedral child-store offsets version 6 replaces with
-  // per-length bases; a leftover file of any of them must be rejected
-  // and rebuilt, never misread.
-  for (const std::uint32_t retired : {1u, 2u, 3u, 4u, 5u}) {
+  // per-length bases, and version 6 carried the geometry sections
+  // version 7 drops; a leftover file of any of them must be rejected and
+  // rebuilt, never misread.
+  for (const std::uint32_t retired : {1u, 2u, 3u, 4u, 5u, 6u}) {
     expect_rejected_then_rebuilt(
         "format-v" + std::to_string(retired), [retired](auto& bytes) {
           std::memcpy(bytes.data() + kVersionOffset, &retired,
@@ -376,24 +381,18 @@ TEST(SnapshotRejection, KeyFilenameMismatch) {
   EXPECT_EQ(store.stats().hits, 1u);
 }
 
-TEST(SnapshotRejection, RootBlockRunsMustMatchTheLayout) {
-  // The tiled square addresses a root's cells from its run's start, so a
-  // run that disagrees with the layout is rejected even when the payload
-  // checksum is valid.
+TEST(SnapshotRejection, DerivedScalarsMustMatchAFreshPlan) {
+  // An image whose key is intact and whose checksum is valid, but whose
+  // stored iteration bound disagrees with what the key derives, is
+  // rejected: the decode cross-checks the fresh plan's scalars.
   const auto plan = core::SolvePlan::create(12);
-  auto bytes =
-      std::make_shared<std::vector<std::uint8_t>>(encode_plan(*plan));
-  // The runs are the last payload section: 66 roots, two u32s each.
-  const std::size_t first_end = bytes->size() - 66 * 8 + 4;
-  std::uint32_t end = 0;
-  std::memcpy(&end, bytes->data() + first_end, sizeof(end));
-  ++end;  // root 0's run now overlaps root 1's
-  std::memcpy(bytes->data() + first_end, &end, sizeof(end));
-  const std::uint64_t checksum =
-      fnv1a64(bytes->data() + kHeaderBytes, bytes->size() - kHeaderBytes);
-  std::memcpy(bytes->data() + kChecksumOffset, &checksum, sizeof(checksum));
+  std::vector<std::uint8_t> bytes = encode_plan(*plan);
+  ASSERT_EQ(bytes.size(), kHeaderBytes);
+  ++bytes[kBoundOffset];
+  const std::uint64_t checksum = fnv1a64(bytes.data(), kChecksumOffset);
+  std::memcpy(bytes.data() + kChecksumOffset, &checksum, sizeof(checksum));
   EXPECT_THROW(
-      (void)decode_plan(bytes->data(), bytes->size(), bytes, 12, {}),
+      (void)decode_plan(bytes.data(), bytes.size(), nullptr, 12, {}),
       std::invalid_argument);
 }
 
@@ -401,26 +400,25 @@ TEST(SnapshotRejection, DecodeThrowsInsteadOfMisSolving) {
   // The decode layer itself: every tamper class throws (the store turns
   // this into a miss); none produces a plan.
   const auto plan = core::SolvePlan::create(12);
-  auto bytes =
-      std::make_shared<std::vector<std::uint8_t>>(encode_plan(*plan));
+  std::vector<std::uint8_t> bytes = encode_plan(*plan);
   const auto decode = [&](std::size_t size, std::size_t n,
                           const core::SublinearOptions& options) {
-    return decode_plan(bytes->data(), size, bytes, n, options);
+    return decode_plan(bytes.data(), size, nullptr, n, options);
   };
   // Shorter than the header.
   EXPECT_THROW((void)decode(kHeaderBytes - 1, 12, {}),
                std::invalid_argument);
   // Requested shape disagrees with the embedded key.
-  EXPECT_THROW((void)decode(bytes->size(), 13, {}), std::invalid_argument);
+  EXPECT_THROW((void)decode(bytes.size(), 13, {}), std::invalid_argument);
   core::SublinearOptions other;
   other.termination = core::TerminationMode::kFixedBound;
-  EXPECT_THROW((void)decode(bytes->size(), 12, other),
+  EXPECT_THROW((void)decode(bytes.size(), 12, other),
                std::invalid_argument);
-  // Claimed payload size disagrees with the buffer.
-  EXPECT_THROW((void)decode(bytes->size() - 16, 12, {}),
-               std::invalid_argument);
-  // The untampered buffer still decodes (the guard rails are targeted).
-  EXPECT_NE(decode(bytes->size(), 12, {}), nullptr);
+  // Bytes past the image.
+  bytes.push_back(0);
+  EXPECT_THROW((void)decode(bytes.size(), 12, {}), std::invalid_argument);
+  // The untampered image still decodes (the guard rails are targeted).
+  EXPECT_NE(decode(kHeaderBytes, 12, {}), nullptr);
 }
 
 // ---- Manifest --------------------------------------------------------------
